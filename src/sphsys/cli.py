@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal
-invariant breach (freeness or witness-search failure).
+error: an invariant breach (freeness or witness-search failure) or any
+other ValueError raised past the argument checks.
 """
 from __future__ import annotations
 
@@ -41,7 +42,15 @@ class UsageError(Exception):
     pass
 
 
+def _root_system(spec: str):
+    try:
+        return build_root_system(spec)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
 def cmd_census(args) -> int:
+    _root_system(args.type)
     report = census(args.type, mod_diagram_auts=args.mod_diagram_auts)
     ranks = sorted(report.by_rank)
     if args.rank is not None:
@@ -121,9 +130,12 @@ def _parse_weight(rank: int, text: str) -> List[int]:
         if "w" not in part:
             raise UsageError(f"bad weight {text!r}")
         head, tail = part.split("w", 1)
-        if head:
-            mult = int(head)
-        idx = int(tail) - 1
+        try:
+            if head:
+                mult = int(head)
+            idx = int(tail) - 1
+        except ValueError:
+            raise UsageError(f"bad weight {text!r}")
         if not 0 <= idx < rank:
             raise UsageError(f"weight index out of range in {text!r}")
         coords[idx] += mult
@@ -131,7 +143,7 @@ def _parse_weight(rank: int, text: str) -> List[int]:
 
 
 def cmd_faithful(args) -> int:
-    rs = build_root_system(args.type)
+    rs = _root_system(args.type)
     coords = _parse_weight(rs.rank, args.weight)
     report = census(args.type)
     couples = faithful_couples(report.systems, rs, coords)
@@ -206,10 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (FreenessError, RuntimeError) as e:
+    except (FreenessError, RuntimeError, ValueError) as e:
         print(f"internal error: {e}", file=_sys.stderr)
         return EXIT_INTERNAL
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system, cartan_eval
+from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
 from .system import SphericalSystem, make_system, validate
 
@@ -32,7 +32,7 @@ class CensusReport:
                 if self.by_rank.get(r, 0) != expected.get(r, 0)}
 
 
-def _pair_ok(rs: RootSystem, s: SphericalRoot, t: SphericalRoot) -> bool:
+def _pair_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
     """Whether {s, t} can coexist in Sigma: no proportionality and the
     pairwise parts of the doubled-root and orthogonal-pair axioms."""
     su, tv = s.coeffs, t.coeffs
@@ -40,53 +40,65 @@ def _pair_ok(rs: RootSystem, s: SphericalRoot, t: SphericalRoot) -> bool:
         return False
     for x, y in ((s, t), (t, s)):
         if x.shape == "2a1":
-            alpha = x.coeffs.index(2)
-            v = cartan_eval(rs, alpha, y.coeffs)
+            v = y.pairings[x.coeffs.index(2)]
             if v > 0 or v % 2 != 0:
                 return False
         if x.shape == "a1xa1":
             i, j = x.support
-            if cartan_eval(rs, i, y.coeffs) != cartan_eval(rs, j, y.coeffs):
+            if y.pairings[i] != y.pairings[j]:
                 return False
     return True
 
 
-def _sigma_candidates(rs: RootSystem, max_rank: Optional[int]) -> List[Tuple[SphericalRoot, ...]]:
-    """All subsets of the spherical roots whose pairwise constraints hold."""
+def _mask(indices: FrozenSet[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _sigma_candidates(rs: RootSystem, max_rank: Optional[int]
+                      ) -> List[Tuple[Tuple[SphericalRoot, ...], int, int]]:
+    """All (sigma, low, high) with sigma's pairwise constraints holding and
+    its S^p interval [low, high] (bitmasks over S) nonempty.
+
+    low only grows and high only shrinks as roots are added, so a subset
+    whose interval is empty has no extension with a nonempty one: the
+    depth-first search prunes it together with its subtree.
+    """
     roots = spherical_roots_of(rs)
     k = len(roots)
-    compat = [[False] * k for _ in range(k)]
+    compat = [0] * k  # bitmask of the roots compatible with roots[i]
     for i, j in combinations(range(k), 2):
-        compat[i][j] = compat[j][i] = _pair_ok(rs, roots[i], roots[j])
-    out: List[Tuple[SphericalRoot, ...]] = []
+        if _pair_ok(roots[i], roots[j]):
+            compat[i] |= 1 << j
+            compat[j] |= 1 << i
+    low_of = [_mask(spp_of(rs, s)) for s in roots]
+    high_of = [_mask(sp_of(rs, s)) for s in roots]
+    out: List[Tuple[Tuple[SphericalRoot, ...], int, int]] = []
 
-    def rec(chosen: List[int], start: int):
-        out.append(tuple(roots[i] for i in chosen))
+    def rec(chosen: List[int], allowed: int, low: int, high: int):
+        # allowed: roots after the last chosen one, compatible with all chosen
+        out.append((tuple(roots[i] for i in chosen), low, high))
         if max_rank is not None and len(chosen) >= max_rank:
             return
-        for i in range(start, k):
-            if all(compat[j][i] for j in chosen):
-                # a doubled simple root also constrains itself against alpha
-                rec(chosen + [i], i + 1)
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            i = bit.bit_length() - 1
+            lo, hi = low | low_of[i], high & high_of[i]
+            if not lo & ~hi:
+                rec(chosen + [i], allowed & compat[i], lo, hi)
 
-    rec([], 0)
+    rec([], (1 << k) - 1, 0, (1 << rs.rank) - 1)
     return out
 
 
-def _sp_choices(rs: RootSystem, sigma: Sequence[SphericalRoot]) -> List[FrozenSet[int]]:
-    """All parabolic subsets compatible with every member of sigma."""
-    low: Set[int] = set()
-    high = set(range(rs.rank))
-    for s in sigma:
-        low |= spp_of(rs, s)
-        high &= sp_of(rs, s)
-    if not low <= high:
-        return []
-    free = sorted(high - low)
+def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
+    """Every parabolic subset in the interval [low, high] of bitmasks."""
+    base = frozenset(i for i in range(rank) if low >> i & 1)
+    free = [i for i in range(rank) if (high & ~low) >> i & 1]
     out = []
     for size in range(len(free) + 1):
         for extra in combinations(free, size):
-            out.append(frozenset(low) | frozenset(extra))
+            out.append(base | frozenset(extra))
     return out
 
 
@@ -106,10 +118,11 @@ def enumerate_a_matrices(rs: RootSystem, sigma: Sequence[SphericalRoot],
     if not owners:
         return [()]
     cols_simple = set(simple_cols.values())
+    cols = [simple_cols[a] for a in owners]
 
     def pair_choices(alpha: int) -> List[Tuple[Row, Row]]:
         col = simple_cols[alpha]
-        cart = tuple(cartan_eval(rs, alpha, s.coeffs) for s in sigma)
+        cart = tuple(s.pairings[alpha] for s in sigma)
         ranges = []
         for j in range(r):
             if j == col:
@@ -126,45 +139,53 @@ def enumerate_a_matrices(rs: RootSystem, sigma: Sequence[SphericalRoot],
                 pairs.append((row, partner))
         return pairs
 
-    choices = {a: pair_choices(a) for a in owners}
+    # Every row of a pair has value 1 at its owner's column. So the choices
+    # of owners a and b agree (each row shared by A(a) and A(b) has one
+    # multiplicity) exactly when the rows of A(a) with value 1 at b's column
+    # and the rows of A(b) with value 1 at a's column are equal multisets.
+    # The two rows of A(a) sum to <alpha_a^vee, alpha_b> <= 0 at b's
+    # column, so each multiset holds at most one row: the key of the
+    # choice against b.
+    # With owners numbered by position in `owners`, keys[a][c][b] is that
+    # key for choice c of owner a, and index[a][b] maps each key to the
+    # bitmask of owner a's choices that carry it.
+    choices = [pair_choices(a) for a in owners]
+    m = len(owners)
+    keys = [[[p if p[col] == 1 else q if q[col] == 1 else None for col in cols]
+             for p, q in ch] for ch in choices]
+    index: List[List[Dict[Optional[Row], int]]] = [[{} for _ in range(m)] for _ in range(m)]
+    for a in range(m):
+        for c, key in enumerate(keys[a]):
+            for b in range(m):
+                index[a][b][key[b]] = index[a][b].get(key[b], 0) | 1 << c
     results: List[Tuple[Row, ...]] = []
 
-    def consistent(assign: Dict[int, Tuple[Row, Row]]) -> bool:
-        for a, pa in assign.items():
-            for b, pb in assign.items():
-                if a >= b:
-                    continue
-                ca, cb = simple_cols[a], simple_cols[b]
-                for row in pa:
-                    if row[cb] == 1 and _mult(pa, row) != _mult(pb, row):
-                        return False
-                for row in pb:
-                    if row[ca] == 1 and _mult(pb, row) != _mult(pa, row):
-                        return False
-        return True
-
-    def rec(idx: int, assign: Dict[int, Tuple[Row, Row]]):
-        if idx == len(owners):
-            # every row of a pair has value 1 at its owner's column, so the
-            # consistency check above forces one multiplicity per distinct row
+    def rec(assign: List[Tuple[Row, Row]], allowed: List[int]):
+        # allowed[b]: owner b's choices that agree with every owner assigned
+        i = len(assign)
+        if i == m:
             mult: Dict[Row, int] = {}
-            for a in owners:
-                pa = assign[a]
+            for pa in assign:
                 for row in set(pa):
                     mult[row] = max(mult.get(row, 0), _mult(pa, row))
             flat = []
-            for row, m in mult.items():
-                flat.extend([row] * m)
+            for row, k in mult.items():
+                flat.extend([row] * k)
             results.append(tuple(sorted(flat)))
             return
-        a = owners[idx]
-        for pair in choices[a]:
-            assign[a] = pair
-            if consistent(assign):
-                rec(idx + 1, assign)
-            del assign[a]
+        todo = allowed[i]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            c = bit.bit_length() - 1
+            later = [allowed[b] & index[b][i].get(keys[i][c][b], 0) for b in range(i + 1, m)]
+            # an owner left without choices ends the branch now, not at its turn
+            if all(later):
+                assign.append(choices[i][c])
+                rec(assign, allowed[:i + 1] + later)
+                assign.pop()
 
-    rec(0, {})
+    rec([], [(1 << len(ch)) - 1 for ch in choices])
     return results
 
 
@@ -207,8 +228,8 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
                       mod_diagram_auts: bool = False) -> CensusReport:
     """All spherical systems of rs, grouped by rank."""
     seen: Dict[tuple, SphericalSystem] = {}
-    for sigma in _sigma_candidates(rs, max_rank):
-        for sp in _sp_choices(rs, sigma):
+    for sigma, low, high in _sigma_candidates(rs, max_rank):
+        for sp in _sp_choices(rs.rank, low, high):
             for rows in enumerate_a_matrices(rs, sigma, sp):
                 sys = make_system(rs, [s.coeffs for s in sigma], sp, rows)
                 if validate(sys):

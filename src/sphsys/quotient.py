@@ -77,7 +77,6 @@ def _feasible(rows: Tuple[Row, ...], width: int) -> bool:
 
 def _fm_feasible(cons, nvars: int) -> bool:
     """Whether integer constraints coeffs . x >= const are satisfiable over Q."""
-    from math import gcd
     for var in range(nvars):
         pos = [c for c in cons if c[0][var] > 0]
         neg = [c for c in cons if c[0][var] < 0]

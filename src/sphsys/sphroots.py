@@ -5,7 +5,7 @@ fixed table of shapes, one per type of its support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -22,6 +22,9 @@ class SphericalRoot:
     coeffs: Vector
     shape: str
     support: Tuple[int, ...]  # ambient simple indices, in the shape's own order
+    # <alpha_i^vee, sigma> for every simple index i; derived from coeffs,
+    # so it takes no part in equality, hashing or keys
+    pairings: Tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def height(self) -> int:
@@ -31,13 +34,6 @@ class SphericalRoot:
         return (self.height, self.coeffs)
 
 
-def _mk(rs_rank: int, shape: str, support: Sequence[int], coeffs_on_support: Sequence[int]) -> SphericalRoot:
-    v = [0] * rs_rank
-    for i, c in zip(support, coeffs_on_support):
-        v[i] += c
-    return SphericalRoot(coeffs=tuple(v), shape=shape, support=tuple(support))
-
-
 @lru_cache(maxsize=None)
 def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
     """All spherical roots of rs, sorted by (height, coefficient vector)."""
@@ -45,15 +41,21 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
     a = rs.cartan
     found: Dict[Vector, SphericalRoot] = {}
 
-    def add(sr: SphericalRoot) -> None:
-        found.setdefault(sr.coeffs, sr)
+    def add(shape: str, support: Sequence[int], coeffs_on_support: Sequence[int]) -> None:
+        v = [0] * n
+        for i, c in zip(support, coeffs_on_support):
+            v[i] += c
+        v = tuple(v)
+        if v not in found:
+            found[v] = SphericalRoot(coeffs=v, shape=shape, support=tuple(support),
+                                     pairings=tuple(cartan_eval(rs, i, v) for i in range(n)))
 
     for i in range(n):
-        add(_mk(n, "a1", (i,), (1,)))
-        add(_mk(n, "2a1", (i,), (2,)))
+        add("a1", (i,), (1,))
+        add("2a1", (i,), (2,))
     for i, j in combinations(range(n), 2):
         if a[i][j] == 0:
-            add(_mk(n, "a1xa1", (i, j), (1, 1)))
+            add("a1xa1", (i, j), (1, 1))
 
     # connected subsets of the Dynkin diagram, size >= 2
     for size in range(2, n + 1):
@@ -64,24 +66,24 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
             r = len(order)
             letter = tname[0]
             if letter == "A":
-                add(_mk(n, "a-sum", order, (1,) * r))
+                add("a-sum", order, (1,) * r)
                 if r == 3:
-                    add(_mk(n, "a3-mid", order, (1, 2, 1)))
+                    add("a3-mid", order, (1, 2, 1))
             elif letter == "B":
-                add(_mk(n, "b-sum", order, (1,) * r))
-                add(_mk(n, "2b-sum", order, (2,) * r))
+                add("b-sum", order, (1,) * r)
+                add("2b-sum", order, (2,) * r)
                 if r == 3:
-                    add(_mk(n, "b3-triple", order, (1, 2, 3)))
+                    add("b3-triple", order, (1, 2, 3))
             elif letter == "C":
-                add(_mk(n, "c-shape", order, (1,) + (2,) * (r - 2) + (1,)))
+                add("c-shape", order, (1,) + (2,) * (r - 2) + (1,))
             elif letter == "D":
-                add(_mk(n, "d-shape", order, (2,) * (r - 2) + (1, 1)))
+                add("d-shape", order, (2,) * (r - 2) + (1, 1))
             elif letter == "F":
-                add(_mk(n, "f4-shape", order, (1, 2, 3, 2)))
+                add("f4-shape", order, (1, 2, 3, 2))
             elif letter == "G":
-                add(_mk(n, "g2-sum", order, (1, 1)))
-                add(_mk(n, "g2-short2", order, (2, 1)))
-                add(_mk(n, "g2-double", order, (4, 2)))
+                add("g2-sum", order, (1, 1))
+                add("g2-short2", order, (2, 1))
+                add("g2-double", order, (4, 2))
     return tuple(sorted(found.values(), key=SphericalRoot.sort_key))
 
 
@@ -111,7 +113,7 @@ def spherical_root(rs: RootSystem, v: Sequence[int]) -> SphericalRoot:
 
 def sp_of(rs: RootSystem, sigma: SphericalRoot) -> FrozenSet[int]:
     """Largest parabolic subset compatible with sigma: simple roots orthogonal to it."""
-    return frozenset(i for i in range(rs.rank) if cartan_eval(rs, i, sigma.coeffs) == 0)
+    return frozenset(i for i, v in enumerate(sigma.pairings) if v == 0)
 
 
 def spp_of(rs: RootSystem, sigma: SphericalRoot) -> FrozenSet[int]:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system, cartan_eval, sub_root_system
+from .rootsys import RootSystem, build_root_system, sub_root_system
 from .sphroots import (SphericalRoot, is_compatible, render_root, sp_of,
                        spherical_root, spp_of)
 
@@ -108,7 +108,7 @@ def validate(sys: SphericalSystem) -> List[str]:
         if len(rows) != 2:
             out.append(f"(A2) A(a{alpha + 1}) has {len(rows)} elements, expected 2")
             continue
-        want = tuple(cartan_eval(rs, alpha, v) for v in vecs)
+        want = tuple(s.pairings[alpha] for s in sys.sigma)
         got = tuple(x + y for x, y in zip(rows[0], rows[1]))
         if got != want:
             out.append(f"(A2) A(a{alpha + 1}) sums to {got}, expected {want}")
@@ -119,22 +119,19 @@ def validate(sys: SphericalSystem) -> List[str]:
         for col, s in enumerate(sys.sigma):
             if s.coeffs == _times(vecs, alpha, 2):
                 continue
-            val = cartan_eval(rs, alpha, s.coeffs)
+            val = s.pairings[alpha]
             if val > 0 or val % 2 != 0:
                 out.append(f"(Sigma1) <a{alpha + 1}^vee, {render_root(s)}> = {val}"
                            " is not a non-positive even integer")
-    n = rs.rank
     for s in sys.sigma:
-        pairs = [(i, j) for i, j in combinations(range(n), 2)
-                 if rs.cartan[i][j] == 0
-                 and s.coeffs == tuple(1 if k in (i, j) else 0 for k in range(n))]
-        for i, j in pairs:
-            for t in sys.sigma:
-                vi = cartan_eval(rs, i, t.coeffs)
-                vj = cartan_eval(rs, j, t.coeffs)
-                if vi != vj:
-                    out.append(f"(Sigma2) <a{i + 1}^vee,{render_root(t)}> = {vi}"
-                               f" != <a{j + 1}^vee,{render_root(t)}> = {vj}")
+        if s.shape != "a1xa1":
+            continue
+        i, j = s.support
+        for t in sys.sigma:
+            vi, vj = t.pairings[i], t.pairings[j]
+            if vi != vj:
+                out.append(f"(Sigma2) <a{i + 1}^vee,{render_root(t)}> = {vi}"
+                           f" != <a{j + 1}^vee,{render_root(t)}> = {vj}")
     return out
 
 
@@ -180,7 +177,6 @@ def colors(sys: SphericalSystem) -> ColorSet:
     """
     rs = sys.rs
     n = rs.rank
-    vecs = [s.coeffs for s in sys.sigma]
     simple_cols = sys.simple_sigma()
     doubled = sys.doubled_simple()
     sb = [i for i in range(n)
@@ -194,13 +190,13 @@ def colors(sys: SphericalSystem) -> ColorSet:
         for a in owners:
             delta[a].append(idx)
     for alpha in sorted(doubled):
-        row = tuple(_half(cartan_eval(rs, alpha, v)) for v in vecs)
+        row = tuple(_half(s.pairings[alpha]) for s in sys.sigma)
         idx = len(cols)
         cols.append(Color(kind="2a", owners=(alpha,), row=row))
         delta[alpha].append(idx)
     for cls in _b_classes(sys, sb):
         rep = cls[0]
-        row = tuple(cartan_eval(rs, rep, v) for v in vecs)
+        row = tuple(s.pairings[rep] for s in sys.sigma)
         idx = len(cols)
         cols.append(Color(kind="b", owners=tuple(cls), row=row))
         for a in cls:

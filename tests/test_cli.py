@@ -82,7 +82,27 @@ def test_bad_arguments_are_usage_errors(example_doc, capsys):
     assert main(["localize", str(path), "--sigma", "1", "--s", "1"]) == 2
     assert main(["localize", str(path), "--sigma", "9"]) == 2
     assert main(["census"]) == 2
+    assert main(["census", "--type", "Q4"]) == 2
+    assert main(["census", "--type", "A0"]) == 2
+    assert main(["faithful", "--type", "A3x", "--weight", "w1"]) == 2
+    assert main(["faithful", "--type", "A3", "--weight", "xw1"]) == 2
     capsys.readouterr()
+
+
+# A D4 census member with a quotient whose spherical root (1,2,2,1) is
+# missing from the D4 catalog: an internal failure, not a usage error.
+# Completing the catalog removes this failure; the test then needs another.
+D4_QUOTIENT_FAILURE = (
+    '{"root_system":{"components":[{"rank":4,"type":"D"}]},'
+    '"system":{"a_rows":[],"sigma":[[0,1,1,0],[1,0,0,1]],"sp":[]},"version":"1"}\n'
+)
+
+
+def test_internal_value_error_exit_code(tmp_path, capsys):
+    path = tmp_path / "d4.json"
+    path.write_text(D4_QUOTIENT_FAILURE)
+    assert main(["quotients", str(path)]) == 3
+    assert "internal error: (1, 2, 2, 1) is not a spherical root of D4" in capsys.readouterr().err
 
 
 def test_colors_table(example_doc, capsys):

@@ -1,9 +1,15 @@
 """Exhaustive census of spherical systems and canonical-form deduplication."""
 
+from itertools import combinations, product
+
 import pytest
 
 from sphsys import build_root_system, make_system, validate
-from sphsys.enumeration import canonical_form, census, diagram_automorphisms
+from sphsys.enumeration import (canonical_form, census, diagram_automorphisms,
+                                enumerate_systems)
+from sphsys.rootsys import cartan_eval
+from sphsys.serialize import emit_system
+from sphsys.sphroots import sp_of, spherical_roots_of, spp_of
 
 
 def test_f4_census_counts(f4_census):
@@ -103,3 +109,160 @@ def test_canonical_form_presentation_invariance(f4):
     )
     assert a == b
     assert canonical_form(a) == canonical_form(b)
+
+
+# A frozen copy of the generate-then-filter census search, kept as the
+# reference for the pruned search: every Sigma subset with its pairwise
+# constraints, S^p choices filtered afterwards, and an A-matrix search that
+# re-checks every pair of owners at every step. Pairings come from
+# cartan_eval, not from the catalog's precomputed ones.
+
+def _reference_pair_ok(rs, s, t):
+    su, tv = s.coeffs, t.coeffs
+    if all(a * sum(tv) == b * sum(su) for a, b in zip(su, tv)):
+        return False
+    for x, y in ((s, t), (t, s)):
+        if x.shape == "2a1":
+            v = cartan_eval(rs, x.coeffs.index(2), y.coeffs)
+            if v > 0 or v % 2 != 0:
+                return False
+        if x.shape == "a1xa1":
+            i, j = x.support
+            if cartan_eval(rs, i, y.coeffs) != cartan_eval(rs, j, y.coeffs):
+                return False
+    return True
+
+
+def _reference_sigma_candidates(rs):
+    roots = spherical_roots_of(rs)
+    k = len(roots)
+    compat = [[False] * k for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        compat[i][j] = compat[j][i] = _reference_pair_ok(rs, roots[i], roots[j])
+    out = []
+
+    def rec(chosen, start):
+        out.append(tuple(roots[i] for i in chosen))
+        for i in range(start, k):
+            if all(compat[j][i] for j in chosen):
+                rec(chosen + [i], i + 1)
+
+    rec([], 0)
+    return out
+
+
+def _reference_sp_choices(rs, sigma):
+    low, high = set(), set(range(rs.rank))
+    for s in sigma:
+        low |= spp_of(rs, s)
+        high &= sp_of(rs, s)
+    if not low <= high:
+        return []
+    free = sorted(high - low)
+    return [frozenset(low) | frozenset(extra)
+            for size in range(len(free) + 1) for extra in combinations(free, size)]
+
+
+def _reference_a_matrices(rs, sigma, sp):
+    r = len(sigma)
+    simple_cols = {s.coeffs.index(1): col for col, s in enumerate(sigma) if s.height == 1}
+    owners = sorted(simple_cols)
+    if not owners:
+        return [()]
+    cols_simple = set(simple_cols.values())
+
+    def mult(pair, row):
+        return (pair[0] == row) + (pair[1] == row)
+
+    def pair_choices(alpha):
+        col = simple_cols[alpha]
+        cart = tuple(cartan_eval(rs, alpha, s.coeffs) for s in sigma)
+        ranges = [[1] if j == col else
+                  [v for v in range(cart[j] - 1, 2)
+                   if (v != 1 or j in cols_simple) and (cart[j] - v != 1 or j in cols_simple)]
+                  for j in range(r)]
+        pairs = []
+        for row in product(*ranges):
+            partner = tuple(c - v for c, v in zip(cart, row))
+            if row <= partner:
+                pairs.append((row, partner))
+        return pairs
+
+    def consistent(assign):
+        for a, pa in assign.items():
+            for b, pb in assign.items():
+                if a >= b:
+                    continue
+                ca, cb = simple_cols[a], simple_cols[b]
+                if any(row[cb] == 1 and mult(pa, row) != mult(pb, row) for row in pa):
+                    return False
+                if any(row[ca] == 1 and mult(pb, row) != mult(pa, row) for row in pb):
+                    return False
+        return True
+
+    choices = {a: pair_choices(a) for a in owners}
+    results = []
+
+    def rec(idx, assign):
+        if idx == len(owners):
+            m = {}
+            for pa in assign.values():
+                for row in set(pa):
+                    m[row] = max(m.get(row, 0), mult(pa, row))
+            results.append(tuple(sorted(row for row, k in m.items() for _ in range(k))))
+            return
+        a = owners[idx]
+        for pair in choices[a]:
+            assign[a] = pair
+            if consistent(assign):
+                rec(idx + 1, assign)
+            del assign[a]
+
+    rec(0, {})
+    return results
+
+
+def _reference_census(rs):
+    seen = {}
+    for sigma in _reference_sigma_candidates(rs):
+        for sp in _reference_sp_choices(rs, sigma):
+            for rows in _reference_a_matrices(rs, sigma, sp):
+                sys = make_system(rs, [s.coeffs for s in sigma], sp, rows)
+                if not validate(sys):
+                    seen.setdefault(sys.key(), sys)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+     "A1xA1", "A2xA1", "A3xA1", "A2xA2", "B2xA1", "B3xA1", "A1xG2"],
+)
+def test_pruned_search_matches_reference(name):
+    rs = build_root_system(name)
+    got = [emit_system(s) for s in enumerate_systems(rs).systems]
+    assert got == [emit_system(s) for s in _reference_census(rs)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A5", "B5", "C5", "D5",
+     pytest.param("D4", marks=pytest.mark.xfail(
+         strict=True, raises=AssertionError,
+         reason="the catalog has one d-shape root per D4 support, "
+                "not its triality images"))],
+)
+def test_census_closed_under_diagram_automorphisms(name):
+    rs = build_root_system(name)
+    catalog = {s.coeffs for s in spherical_roots_of(rs)}
+    members = set(census(name).systems)
+    for p in diagram_automorphisms(rs):
+        for sys in members:
+            vecs = []
+            for s in sys.sigma:
+                v = [0] * rs.rank
+                for i, c in enumerate(s.coeffs):
+                    v[p[i]] = c
+                vecs.append(tuple(v))
+            assert set(vecs) <= catalog
+            assert make_system(rs, vecs, [p[i] for i in sys.sp], sys.a_rows) in members

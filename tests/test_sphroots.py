@@ -1,8 +1,12 @@
 """Catalog of spherical roots per root system, supports and compatibility."""
 
+from dataclasses import replace
+
 import pytest
 
-from sphsys.rootsys import build_root_system
+from sphsys.enumeration import census
+from sphsys.rootsys import build_root_system, cartan_eval
+from sphsys.serialize import emit_system, parse_system
 from sphsys.sphroots import (
     is_compatible,
     render_root,
@@ -96,3 +100,34 @@ def test_render_root(f4):
     assert render_root(spherical_root(f4, (1, 2, 3, 2))) == "a1+2a2+3a3+2a4"
     assert render_root(spherical_root(f4, (0, 0, 1, 0))) == "a3"
     assert render_root(spherical_root(f4, (0, 0, 0, 2))) == "2a4"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+     "D4", "D5", "E6", "G2", "F4", "A1xA1", "A2xA1", "A3xA1", "A2xA2",
+     "B2xA1", "B3xA1", "A1xG2"],
+)
+def test_pairings_match_cartan_eval(name):
+    rs = build_root_system(name)
+    for sigma in spherical_roots_of(rs):
+        assert sigma.pairings == tuple(
+            cartan_eval(rs, i, sigma.coeffs) for i in range(rs.rank))
+
+
+def test_pairings_take_no_part_in_equality(f4):
+    for sigma in spherical_roots_of(f4):
+        other = replace(sigma, pairings=tuple(v + 1 for v in sigma.pairings))
+        assert other == sigma
+        assert hash(other) == hash(sigma)
+        assert "pairings" not in repr(sigma)
+
+
+@pytest.mark.parametrize("name", ["F4", "B3xA1"])
+def test_round_trip_keeps_pairings(name):
+    for sys in census(name).systems:
+        text = emit_system(sys)
+        back = parse_system(text)
+        assert back == sys
+        assert emit_system(back) == text
+        assert [s.pairings for s in back.sigma] == [s.pairings for s in sys.sigma]
