@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from .rootsys import RootSystem, cartan_eval, dual_weight, weight_coords
-from .sphroots import SphericalRoot, is_compatible, spherical_root, _by_vector
+from .rootsys import RootSystem, dual_weight
+from .sphroots import SphericalRoot, is_compatible, _by_vector
 from .system import SphericalSystem, colors
 from .quotient import is_distinguished
 

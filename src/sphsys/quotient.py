@@ -4,16 +4,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, count
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rootsys import cartan_eval
-from .sphroots import spherical_root
-from .system import SphericalSystem, colors, defect, make_system, negative_colors, validate
+from .rootsys import rref
+from .system import SphericalSystem, colors, defect, make_system, negative_colors
 
 Row = Tuple[int, ...]
-
-GENERATOR_BOUND = 12  # coordinate bound when enumerating kernel generators
 
 
 class FreenessError(RuntimeError):
@@ -29,8 +27,9 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
     """A positive integer witness x with sum x_d * row_d >= 0, or None.
 
     Feasibility over the positive rationals is decided exactly by
-    Fourier-Motzkin elimination; the witness itself is found by a bounded
-    integer search, which must succeed whenever the rational test does.
+    Fourier-Motzkin elimination; the witness itself is found by an integer
+    search with a deepening coordinate bound, which ends because any rational
+    solution with x >= 1 scales to an integer one.
     """
     members = sorted(set(members))
     if not members:
@@ -49,10 +48,7 @@ def _decide(rows: Tuple[Row, ...], width: int) -> Optional[Tuple[int, ...]]:
             return None
     if not _feasible(rows, width):
         return None
-    witness = _integer_witness(rows, width)
-    if witness is None:
-        raise RuntimeError("rational feasibility without bounded integer witness")
-    return tuple(witness)
+    return tuple(_integer_witness(rows, width))
 
 
 def _feasible(rows: Tuple[Row, ...], width: int) -> bool:
@@ -93,7 +89,6 @@ def _fm_feasible(cons, nvars: int) -> bool:
 
 
 def _normalize(coeffs, b):
-    from math import gcd
     g = 0
     for c in coeffs:
         g = gcd(g, abs(c))
@@ -116,22 +111,15 @@ def _dedupe(cons):
     return [(c, b) for c, b in seen.items()]
 
 
-def witness_bound(rows, width: int) -> int:
-    """Per-coordinate search bound for integer witnesses."""
-    mx = max((abs(v) for r in rows for v in r), default=0)
-    return 1 + width * mx
-
-
-def _integer_witness(rows: Tuple[Row, ...], width: int) -> Optional[List[int]]:
+def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
     """Smallest-bound integer witness x in {1..B}^k with sum x_d row_d >= 0.
 
-    Iterative deepening on the coordinate bound with optimistic pruning on
-    the partial column sums; the subsets reaching this point are known
-    feasible, and their witnesses are small in practice.
+    Iterative deepening on the coordinate bound B with optimistic pruning on
+    the partial column sums. The rows must be feasible over the rationals,
+    or the search does not end.
     """
     k = len(rows)
-    bmax = witness_bound(rows, width)
-    for bound in range(1, bmax + 1):
+    for bound in count(1):
         # best[d][j]: largest contribution of colors d..k-1 to column j
         best = [[0] * width for _ in range(k + 1)]
         for d in range(k - 1, -1, -1):
@@ -153,120 +141,90 @@ def _integer_witness(rows: Tuple[Row, ...], width: int) -> Optional[List[int]]:
 
         if rec(0, tuple([0] * width)):
             return choice
-    return None
 
 
 def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Minimal generators of {m in N^Sigma : all pairings with the members vanish}.
+    """Free generators of {m in N^Sigma : all pairings with the members vanish}.
 
-    Enumerates lattice points up to GENERATOR_BOUND per coordinate, extracts
-    the componentwise-minimal ones and verifies unique N-factorization.
+    The generators are the primitive extremal rays of the cone of nonnegative
+    kernel vectors; FreenessError is raised when they do not generate the
+    monoid freely.
     """
     rows = _rows_of(sys, sorted(set(members)))
-    r = sys.rank
-    points = _kernel_points(tuple(rows), r, GENERATOR_BOUND)
-    gens = sorted(p for p in points
-                  if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points))
-    solve = _exact_solver(gens, r)
-    if solve is None:
-        raise FreenessError("minimal kernel generators are linearly dependent")
-    for p in points:
-        c = solve(p)
-        if c is None or any(x.denominator != 1 or x < 0 for x in c):
-            raise FreenessError(f"kernel point {p} is not an N-combination of generators")
-    return gens
+    return list(_kernel_rays(tuple(rows), sys.rank))
 
 
 @lru_cache(maxsize=None)
-def _kernel_points(rows: Tuple[Row, ...], r: int, bound: int) -> List[Tuple[int, ...]]:
-    """Nonzero m in {0..bound}^r with row . m = 0 for every row.
+def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row},
+    checked to be a free basis of the monoid of its integer points.
 
-    The common kernel is parametrized by the free columns of an exact
-    reduced row echelon form, so only bound^(kernel dim) points are scanned.
+    An extremal ray is a nonnegative kernel vector of minimal support S: the
+    rows restricted to S have a 1-dimensional kernel, spanned by a vector of
+    one sign. Supports are tried by increasing size, skipping those that
+    contain one already found.
     """
-    mat = [[Q(v) for v in row] for row in rows]
-    pivots: List[Tuple[int, int]] = []  # (row, col)
-    prow = 0
-    for col in range(r):
-        src = next((i for i in range(prow, len(mat)) if mat[i][col] != 0), None)
-        if src is None:
-            continue
-        mat[prow], mat[src] = mat[src], mat[prow]
-        inv = Q(1) / mat[prow][col]
-        mat[prow] = [x * inv for x in mat[prow]]
-        for i in range(len(mat)):
-            if i != prow and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[prow])]
-        pivots.append((prow, col))
-        prow += 1
-    free = [c for c in range(r) if c not in {c for _, c in pivots}]
-    points = []
-    for assign in product(range(bound + 1), repeat=len(free)):
-        m = [0] * r
-        for c, v in zip(free, assign):
-            m[c] = v
-        ok = True
-        for i, c in pivots:
-            val = -sum(mat[i][f] * m[f] for f in free)
-            if val.denominator != 1 or not 0 <= val <= bound:
-                ok = False
-                break
-            m[c] = int(val)
-        if ok and any(m):
-            points.append(tuple(m))
-    return points
+    reduced, pivots = rref(rows, width)
+    dim = width - len(pivots)
+    if dim == 0:
+        return ()
+    if dim == 1:
+        free = next(c for c in range(width) if c not in pivots)
+        candidates = [_basis_vector(reduced, pivots, free, width)]
+    else:
+        candidates, found = [], []
+        for size in range(1, width + 1):
+            for support in combinations(range(width), size):
+                if any(s <= set(support) for s in found):
+                    continue
+                sub, sub_pivots = rref([[r[j] for j in support] for r in rows], size)
+                if size - len(sub_pivots) == 1:
+                    # no zero entries: a smaller support would have been found
+                    free = next(c for c in range(size) if c not in sub_pivots)
+                    v = [Q(0)] * width
+                    for j, x in zip(support, _basis_vector(sub, sub_pivots, free, size)):
+                        v[j] = x
+                    candidates.append(v)
+                    found.append(set(support))
+    rays = sorted(_primitive(v) for v in candidates
+                  if all(x >= 0 for x in v) or all(x <= 0 for x in v))
+    # free iff the g rays span a saturated rank-g sublattice of Z^width,
+    # that is, iff their g x g minors have gcd 1
+    minors_gcd = 0
+    for cols in combinations(range(width), len(rays)):
+        minors_gcd = gcd(minors_gcd, _det([[ray[j] for ray in rays] for j in cols]))
+        if minors_gcd == 1:
+            return tuple(rays)
+    raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
 
 
-def _exact_solver(gens, r):
-    """Exact solver for p = sum c_i gens[i]; None if the gens are dependent.
+def _basis_vector(reduced, pivots, free: int, width: int) -> List[Q]:
+    """The kernel vector of an RREF that is 1 at the free column `free` and 0
+    at every other free column."""
+    v = [Q(0)] * width
+    v[free] = Q(1)
+    for row, c in zip(reduced, pivots):
+        v[c] = -row[free]
+    return v
 
-    Returns a function mapping p to the unique rational coefficient vector,
-    or to None when p is outside the span.
-    """
-    g = len(gens)
-    if g == 0:
-        return lambda p: None if any(p) else ()
-    mat = [[Q(gens[i][j]) for i in range(g)] for j in range(r)]  # r x g
-    aug_cols = list(range(g))
-    # RREF of the r x g matrix, remembering pivot positions
-    pivots = []
-    prow = 0
-    ops = []  # row operations to replay on p
-    for col in range(g):
-        src_row = next((i for i in range(prow, r) if mat[i][col] != 0), None)
-        if src_row is None:
-            return None  # dependent columns
-        ops.append(("swap", prow, src_row))
-        mat[prow], mat[src_row] = mat[src_row], mat[prow]
-        inv = Q(1) / mat[prow][col]
-        ops.append(("scale", prow, inv))
-        mat[prow] = [x * inv for x in mat[prow]]
-        for i in range(r):
-            if i != prow and mat[i][col] != 0:
-                f = mat[i][col]
-                ops.append(("sub", i, prow, f))
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[prow])]
-        pivots.append((prow, col))
-        prow += 1
 
-    def solve(p):
-        b = [Q(x) for x in p]
-        for op in ops:
-            if op[0] == "swap":
-                _, i, j = op
-                b[i], b[j] = b[j], b[i]
-            elif op[0] == "scale":
-                _, i, f = op
-                b[i] *= f
-            else:
-                _, i, j, f = op
-                b[i] -= f * b[j]
-        if any(b[i] != 0 for i in range(g, r)):
-            return None
-        return tuple(b[:g])
+def _primitive(v: Sequence[Q]) -> Tuple[int, ...]:
+    """The primitive integer vector on the ray of v or of -v, whichever is
+    nonnegative (v has one sign)."""
+    scale = lcm(*(x.denominator for x in v))
+    if sum(v) < 0:
+        scale = -scale
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
-    return solve
+
+def _det(m: List[List[int]]) -> int:
+    """Determinant of a small integer matrix, by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
 
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:

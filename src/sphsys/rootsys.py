@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 QVector = Tuple[Q, ...]
@@ -165,22 +165,37 @@ def cartan_eval(rs: RootSystem, i: int, v: Sequence) -> object:
     return sum(rs.cartan[i][j] * v[j] for j in range(rs.rank))
 
 
+def rref(matrix: Sequence[Sequence], ncols: int) -> Tuple[List[List[Q]], List[int]]:
+    """Reduced row echelon form over Q, pivoting on the first `ncols` columns.
+
+    Returns the nonzero rows and their pivot columns; any further columns are
+    carried along, as for an augmented matrix.
+    """
+    m = [[Q(x) for x in row] for row in matrix]
+    pivots: List[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        src = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if src is None:
+            continue
+        m[top], m[src] = m[src], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [x * inv for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
 @lru_cache(maxsize=None)
 def _cartan_inverse(name: str) -> Tuple[QVector, ...]:
-    """Exact inverse of the Cartan matrix, by Gaussian elimination over Q."""
+    """Exact inverse of the Cartan matrix, as the right half of rref([C | I])."""
     rs = build_root_system(name)
     n = rs.rank
-    m = [[Q(rs.cartan[i][j]) for j in range(n)] + [Q(1 if j == i else 0) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m, _ = rref([list(rs.cartan[i]) + [1 if j == i else 0 for j in range(n)]
+                 for i in range(n)], n)
     return tuple(tuple(row[n:]) for row in m)
 
 

@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system, cartan_eval, recognize
+from .rootsys import RootSystem, cartan_eval, recognize
 
 Vector = Tuple[int, ...]
 

@@ -7,14 +7,12 @@ multiset of integer rows over Sigma attached to the simple spherical roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system, sub_root_system
-from .sphroots import (SphericalRoot, is_compatible, render_root, sp_of,
-                       spherical_root, spp_of)
+from .rootsys import RootSystem, sub_root_system
+from .sphroots import SphericalRoot, is_compatible, render_root, spherical_root
 
 Vector = Tuple[int, ...]
 Row = Tuple[int, ...]

@@ -1,11 +1,15 @@
 """Distinguished subsets, quotient systems, minimality types, solvable chains."""
 
+from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
 
 from sphsys import build_root_system, colors, defect, make_system, validate
+from sphsys.enumeration import census
 from sphsys.quotient import (
+    FreenessError,
+    _kernel_rays,
     classify,
     enumerate_distinguished,
     is_distinguished,
@@ -139,6 +143,165 @@ def test_kernel_generators_free(b3_four_colors):
     p3 = color_index(b3_four_colors, (-1, 0, 1)[::-1])
     gens = kernel_generators(b3_four_colors, sorted((p1, p3)))
     assert len(gens) == 1
+
+
+# Frozen copy of the earlier kernel_generators: scan {0..12}^r over the free
+# columns of an RREF, keep the componentwise-minimal points, and check that
+# every scanned point is an N-combination of them. The reference for
+# test_kernel_generators_match_lattice_scan.
+SCAN_BOUND = 12
+
+
+def scanned_kernel_generators(rows, r):
+    points = scanned_kernel_points(rows, r, SCAN_BOUND)
+    gens = sorted(p for p in points
+                  if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points))
+    solve = scanned_solver(gens, r)
+    if solve is None:
+        raise FreenessError("minimal kernel generators are linearly dependent")
+    for p in points:
+        c = solve(p)
+        if c is None or any(x.denominator != 1 or x < 0 for x in c):
+            raise FreenessError(f"kernel point {p} is not an N-combination of generators")
+    return gens
+
+
+def scanned_kernel_points(rows, r, bound):
+    mat = [[Q(v) for v in row] for row in rows]
+    pivots = []
+    prow = 0
+    for col in range(r):
+        src = next((i for i in range(prow, len(mat)) if mat[i][col] != 0), None)
+        if src is None:
+            continue
+        mat[prow], mat[src] = mat[src], mat[prow]
+        inv = Q(1) / mat[prow][col]
+        mat[prow] = [x * inv for x in mat[prow]]
+        for i in range(len(mat)):
+            if i != prow and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[prow])]
+        pivots.append((prow, col))
+        prow += 1
+    free = [c for c in range(r) if c not in {c for _, c in pivots}]
+    points = []
+    for assign in product(range(bound + 1), repeat=len(free)):
+        m = [0] * r
+        for c, v in zip(free, assign):
+            m[c] = v
+        ok = True
+        for i, c in pivots:
+            val = -sum(mat[i][f] * m[f] for f in free)
+            if val.denominator != 1 or not 0 <= val <= bound:
+                ok = False
+                break
+            m[c] = int(val)
+        if ok and any(m):
+            points.append(tuple(m))
+    return points
+
+
+def scanned_solver(gens, r):
+    g = len(gens)
+    if g == 0:
+        return lambda p: None if any(p) else ()
+    mat = [[Q(gens[i][j]) for i in range(g)] for j in range(r)]
+    prow = 0
+    ops = []
+    for col in range(g):
+        src_row = next((i for i in range(prow, r) if mat[i][col] != 0), None)
+        if src_row is None:
+            return None
+        ops.append(("swap", prow, src_row))
+        mat[prow], mat[src_row] = mat[src_row], mat[prow]
+        inv = Q(1) / mat[prow][col]
+        ops.append(("scale", prow, inv))
+        mat[prow] = [x * inv for x in mat[prow]]
+        for i in range(r):
+            if i != prow and mat[i][col] != 0:
+                f = mat[i][col]
+                ops.append(("sub", i, prow, f))
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[prow])]
+        prow += 1
+
+    def solve(p):
+        b = [Q(x) for x in p]
+        for op in ops:
+            if op[0] == "swap":
+                _, i, j = op
+                b[i], b[j] = b[j], b[i]
+            elif op[0] == "scale":
+                _, i, f = op
+                b[i] *= f
+            else:
+                _, i, j, f = op
+                b[i] -= f * b[j]
+        if any(b[i] != 0 for i in range(g, r)):
+            return None
+        return tuple(b[:g])
+
+    return solve
+
+
+def generators_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except FreenessError:
+        return "FreenessError"
+
+
+def test_kernel_generators_match_lattice_scan():
+    checked = 0
+    for spec in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xA1", "B2xA1", "A1xG2"):
+        for sys in census(spec).systems:
+            rows = [c.row for c in colors(sys).colors]
+            for d in enumerate_distinguished(sys):
+                want = generators_or_error(scanned_kernel_generators,
+                                           [rows[i] for i in d.members], sys.rank)
+                got = generators_or_error(kernel_generators, sys, d.members)
+                assert got == want, (spec, sys.key(), d.members)
+                checked += 1
+    assert checked == 3716
+
+
+def test_kernel_generator_beyond_scan_bound():
+    # the lattice scan stopped at coordinate 12 and returned no generator here
+    assert _kernel_rays(((1, -13),), 2) == ((13, 1),)
+    assert scanned_kernel_generators([(1, -13)], 2) == []
+
+
+def test_kernel_rays_not_free():
+    # the rays (2,0,1) and (0,2,1) miss the kernel point (1,1,1)
+    with pytest.raises(FreenessError):
+        _kernel_rays(((1, 1, -2),), 3)
+    # the rays (2,3,0,5) and (0,3,2,15) miss (1,3,1,10); the lattice scan
+    # never saw the second ray and returned two vectors that generate neither
+    rows = ((-2, 3, 3, -1), (-3, 2, -3, 0))
+    with pytest.raises(FreenessError):
+        _kernel_rays(rows, 4)
+    assert scanned_kernel_generators(rows, 4) == [(1, 3, 1, 10), (2, 3, 0, 5)]
+
+
+def test_kernel_rays_small_cases():
+    assert _kernel_rays(((1, 0), (0, 1)), 2) == ()
+    assert _kernel_rays(((1, 1),), 2) == ()
+    assert _kernel_rays(((), ()), 0) == ()
+    assert _kernel_rays((), 2) == ((0, 1), (1, 0))
+    assert _kernel_rays(((2, -3, 0),), 3) == ((0, 0, 1), (3, 2, 0))
+
+
+def test_witness_beyond_entry_bound():
+    # rows (1), (-1), (-1), (-1) need the witness (3, 1, 1, 1), beyond the
+    # earlier search cap of 1 + width * max|entry| = 2
+    sys = make_system(build_root_system("D4"), [(0, 1, 0, 0)], [], [(1,), (1,)])
+    rows = [c.row for c in colors(sys).colors]
+    members = (0, 2, 3, 4)
+    assert [rows[m] for m in members] == [(1,), (-1,), (-1,), (-1,)]
+    assert is_distinguished(sys, members) == (3, 1, 1, 1)
+    subsets = enumerate_distinguished(sys)
+    assert members in [d.members for d in subsets]
+    for d in subsets:
+        assert validate(quotient(sys, d.members)) == []
 
 
 def test_classify_r_type(b3_doubled_pair):
