@@ -54,19 +54,12 @@ class GammaGroup:
         return 2 ** len(self.swaps)
 
     def orbit(self, counts: Counts) -> Set[Counts]:
+        """Every product of a subset of the swaps applied to counts (the swaps
+        are disjoint, so they commute)."""
         out = {tuple(counts)}
-        frontier = set(out)
-        while frontier:
-            nxt = set()
-            for c in frontier:
-                for i, j in self.swaps:
-                    t = list(c)
-                    t[i], t[j] = t[j], t[i]
-                    t = tuple(t)
-                    if t not in out:
-                        nxt.add(t)
-            out |= nxt
-            frontier = nxt
+        for i, j in self.swaps:
+            out |= {tuple(c[j] if k == i else c[i] if k == j else x
+                          for k, x in enumerate(c)) for c in out}
         return out
 
 

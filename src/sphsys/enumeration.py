@@ -8,9 +8,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
-from .system import SphericalSystem, make_system, validate
+from .system import (SphericalSystem, _a1_ok, _proportional, _sigma1_ok,
+                     _sigma2_ok, make_system)
 
-Vector = Tuple[int, ...]
 Row = Tuple[int, ...]
 
 
@@ -33,21 +33,9 @@ class CensusReport:
 
 
 def _pair_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
-    """Whether {s, t} can coexist in Sigma: no proportionality and the
-    pairwise parts of the doubled-root and orthogonal-pair axioms."""
-    su, tv = s.coeffs, t.coeffs
-    if all(a * sum(tv) == b * sum(su) for a, b in zip(su, tv)):
-        return False
-    for x, y in ((s, t), (t, s)):
-        if x.shape == "2a1":
-            v = y.pairings[x.coeffs.index(2)]
-            if v > 0 or v % 2 != 0:
-                return False
-        if x.shape == "a1xa1":
-            i, j = x.support
-            if y.pairings[i] != y.pairings[j]:
-                return False
-    return True
+    """Whether {s, t} can coexist in Sigma: the pairwise axioms of `system`."""
+    return not _proportional(s, t) and all(
+        _sigma1_ok(x, y) and _sigma2_ok(x, y) for x, y in ((s, t), (t, s)))
 
 
 def _mask(indices: FrozenSet[int]) -> int:
@@ -128,10 +116,10 @@ def enumerate_a_matrices(rs: RootSystem, sigma: Sequence[SphericalRoot],
             if j == col:
                 ranges.append([1])
                 continue
-            vals = [v for v in range(cart[j] - 1, 2)
-                    if (v != 1 or j in cols_simple)
-                    and (cart[j] - v != 1 or j in cols_simple)]
-            ranges.append(vals)
+            # v and the partner's cart[j] - v are both at most 1
+            simple = j in cols_simple
+            ranges.append([v for v in range(cart[j] - 1, 2)
+                           if _a1_ok(v, simple) and _a1_ok(cart[j] - v, simple)])
         pairs = []
         for row in product(*ranges):
             partner = tuple(c - v for c, v in zip(cart, row))
@@ -226,15 +214,18 @@ def canonical_form(sys: SphericalSystem, mod_diagram_auts: bool = False) -> Sphe
 
 def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
                       mod_diagram_auts: bool = False) -> CensusReport:
-    """All spherical systems of rs, grouped by rank."""
+    """All spherical systems of rs, grouped by rank.
+
+    The search only builds triples that satisfy the axioms: the pairwise
+    ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
+    through `pair_choices`. So no candidate is validated afterwards.
+    """
     seen: Dict[tuple, SphericalSystem] = {}
     for sigma, low, high in _sigma_candidates(rs, max_rank):
         for sp in _sp_choices(rs.rank, low, high):
             for rows in enumerate_a_matrices(rs, sigma, sp):
-                sys = make_system(rs, [s.coeffs for s in sigma], sp, rows)
-                if validate(sys):
-                    continue
-                sys = canonical_form(sys, mod_diagram_auts)
+                sys = canonical_form(make_system(rs, [s.coeffs for s in sigma], sp, rows),
+                                     mod_diagram_auts)
                 seen.setdefault(sys.key(), sys)
     systems = tuple(sorted(seen.values(), key=lambda s: s.key()))
     by_rank: Dict[int, int] = {}

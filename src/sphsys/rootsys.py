@@ -71,10 +71,10 @@ def _cartan_irreducible(letter: str, rank: int) -> List[List[int]]:
 
 
 def _parse_spec(spec: str) -> List[Tuple[str, int]]:
-    """Parse a product spec like "F4" or "A2xA1" into (letter, rank) pairs."""
-    parts = spec.split("x")
+    """Parse a product spec like "F4" or "A2xA1" into (letter, rank) pairs;
+    the empty spec is the rank-0 system, with no factors."""
     out = []
-    for p in parts:
+    for p in spec.split("x") if spec else []:
         p = p.strip()
         if len(p) < 2 or p[0] not in "ABCDEFG" or not p[1:].isdigit():
             raise ValueError(f"bad root system spec {spec!r}")
@@ -294,18 +294,10 @@ def sub_root_system(rs: RootSystem, keep: Iterable[int]) -> Tuple[RootSystem, Tu
     Returns the abstract root system and the embedding: new simple index ->
     index in `rs`, components ordered by smallest ambient index.
     """
-    keep = sorted(set(keep))
-    if not keep:
-        return build_root_system_empty(), ()
     comps = recognize(rs.cartan, keep)
     name = "x".join(t for t, _ in comps)
     embedding = tuple(i for _, order in comps for i in order)
     return build_root_system(name), embedding
-
-
-@lru_cache(maxsize=None)
-def build_root_system_empty() -> RootSystem:
-    return RootSystem(name="", cartan=(), components=(), positive_roots=())
 
 
 @dataclass(frozen=True)

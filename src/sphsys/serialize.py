@@ -41,10 +41,10 @@ def spec_to_json(rs: RootSystem) -> dict:
 
 def spec_from_json(doc: dict) -> RootSystem:
     try:
-        name = "x".join(f"{c['type']}{int(c['rank'])}" for c in doc["components"])
-    except (KeyError, TypeError) as e:
+        return build_root_system("x".join(f"{c['type']}{int(c['rank'])}"
+                                          for c in doc["components"]))
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad root_system spec: {e}")
-    return build_root_system(name)
 
 
 def emit_system(sys: SphericalSystem, annotations: Optional[dict] = None) -> str:

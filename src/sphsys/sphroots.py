@@ -60,9 +60,10 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
     # connected subsets of the Dynkin diagram, size >= 2
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
-            if not _connected(a, subset):
+            comps = recognize(a, subset)
+            if len(comps) > 1:
                 continue
-            (tname, order), = recognize(a, subset)
+            (tname, order), = comps
             r = len(order)
             letter = tname[0]
             if letter == "A":
@@ -85,17 +86,6 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
                 add("g2-short2", order, (2, 1))
                 add("g2-double", order, (4, 2))
     return tuple(sorted(found.values(), key=SphericalRoot.sort_key))
-
-
-def _connected(a: Sequence[Sequence[int]], subset: Sequence[int]) -> bool:
-    rest = set(subset)
-    comp = {subset[0]}
-    frontier = {subset[0]}
-    while frontier:
-        nxt = {j for i in frontier for j in rest - comp if a[i][j] != 0}
-        comp |= nxt
-        frontier = nxt
-    return comp == rest
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 from .rootsys import RootSystem, sub_root_system
 from .sphroots import SphericalRoot, is_compatible, render_root, spherical_root
 
-Vector = Tuple[int, ...]
 Row = Tuple[int, ...]
 
 
@@ -80,15 +79,42 @@ def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],
                            a_rows=tuple(rows))
 
 
+def _proportional(s: SphericalRoot, t: SphericalRoot) -> bool:
+    """Whether s and t are proportional (Sigma holds no such pair)."""
+    u, v = s.coeffs, t.coeffs
+    return all(ui * sum(v) == vi * sum(u) for ui, vi in zip(u, v))
+
+
+def _sigma1_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
+    """(Sigma1): if s = 2alpha, then <alpha^vee, t> is non-positive and even."""
+    if s.shape != "2a1" or t == s:
+        return True
+    val = t.pairings[s.support[0]]
+    return val <= 0 and val % 2 == 0
+
+
+def _sigma2_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
+    """(Sigma2): if s = alpha + beta with alpha, beta orthogonal, then t pairs
+    equally with alpha and beta."""
+    if s.shape != "a1xa1":
+        return True
+    i, j = s.support
+    return t.pairings[i] == t.pairings[j]
+
+
+def _a1_ok(value: int, at_simple_column: bool) -> bool:
+    """(A1): an entry of A is at most 1, and 1 only in a simple root's column."""
+    return value < 1 or value == 1 and at_simple_column
+
+
 def validate(sys: SphericalSystem) -> List[str]:
     """All axiom violations of the triple, in a fixed report order."""
     rs = sys.rs
     out: List[str] = []
-    vecs = [s.coeffs for s in sys.sigma]
-    for (i, u), (j, v) in combinations(enumerate(vecs), 2):
-        if _proportional(u, v):
-            out.append(f"proportional spherical roots {render_root(sys.sigma[i])}"
-                       f" and {render_root(sys.sigma[j])}")
+    for s, t in combinations(sys.sigma, 2):
+        if _proportional(s, t):
+            out.append(f"proportional spherical roots {render_root(s)}"
+                       f" and {render_root(t)}")
     for s in sys.sigma:
         if not is_compatible(rs, s, sys.sp):
             out.append(f"(S) Sp not compatible with {render_root(s)}")
@@ -96,11 +122,11 @@ def validate(sys: SphericalSystem) -> List[str]:
     cols_simple = set(simple_cols.values())
     for r in sys.a_rows:
         for col, val in enumerate(r):
-            if val > 1:
-                out.append(f"(A1) value {val} > 1 in row {r}")
-            elif val == 1 and col not in cols_simple:
-                out.append(f"(A1) value 1 at non-simple root"
-                           f" {render_root(sys.sigma[col])} in row {r}")
+            if _a1_ok(val, col in cols_simple):
+                continue
+            out.append(f"(A1) value {val} > 1 in row {r}" if val > 1 else
+                       f"(A1) value 1 at non-simple root"
+                       f" {render_root(sys.sigma[col])} in row {r}")
     for alpha, col in sorted(simple_cols.items()):
         rows = [r for r in sys.a_rows if r[col] == 1]
         if len(rows) != 2:
@@ -113,33 +139,19 @@ def validate(sys: SphericalSystem) -> List[str]:
     for r in sys.a_rows:
         if 1 not in r:
             out.append(f"(A3) row {r} belongs to no A(alpha)")
-    for alpha in sys.doubled_simple():
-        for col, s in enumerate(sys.sigma):
-            if s.coeffs == _times(vecs, alpha, 2):
-                continue
-            val = s.pairings[alpha]
-            if val > 0 or val % 2 != 0:
-                out.append(f"(Sigma1) <a{alpha + 1}^vee, {render_root(s)}> = {val}"
-                           " is not a non-positive even integer")
-    for s in sys.sigma:
-        if s.shape != "a1xa1":
-            continue
-        i, j = s.support
+    for s in sorted(sys.sigma, key=lambda s: s.support):  # 2alpha by alpha
         for t in sys.sigma:
-            vi, vj = t.pairings[i], t.pairings[j]
-            if vi != vj:
-                out.append(f"(Sigma2) <a{i + 1}^vee,{render_root(t)}> = {vi}"
-                           f" != <a{j + 1}^vee,{render_root(t)}> = {vj}")
+            if not _sigma1_ok(s, t):
+                alpha = s.support[0]
+                out.append(f"(Sigma1) <a{alpha + 1}^vee, {render_root(t)}> ="
+                           f" {t.pairings[alpha]} is not a non-positive even integer")
+    for s in sys.sigma:
+        for t in sys.sigma:
+            if not _sigma2_ok(s, t):
+                i, j = s.support
+                out.append(f"(Sigma2) <a{i + 1}^vee,{render_root(t)}> = {t.pairings[i]}"
+                           f" != <a{j + 1}^vee,{render_root(t)}> = {t.pairings[j]}")
     return out
-
-
-def _proportional(u: Vector, v: Vector) -> bool:
-    return all(ui * sum(v) == vi * sum(u) for ui, vi in zip(u, v))
-
-
-def _times(vecs, alpha: int, c: int) -> Vector:
-    n = len(vecs[0]) if vecs else 0
-    return tuple(c if k == alpha else 0 for k in range(n))
 
 
 @dataclass(frozen=True)

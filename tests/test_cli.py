@@ -135,6 +135,24 @@ def test_localize_s(example_doc, capsys):
     assert doc["root_system"] == {"components": [{"type": "B", "rank": 3}]}
 
 
+def test_localize_s_empty_reloads(example_doc, tmp_path, capsys):
+    path, _ = example_doc
+    assert main(["localize", str(path), "--s", ""]) == 0
+    out = tmp_path / "empty.json"
+    out.write_text(capsys.readouterr().out)
+    assert json.loads(out.read_text())["root_system"] == {"components": []}
+    assert main(["validate", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_bad_root_system_type_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "z3.json"
+    path.write_text('{"root_system":{"components":[{"rank":3,"type":"Z"}]},'
+                    '"system":{"a_rows":[],"sigma":[],"sp":[]},"version":"1"}\n')
+    assert main(["validate", str(path)]) == 2
+    assert "bad root_system spec" in capsys.readouterr().err
+
+
 def test_render(example_doc, capsys):
     path, _ = example_doc
     assert main(["render", str(path)]) == 0

@@ -63,6 +63,16 @@ def test_recognize_components():
     assert recognize(rs.cartan, (0, 1, 2)) == [("A1", (0,)), ("A2", (1, 2))]
 
 
+def test_empty_spec_is_rank_zero(f4):
+    rs = build_root_system("")
+    assert (rs.rank, rs.components, rs.positive_roots) == (0, (), ())
+    assert not rs.is_positive_root(())
+    assert sub_root_system(f4, ()) == (rs, ())
+    for spec in ("A3x", "x", "A0"):
+        with pytest.raises(ValueError):
+            build_root_system(spec)
+
+
 def test_sub_root_system_c3(f4):
     sub, embed = sub_root_system(f4, (1, 2, 3))
     assert sub.name == "C3"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sphsys import build_root_system, make_system
+from sphsys import build_root_system, localize_s, make_system
 from sphsys.quotient import quotient_lattice
 from sphsys.serialize import (
     InvalidSystemError,
@@ -61,6 +61,20 @@ def test_schema_errors():
         parse_system(json.dumps({"version": "1", "root_system": {}}))
     with pytest.raises(SchemaError):
         parse_system("not json")
+    for comp in ({"type": "Z", "rank": 3}, {"type": "A", "rank": 0},
+                 {"type": "A", "rank": "three"}):
+        doc = {"version": "1", "root_system": {"components": [comp]},
+               "system": {"sigma": [], "sp": [], "a_rows": []}}
+        with pytest.raises(SchemaError):
+            parse_system(json.dumps(doc))
+
+
+def test_empty_localization_round_trip(f4_example):
+    sys = localize_s(f4_example, [])
+    text = emit_system(sys)
+    assert json.loads(text)["root_system"] == {"components": []}
+    assert parse_system(text) == sys
+    assert emit_system(parse_system(text)) == text
 
 
 def test_invalid_system_rejected(f4):

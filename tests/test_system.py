@@ -132,6 +132,34 @@ def test_nonproportional_rejected(f4):
     assert validate(bad) != []
 
 
+@pytest.mark.parametrize(
+    "spec,sigma,sp,rows,message",
+    [
+        ("B2", [(1, 1), (2, 2)], [1], [],
+         "proportional spherical roots a1+a2 and 2a1+2a2"),
+        ("A2", [(1, 1)], [0], [], "(S) Sp not compatible with a1+a2"),
+        ("A2", [(1, 0), (1, 1)], [], [(1, 2), (1, -1)],
+         "(A1) value 2 > 1 in row (1, 2)"),
+        ("A3", [(1, 0, 0), (0, 1, 1)], [], [(1, 1), (1, -2)],
+         "(A1) value 1 at non-simple root a2+a3 in row (1, 1)"),
+        ("A2", [(1, 0)], [], [(1,)], "(A2) A(a1) has 1 elements, expected 2"),
+        ("A2", [(0, 1), (1, 0)], [], [(0, 1), (0, 1), (1, 0), (1, -1)],
+         "(A2) A(a1) sums to (0, 2), expected (-1, 2)"),
+        ("A1xA1", [(1, 0)], [1], [(1,), (1,), (0,)],
+         "(A3) row (0,) belongs to no A(alpha)"),
+        ("A3", [(2, 0, 0), (0, 1, 1)], [], [],
+         "(Sigma1) <a1^vee, a2+a3> = -1 is not a non-positive even integer"),
+        ("A3", [(1, 0, 1), (1, 1, 0)], [], [],
+         "(Sigma2) <a1^vee,a1+a2> = 1 != <a3^vee,a1+a2> = -1"),
+    ],
+    ids=["proportional", "S", "A1-value", "A1-non-simple", "A2-count",
+         "A2-sum", "A3", "Sigma1", "Sigma2"],
+)
+def test_validate_message(spec, sigma, sp, rows, message):
+    # each system breaks exactly one axiom
+    assert validate(make_system(build_root_system(spec), sigma, sp, rows)) == [message]
+
+
 def test_defect_and_dimension(b4_doubled, f4_example, a4_three_simple):
     assert defect(b4_doubled) == 0
     assert defect(f4_example) == 2
