@@ -3,8 +3,9 @@ faithful couples (system, color multiplicity) for a dominant weight."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
@@ -100,20 +101,53 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
     """Faithfulness of the couple (sys, counts): the system is spherically
     closed, every nonempty distinguished subset meets the support of the
     multiplicity, and the two colors of every loose simple root have
-    different multiplicities."""
-    if not is_spherically_closed(sys):
-        return False
+    different multiplicities.
+
+    Every distinguished subset contains a minimal one, so the support only
+    has to meet each minimal distinguished subset (see `_profile`).
+    """
     counts = tuple(counts)
-    supp = {i for i, m in enumerate(counts) if m}
-    outside = [i for i in range(len(colors(sys).colors)) if i not in supp]
-    for size in range(1, len(outside) + 1):
-        for members in combinations(outside, size):
-            if is_distinguished(sys, members) is not None:
-                return False
-    for i, j in gamma_group(sys).swaps:
-        if counts[i] == counts[j]:
-            return False
-    return True
+    k = len(colors(sys))
+    if len(counts) != k:
+        raise ValueError(f"{len(counts)} multiplicities for {k} colors")
+    profile = _profile(sys)
+    return profile is not None and _faithful(profile, counts)
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """What the faithful-couple search needs of a closed system, whatever
+    the weight."""
+
+    weights: Tuple[Tuple[Tuple[int, int], ...], ...]  # per color: (j, w_j) with w_j > 0
+    gamma: GammaGroup
+    minimal: Tuple[int, ...]  # minimal distinguished subsets as color bitmasks
+
+
+@lru_cache(maxsize=None)
+def _profile(sys: SphericalSystem) -> Optional[_Profile]:
+    """The profile of a spherically closed system, or None if it is not
+    closed. Minimal distinguished subsets are found by increasing size,
+    skipping every subset that contains one already found."""
+    if not is_spherically_closed(sys):
+        return None
+    k = len(colors(sys))
+    minimal: List[int] = []
+    for size in range(1, k + 1):
+        for members in combinations(range(k), size):
+            mask = sum(1 << i for i in members)
+            if (all(m & mask != m for m in minimal)
+                    and is_distinguished(sys, members) is not None):
+                minimal.append(mask)
+    weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
+                    for i in range(k))
+    return _Profile(weights=weights, gamma=gamma_group(sys), minimal=tuple(minimal))
+
+
+def _faithful(profile: _Profile, counts: Counts) -> bool:
+    supp = sum(1 << i for i, m in enumerate(counts) if m)
+    return (all(m & supp for m in profile.minimal)
+            and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
 
 @dataclass(frozen=True)
@@ -125,42 +159,70 @@ class FaithfulCouple:
 def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
                      pi_coords: Sequence[int]) -> List[Tuple[FaithfulCouple, int]]:
     """Faithful couples with color weight equal to the dual of pi, one per
-    Gamma-orbit, over the given systems. Returns (couple, orbit id)."""
+    Gamma-orbit, over the given systems. Returns (couple, orbit id).
+
+    A multiplicity is faithful when its support meets every minimal
+    distinguished subset and it separates the colors of every swap; the
+    weight-independent part of that test is each system's cached profile.
+    """
     target = dual_weight(rs, pi_coords)
     out: List[Tuple[FaithfulCouple, int]] = []
-    orbit_id = 0
     for sys in systems:
-        if not is_spherically_closed(sys):
+        profile = _profile(sys)
+        if profile is None:
             continue
-        gamma = gamma_group(sys)
         seen: Set[Counts] = set()
-        for counts in _multiplicities_with_weight(sys, target):
+        for counts in _multiplicities_with_weight(profile.weights, target):
             if counts in seen:
                 continue
-            orbit = gamma.orbit(counts)
+            orbit = profile.gamma.orbit(counts)
             seen |= orbit
-            if is_faithful(sys, counts):
-                rep = min(orbit)
-                out.append((FaithfulCouple(system=sys, counts=rep), orbit_id))
-                orbit_id += 1
+            if _faithful(profile, counts):
+                out.append((FaithfulCouple(system=sys, counts=min(orbit)), len(out)))
     return out
 
 
-def _multiplicities_with_weight(sys: SphericalSystem,
+def _multiplicities_with_weight(weights: Sequence[Sequence[Tuple[int, int]]],
                                 target: Sequence[int]) -> List[Counts]:
-    """All multiplicity vectors whose color weight equals target."""
-    weights = [omega_of_color(sys, i) for i in range(len(colors(sys).colors))]
+    """All multiplicity vectors m, in lexicographic order, with
+    sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
+    w_j > 0; a color of weight zero only takes multiplicity 0.
+
+    The multiplicity of the last color that reaches a coordinate is forced to
+    rem[j] / w_j, or the branch is dead; a target coordinate that no color
+    reaches must be zero.
+    """
+    n = len(weights)
+    last = {j: i for i, w in enumerate(weights) for j, _ in w}
+    if any(t and j not in last for j, t in enumerate(target)):
+        return []
+    closes = [[(j, wj) for j, wj in w if last[j] == i] for i, w in enumerate(weights)]
+    rem = list(target)
+    acc = [0] * n
     sols: List[Counts] = []
 
-    def rec(idx: int, acc: List[int], rem: List[int]):
-        if idx == len(weights):
-            if all(v == 0 for v in rem):
-                sols.append(tuple(acc))
+    def rec(i: int) -> None:
+        if i == n:
+            sols.append(tuple(acc))
             return
-        w = weights[idx]
-        mmax = min((r // wi for r, wi in zip(rem, w) if wi > 0), default=0)
-        for m in range(mmax + 1):
-            rec(idx + 1, acc + [m], [r - m * wi for r, wi in zip(rem, w)])
+        w = weights[i]
+        if closes[i]:
+            j, wj = closes[i][0]
+            m = rem[j] // wj
+            if (m < 0 or any(rem[k] != m * wk for k, wk in closes[i])
+                    or any(rem[k] < m * wk for k, wk in w)):
+                return
+            choices = (m,)
+        else:
+            choices = range(min((rem[j] // wj for j, wj in w), default=0) + 1)
+        for m in choices:
+            acc[i] = m
+            for j, wj in w:
+                rem[j] -= m * wj
+            rec(i + 1)
+            for j, wj in w:
+                rem[j] += m * wj
+        acc[i] = 0
 
-    rec(0, [], list(target))
+    rec(0)
     return sols

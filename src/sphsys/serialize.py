@@ -40,9 +40,18 @@ def spec_to_json(rs: RootSystem) -> dict:
 
 
 def spec_from_json(doc: dict) -> RootSystem:
+    """The root system of a document's components: each has a one-letter type
+    in ABCDEFG and an integer rank."""
     try:
-        return build_root_system("x".join(f"{c['type']}{int(c['rank'])}"
-                                          for c in doc["components"]))
+        factors = []
+        for c in doc["components"]:
+            letter, rank = c["type"], c["rank"]
+            if letter not in tuple("ABCDEFG"):
+                raise ValueError(f"type {letter!r} is not one letter of ABCDEFG")
+            if type(rank) is not int:  # bool is a subclass of int
+                raise ValueError(f"rank {rank!r} is not an integer")
+            factors.append(f"{letter}{rank}")
+        return build_root_system("x".join(factors))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad root_system spec: {e}")
 

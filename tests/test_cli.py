@@ -153,6 +153,14 @@ def test_bad_root_system_type_is_usage_error(tmp_path, capsys):
     assert "bad root_system spec" in capsys.readouterr().err
 
 
+def test_glued_root_system_type_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "a1xa2.json"
+    path.write_text('{"root_system":{"components":[{"rank":2,"type":"A1xA"}]},'
+                    '"system":{"a_rows":[],"sigma":[],"sp":[]},"version":"1"}\n')
+    assert main(["validate", str(path)]) == 2
+    assert "is not one letter" in capsys.readouterr().err
+
+
 def test_render(example_doc, capsys):
     path, _ = example_doc
     assert main(["render", str(path)]) == 0

@@ -1,10 +1,13 @@
-"""Randomized invariants over the census: canonicalization, quotients, I/O."""
+"""Randomized invariants over the census: canonicalization, quotients, I/O,
+and the faithful-couple multiplicity solver."""
+
+from itertools import product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphsys import colors, localize_sigma, make_system, validate
-from sphsys.closure import gamma_group, omega_of
+from sphsys.closure import _multiplicities_with_weight, gamma_group, omega_of
 from sphsys.enumeration import census
 from sphsys.quotient import is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
@@ -108,3 +111,42 @@ def test_quotient_by_kernel_of_everything(sys):
     q = quotient(sys, full)
     assert q.sigma == ()
     assert validate(q) == []
+
+
+def _brute_force_multiplicities(weights, target):
+    bound = max(target, default=0)
+    dense = [[dict(w).get(j, 0) for j in range(len(target))] for w in weights]
+    return [m for m in product(range(bound + 1), repeat=len(weights))
+            if all(sum(mi * w[j] for mi, w in zip(m, dense)) == t
+                   for j, t in enumerate(target))]
+
+
+@st.composite
+def sparse_weights(draw):
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    weights = []
+    for _ in range(k):
+        coords = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim,
+                               unique=True))
+        weights.append(tuple((j, draw(st.integers(1, 3))) for j in sorted(coords)))
+    target = draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+    return weights, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_weights())
+def test_multiplicity_solver_matches_brute_force(case):
+    weights, target = case
+    assert _multiplicities_with_weight(weights, target) == \
+        _brute_force_multiplicities(weights, target)
+
+
+def test_multiplicity_solver_edge_targets():
+    weights = [((0, 1),), ((0, 2), (1, 1)), ((1, 3),)]
+    # coordinate 2 is reached by no color
+    assert _multiplicities_with_weight(weights, (1, 1, 1)) == []
+    assert _brute_force_multiplicities(weights, (1, 1, 1)) == []
+    assert _multiplicities_with_weight(weights, (0, 0, 0)) == [(0, 0, 0)]
+    assert _multiplicities_with_weight(weights, (4, 3, 0)) == \
+        _brute_force_multiplicities(weights, (4, 3, 0))

@@ -62,7 +62,8 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         parse_system("not json")
     for comp in ({"type": "Z", "rank": 3}, {"type": "A", "rank": 0},
-                 {"type": "A", "rank": "three"}):
+                 {"type": "A", "rank": "three"}, {"type": "A1xA", "rank": 2},
+                 {"type": "A", "rank": "3"}, {"type": "A", "rank": 3.0}):
         doc = {"version": "1", "root_system": {"components": [comp]},
                "system": {"sigma": [], "sp": [], "a_rows": []}}
         with pytest.raises(SchemaError):
