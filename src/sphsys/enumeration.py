@@ -90,9 +90,9 @@ def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
     return out
 
 
-def enumerate_a_matrices(rs: RootSystem, sigma: Sequence[SphericalRoot],
-                         sp: FrozenSet[int]) -> List[Tuple[Row, ...]]:
-    """All multisets of rows satisfying the axioms for the given (sigma, sp).
+def enumerate_a_matrices(rs: RootSystem,
+                         sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
+    """All multisets of rows satisfying the axioms for the given sigma.
 
     Rows are returned as sorted tuples over the given sigma order; two rows
     are the same color exactly when they are equal as vectors.
@@ -223,7 +223,7 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
     seen: Dict[tuple, SphericalSystem] = {}
     for sigma, low, high in _sigma_candidates(rs, max_rank):
         for sp in _sp_choices(rs.rank, low, high):
-            for rows in enumerate_a_matrices(rs, sigma, sp):
+            for rows in enumerate_a_matrices(rs, sigma):
                 sys = canonical_form(make_system(rs, [s.coeffs for s in sigma], sp, rows),
                                      mod_diagram_auts)
                 seen.setdefault(sys.key(), sys)

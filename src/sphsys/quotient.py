@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations, count
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rootsys import rref
+from .rootsys import integer_kernel
 from .system import SphericalSystem, colors, defect, make_system, negative_colors
 
 Row = Tuple[int, ...]
@@ -147,8 +146,8 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     """Free generators of {m in N^Sigma : all pairings with the members vanish}.
 
     The generators are the primitive extremal rays of the cone of nonnegative
-    kernel vectors; FreenessError is raised when they do not generate the
-    monoid freely.
+    kernel vectors, found in integer arithmetic; FreenessError is raised when
+    they do not generate the monoid freely.
     """
     rows = _rows_of(sys, sorted(set(members)))
     return list(_kernel_rays(tuple(rows), sys.rank))
@@ -159,34 +158,30 @@ def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ..
     """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row},
     checked to be a free basis of the monoid of its integer points.
 
-    An extremal ray is a nonnegative kernel vector of minimal support S: the
-    rows restricted to S have a 1-dimensional kernel, spanned by a vector of
-    one sign. Supports are tried by increasing size, skipping those that
-    contain one already found.
+    `integer_kernel` gives the kernel dimension d. An extremal ray is a
+    nonnegative kernel vector of minimal support S: the rows restricted to S
+    have a 1-dimensional kernel, whose primitive integer basis vector has one
+    sign. For d = 1 that is the kernel itself; for d >= 2 supports are tried
+    by increasing size, skipping those that contain one already found.
     """
-    reduced, pivots = rref(rows, width)
-    dim = width - len(pivots)
-    if dim == 0:
-        return ()
-    if dim == 1:
-        free = next(c for c in range(width) if c not in pivots)
-        candidates = [_basis_vector(reduced, pivots, free, width)]
+    _, basis = integer_kernel(rows, width)
+    if len(basis) <= 1:
+        candidates = list(basis)
     else:
         candidates, found = [], []
         for size in range(1, width + 1):
             for support in combinations(range(width), size):
                 if any(s <= set(support) for s in found):
                     continue
-                sub, sub_pivots = rref([[r[j] for j in support] for r in rows], size)
-                if size - len(sub_pivots) == 1:
+                _, sub_basis = integer_kernel([[r[j] for j in support] for r in rows], size)
+                if len(sub_basis) == 1:
                     # no zero entries: a smaller support would have been found
-                    free = next(c for c in range(size) if c not in sub_pivots)
-                    v = [Q(0)] * width
-                    for j, x in zip(support, _basis_vector(sub, sub_pivots, free, size)):
+                    v = [0] * width
+                    for j, x in zip(support, sub_basis[0]):
                         v[j] = x
                     candidates.append(v)
                     found.append(set(support))
-    rays = sorted(_primitive(v) for v in candidates
+    rays = sorted(_nonnegative(v) for v in candidates
                   if all(x >= 0 for x in v) or all(x <= 0 for x in v))
     # free iff the g rays span a saturated rank-g sublattice of Z^width,
     # that is, iff their g x g minors have gcd 1
@@ -198,25 +193,9 @@ def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ..
     raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
 
 
-def _basis_vector(reduced, pivots, free: int, width: int) -> List[Q]:
-    """The kernel vector of an RREF that is 1 at the free column `free` and 0
-    at every other free column."""
-    v = [Q(0)] * width
-    v[free] = Q(1)
-    for row, c in zip(reduced, pivots):
-        v[c] = -row[free]
-    return v
-
-
-def _primitive(v: Sequence[Q]) -> Tuple[int, ...]:
-    """The primitive integer vector on the ray of v or of -v, whichever is
-    nonnegative (v has one sign)."""
-    scale = lcm(*(x.denominator for x in v))
-    if sum(v) < 0:
-        scale = -scale
-    ints = [int(x * scale) for x in v]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _nonnegative(v: Sequence[int]) -> Tuple[int, ...]:
+    """v or -v, whichever is nonnegative (v has one sign)."""
+    return tuple(-x for x in v) if sum(v) < 0 else tuple(v)
 
 
 def _det(m: List[List[int]]) -> int:
@@ -275,11 +254,12 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
 
 @lru_cache(maxsize=None)
 def _enumerate_distinguished_cached(sys: SphericalSystem) -> Tuple[DistinguishedSubset, ...]:
-    k = len(colors(sys).colors)
+    rows = [c.row for c in colors(sys).colors]
+    k = len(rows)
     found: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for size in range(1, k + 1):
         for members in combinations(range(k), size):
-            w = is_distinguished(sys, members)
+            w = _decide(tuple(rows[i] for i in members), sys.rank)
             if w is not None:
                 found[members] = w
     out = []

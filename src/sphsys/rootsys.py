@@ -1,13 +1,15 @@
 """Finite root systems with exact arithmetic.
 
 Cartan matrices follow the Bourbaki numbering; entries are a[i][j] = <alpha_i^vee, alpha_j>.
-All vectors are integer (or Fraction) coefficient tuples over the simple roots.
+Vectors are integer coefficient tuples over the simple roots, except the
+fundamental weights, whose coordinates are `Fraction`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -165,44 +167,67 @@ def cartan_eval(rs: RootSystem, i: int, v: Sequence) -> object:
     return sum(rs.cartan[i][j] * v[j] for j in range(rs.rank))
 
 
-def rref(matrix: Sequence[Sequence], ncols: int) -> Tuple[List[List[Q]], List[int]]:
-    """Reduced row echelon form over Q, pivoting on the first `ncols` columns.
+def integer_kernel(rows: Sequence[Sequence[int]],
+                   width: int) -> Tuple[Tuple[int, ...], Tuple[Vector, ...]]:
+    """Pivot columns and a primitive kernel basis of an integer matrix.
 
-    Returns the nonzero rows and their pivot columns; any further columns are
-    carried along, as for an augmented matrix.
+    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
+    column by subtracting integer multiples of the pivot row, then divided
+    by the gcd of its entries, so every entry stays an integer. The rank is
+    the number of pivots. There is one basis vector per free column c: the
+    primitive integer vector of {v : rows . v = 0} that is positive at c and
+    zero at every other free column.
     """
-    m = [[Q(x) for x in row] for row in matrix]
+    m = [list(r) for r in rows]
     pivots: List[int] = []
-    for col in range(ncols):
+    for col in range(width):
         top = len(pivots)
-        src = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        src = next((i for i in range(top, len(m)) if m[i][col]), None)
         if src is None:
             continue
         m[top], m[src] = m[src], m[top]
-        inv = 1 / m[top][col]
-        m[top] = [x * inv for x in m[top]]
-        for i in range(len(m)):
-            if i != top and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        prow = m[top]
+        p = prow[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != top:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    return m[:len(pivots)], pivots
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        # row r fixes v[pivot_r] = -row_r[free] * scale / row_r[pivot_r]; scale
+        # is a multiple of every pivot divided by, so v stays integral
+        scale = lcm(*(m[r][c] for r, c in enumerate(pivots) if m[r][free]))
+        v = [0] * width
+        v[free] = scale
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][free] * scale // m[r][c]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return tuple(pivots), tuple(basis)
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(name: str) -> Tuple[QVector, ...]:
-    """Exact inverse of the Cartan matrix, as the right half of rref([C | I])."""
+def _fundamental_weights(name: str) -> Tuple[QVector, ...]:
+    """Columns of the inverse Cartan matrix C^-1.
+
+    C is invertible, so the free columns of [C | -I] are n..2n-1 and the
+    kernel basis vector at column n + k is (s C^-1 e_k, s e_k) with s > 0.
+    """
     rs = build_root_system(name)
     n = rs.rank
-    m, _ = rref([list(rs.cartan[i]) + [1 if j == i else 0 for j in range(n)]
-                 for i in range(n)], n)
-    return tuple(tuple(row[n:]) for row in m)
+    _, basis = integer_kernel([list(rs.cartan[i]) + [-1 if j == i else 0 for j in range(n)]
+                               for i in range(n)], 2 * n)
+    return tuple(tuple(Q(x, v[n + k]) for x in v[:n]) for k, v in enumerate(basis))
 
 
 def fundamental_weights(rs: RootSystem) -> List[QVector]:
     """Fundamental weights in simple-root coordinates (columns of the inverse Cartan)."""
-    inv = _cartan_inverse(rs.name)
-    return [tuple(inv[j][i] for j in range(rs.rank)) for i in range(rs.rank)]
+    return list(_fundamental_weights(rs.name))
 
 
 def _match_component(block: Sequence[Sequence[int]], local: Sequence[int],

@@ -7,7 +7,7 @@ multiset of integer rows over Sigma attached to the simple spherical roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -31,11 +31,20 @@ class SphericalSystem:
     a_rows: Tuple[Row, ...]
 
     def key(self) -> tuple:
+        return self._key
+
+    # built once per instance: systems are hashed for every cache lookup
+    @cached_property
+    def _key(self) -> tuple:
         return (self.rs.name, tuple(s.coeffs for s in self.sigma),
                 tuple(sorted(self.sp)), self.a_rows)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SphericalSystem) and self.key() == other.key()

@@ -2,11 +2,15 @@
 
 from fractions import Fraction as Q
 from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphsys import build_root_system, colors, defect, make_system, validate
 from sphsys.enumeration import census
+from sphsys.rootsys import integer_kernel
 from sphsys.quotient import (
     FreenessError,
     _kernel_rays,
@@ -250,18 +254,152 @@ def generators_or_error(fn, *args):
         return "FreenessError"
 
 
-def test_kernel_generators_match_lattice_scan():
-    checked = 0
-    for spec in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xA1", "B2xA1", "A1xG2"):
+SMALL_SPECS = ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xA1", "B2xA1", "A1xG2")
+
+
+def distinguished_rows(specs):
+    """(system, members, member rows) for every distinguished subset of every
+    census member of the given types."""
+    for spec in specs:
         for sys in census(spec).systems:
             rows = [c.row for c in colors(sys).colors]
             for d in enumerate_distinguished(sys):
-                want = generators_or_error(scanned_kernel_generators,
-                                           [rows[i] for i in d.members], sys.rank)
-                got = generators_or_error(kernel_generators, sys, d.members)
-                assert got == want, (spec, sys.key(), d.members)
-                checked += 1
+                yield sys, d.members, tuple(rows[i] for i in d.members)
+
+
+def test_kernel_generators_match_lattice_scan():
+    checked = 0
+    for sys, members, rows in distinguished_rows(SMALL_SPECS):
+        want = generators_or_error(scanned_kernel_generators, list(rows), sys.rank)
+        got = generators_or_error(kernel_generators, sys, members)
+        assert got == want, (sys.key(), members)
+        checked += 1
     assert checked == 3716
+
+
+# Frozen copy of the earlier exact kernel: an RREF over Fraction, the same
+# minimal-support search with one RREF per candidate support, and primitive
+# vectors through the lcm of the denominators. The reference for the integer
+# elimination in rootsys.integer_kernel and quotient._kernel_rays.
+def fraction_rref(matrix, ncols):
+    m = [[Q(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        src = next((i for i in range(top, len(m)) if m[i][col] != 0), None)
+        if src is None:
+            continue
+        m[top], m[src] = m[src], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [x * inv for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def fraction_basis_vector(reduced, pivots, free, width):
+    v = [Q(0)] * width
+    v[free] = Q(1)
+    for row, c in zip(reduced, pivots):
+        v[c] = -row[free]
+    return v
+
+
+def fraction_primitive(v):
+    scale = lcm(*(x.denominator for x in v))
+    if sum(v) < 0:
+        scale = -scale
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def expansion_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * expansion_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def fraction_kernel_rays(rows, width):
+    reduced, pivots = fraction_rref(rows, width)
+    dim = width - len(pivots)
+    if dim == 0:
+        return ()
+    if dim == 1:
+        free = next(c for c in range(width) if c not in pivots)
+        candidates = [fraction_basis_vector(reduced, pivots, free, width)]
+    else:
+        candidates, found = [], []
+        for size in range(1, width + 1):
+            for support in combinations(range(width), size):
+                if any(s <= set(support) for s in found):
+                    continue
+                sub, sub_pivots = fraction_rref([[r[j] for j in support] for r in rows], size)
+                if size - len(sub_pivots) == 1:
+                    free = next(c for c in range(size) if c not in sub_pivots)
+                    v = [Q(0)] * width
+                    for j, x in zip(support, fraction_basis_vector(sub, sub_pivots, free, size)):
+                        v[j] = x
+                    candidates.append(v)
+                    found.append(set(support))
+    rays = sorted(fraction_primitive(v) for v in candidates
+                  if all(x >= 0 for x in v) or all(x <= 0 for x in v))
+    minors_gcd = 0
+    for cols in combinations(range(width), len(rays)):
+        minors_gcd = gcd(minors_gcd, expansion_det([[ray[j] for ray in rays] for j in cols]))
+        if minors_gcd == 1:
+            return tuple(rays)
+    raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
+
+
+def assert_rays_match_fraction_reference(specs):
+    checked = 0
+    for sys, members, rows in distinguished_rows(specs):
+        want = generators_or_error(fraction_kernel_rays, rows, sys.rank)
+        got = generators_or_error(_kernel_rays, rows, sys.rank)
+        assert got == want, (sys.key(), members)
+        checked += 1
+    return checked
+
+
+def test_kernel_rays_match_fraction_reference():
+    assert assert_rays_match_fraction_reference(SMALL_SPECS) == 3716
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["F4", "D4"])
+def test_kernel_rays_match_fraction_reference_rank4(spec):
+    assert assert_rays_match_fraction_reference([spec]) > 0
+
+
+@st.composite
+def integer_matrix(draw):
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+                         max_size=5))
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrix())
+def test_integer_kernel_matches_fraction_rref(case):
+    rows, width = case
+    pivots, basis = integer_kernel(rows, width)
+    reduced, want_pivots = fraction_rref(rows, width)
+    assert list(pivots) == want_pivots
+    free = [c for c in range(width) if c not in want_pivots]
+    assert len(basis) == len(free)
+    for f, v in zip(free, basis):
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
+        assert gcd(*v) == 1 and v[f] > 0
+        # a positive multiple of the Fraction basis vector at f, which is 1 at
+        # f and 0 at every other free column: so the basis spans the kernel
+        want = fraction_basis_vector(reduced, want_pivots, f, width)
+        assert [Q(x) for x in v] == [v[f] * y for y in want]
 
 
 def test_kernel_generator_beyond_scan_bound():

@@ -148,3 +148,21 @@ def test_weight_coords_exact(f4):
         Fraction(0),
         Fraction(0),
     )
+
+
+ALL_TYPES_THROUGH_E8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "", "A2xA1", "B3xA1", "A1xG2", "D4xA2", "A1xA1xA1"])
+
+
+@pytest.mark.parametrize("spec", ALL_TYPES_THROUGH_E8)
+def test_fundamental_weights_invert_the_cartan_matrix(spec):
+    # the inverse is unique, so C . omega_k = e_k pins every weight exactly
+    rs = build_root_system(spec)
+    weights = fundamental_weights(rs)
+    assert len(weights) == rs.rank
+    for k, w in enumerate(weights):
+        assert all(type(x) is Fraction for x in w)
+        assert [cartan_eval(rs, i, w) for i in range(rs.rank)] == \
+            [int(i == k) for i in range(rs.rank)]

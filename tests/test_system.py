@@ -7,11 +7,13 @@ from sphsys import (
     colors,
     defect,
     dimension,
+    emit_system,
     is_cuspidal,
     localize_s,
     localize_sigma,
     make_system,
     negative_colors,
+    parse_system,
     validate,
 )
 
@@ -217,3 +219,28 @@ def test_localization_preserves_validity(f4_census):
         for i in range(len(sys.sigma)):
             sub = [s.coeffs for j, s in enumerate(sys.sigma) if j != i]
             assert validate(localize_sigma(sys, sub)) == []
+
+
+def test_equal_systems_share_key_and_hash(a3_census):
+    rs = build_root_system("A3")
+    sigma = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rows = [(1, -1, 1), (1, 0, -1), (0, 1, 0), (-1, 1, -1), (-1, 0, 1)]
+    sys = make_system(rs, sigma, [], rows)
+    # sigma reversed, with the row columns permuted to match and rows reordered
+    moved = make_system(rs, sigma[::-1], [], [r[::-1] for r in reversed(rows)])
+    parsed = parse_system(emit_system(sys))
+    for other in (moved, parsed):
+        assert other is not sys
+        assert other == sys and other.key() == sys.key() and hash(other) == hash(sys)
+    assert {sys: "x"}[moved] == "x"
+    # the key is built once per instance
+    assert sys.key() is sys.key()
+    unequal = [make_system(rs, sigma, [], rows[:-1]),
+               make_system(rs, sigma[:2], [], [r[:2] for r in rows[:3]]),
+               make_system(rs, [(1, 1, 0)], [2], [])]
+    for other in unequal:
+        assert other != sys and other.key() != sys.key()
+    for a in a3_census.systems:
+        same = parse_system(emit_system(a))
+        assert same == a and hash(same) == hash(a)
+    assert len(set(a3_census.systems)) == len(a3_census.systems)
