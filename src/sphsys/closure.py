@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
 from .system import SphericalSystem, colors
-from .quotient import is_distinguished
+from .quotient import _decide
 
 Counts = Tuple[int, ...]  # multiplicity per color index
 
@@ -111,7 +111,7 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
     if len(counts) != k:
         raise ValueError(f"{len(counts)} multiplicities for {k} colors")
     profile = _profile(sys)
-    return profile is not None and _faithful(profile, counts)
+    return profile is not None and _faithful(profile, counts, _support(counts))
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,26 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     skipping every subset that contains one already found."""
     if not is_spherically_closed(sys):
         return None
-    k = len(colors(sys))
+    rows = [c.row for c in colors(sys).colors]
+    k = len(rows)
     minimal: List[int] = []
     for size in range(1, k + 1):
         for members in combinations(range(k), size):
             mask = sum(1 << i for i in members)
             if (all(m & mask != m for m in minimal)
-                    and is_distinguished(sys, members) is not None):
+                    and _decide(tuple(rows[i] for i in members), sys.rank) is not None):
                 minimal.append(mask)
     weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
                     for i in range(k))
     return _Profile(weights=weights, gamma=gamma_group(sys), minimal=tuple(minimal))
 
 
-def _faithful(profile: _Profile, counts: Counts) -> bool:
-    supp = sum(1 << i for i, m in enumerate(counts) if m)
+def _support(counts: Counts) -> int:
+    """The colors with a nonzero multiplicity, as a bitmask."""
+    return sum(1 << i for i, m in enumerate(counts) if m)
+
+
+def _faithful(profile: _Profile, counts: Counts, supp: int) -> bool:
     return (all(m & supp for m in profile.minimal)
             and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
@@ -164,21 +169,35 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     A multiplicity is faithful when its support meets every minimal
     distinguished subset and it separates the colors of every swap; the
     weight-independent part of that test is each system's cached profile.
+
+    The multiplicities of a given weight depend only on the color weights,
+    so within one call they are solved once per distinct color-weight vector,
+    with each solution's support bitmask, and shared by every system with
+    those color weights. Nothing is cached across calls.
     """
     target = dual_weight(rs, pi_coords)
     out: List[Tuple[FaithfulCouple, int]] = []
+    solved: Dict[tuple, List[Tuple[Counts, int]]] = {}
     for sys in systems:
         profile = _profile(sys)
         if profile is None:
             continue
+        sols = solved.get(profile.weights)
+        if sols is None:
+            sols = solved[profile.weights] = [
+                (counts, _support(counts))
+                for counts in _multiplicities_with_weight(profile.weights, target)]
         seen: Set[Counts] = set()
-        for counts in _multiplicities_with_weight(profile.weights, target):
-            if counts in seen:
-                continue
-            orbit = profile.gamma.orbit(counts)
-            seen |= orbit
-            if _faithful(profile, counts):
-                out.append((FaithfulCouple(system=sys, counts=min(orbit)), len(out)))
+        for counts, supp in sols:
+            least = counts  # without swaps the orbit is {counts}
+            if profile.gamma.swaps:
+                if counts in seen:
+                    continue
+                orbit = profile.gamma.orbit(counts)
+                seen |= orbit
+                least = min(orbit)
+            if _faithful(profile, counts, supp):
+                out.append((FaithfulCouple(system=sys, counts=least), len(out)))
     return out
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
@@ -90,8 +90,7 @@ def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
     return out
 
 
-def enumerate_a_matrices(rs: RootSystem,
-                         sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
+def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
     """All multisets of rows satisfying the axioms for the given sigma.
 
     Rows are returned as sorted tuples over the given sigma order; two rows
@@ -184,7 +183,6 @@ def _mult(pair: Tuple[Row, Row], row: Row) -> int:
 def diagram_automorphisms(rs: RootSystem) -> List[Tuple[int, ...]]:
     """All permutations of S preserving the Cartan matrix."""
     n = rs.rank
-    from itertools import permutations
     out = []
     for p in permutations(range(n)):
         if all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
@@ -223,7 +221,7 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
     seen: Dict[tuple, SphericalSystem] = {}
     for sigma, low, high in _sigma_candidates(rs, max_rank):
         for sp in _sp_choices(rs.rank, low, high):
-            for rows in enumerate_a_matrices(rs, sigma):
+            for rows in enumerate_a_matrices(sigma):
                 sys = canonical_form(make_system(rs, [s.coeffs for s in sigma], sp, rows),
                                      mod_diagram_auts)
                 seen.setdefault(sys.key(), sys)

@@ -17,7 +17,7 @@ from sphsys.closure import (
     omega_of_color,
 )
 from sphsys.enumeration import census
-from sphsys.quotient import is_distinguished
+from sphsys.quotient import enumerate_distinguished, is_distinguished
 
 
 @pytest.fixture(scope="module")
@@ -186,13 +186,20 @@ def _reference_faithful_couples(systems, rs, pi_coords):
     return out
 
 
+def _couple_ids(couples):
+    return [(c.system.key(), c.counts, o) for c, o in couples]
+
+
+def _assert_systems_match_reference(systems, rs, values):
+    for weight in product(values, repeat=rs.rank):
+        got = faithful_couples(systems, rs, weight)
+        want = _reference_faithful_couples(systems, rs, weight)
+        assert _couple_ids(got) == _couple_ids(want), (rs.name, weight)
+
+
 def _assert_couples_match_reference(spec, values):
     report = census(spec)
-    for weight in product(values, repeat=report.rs.rank):
-        got = faithful_couples(report.systems, report.rs, weight)
-        want = _reference_faithful_couples(report.systems, report.rs, weight)
-        assert [(c.system.key(), c.counts, o) for c, o in got] == \
-            [(c.system.key(), c.counts, o) for c, o in want], (spec, weight)
+    _assert_systems_match_reference(report.systems, report.rs, values)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "A2xA1"])
@@ -207,3 +214,66 @@ def test_faithful_couples_match_reference_f4_binary():
 @pytest.mark.slow
 def test_faithful_couples_match_reference_f4():
     _assert_couples_match_reference("F4", range(3))
+
+
+# Within one call, systems with the same color weights share the solved
+# multiplicities. The cases below would break if the sharing were keyed on
+# the weight alone or carried one system's faithfulness over to another.
+
+@pytest.mark.parametrize("spec, values", [("A3", range(3)), ("F4", range(2))],
+                         ids=["A3", "F4"])
+def test_faithful_couples_match_reference_reversed(spec, values):
+    report = census(spec)
+    _assert_systems_match_reference(report.systems[::-1], report.rs, values)
+
+
+def test_faithful_couples_keep_a_repeated_system(f4_census):
+    rs, weight = f4_census.rs, (1, 1, 1, 1)
+    systems = list(f4_census.systems)
+    first = next(c.system for c, _ in faithful_couples(systems, rs, weight)
+                 if gamma_group(c.system).swaps)
+    at = systems.index(first)
+    repeated = systems[:at + 1] + [first] + systems[at + 1:]
+    got = faithful_couples(repeated, rs, weight)
+    assert _couple_ids(got) == _couple_ids(_reference_faithful_couples(repeated, rs, weight))
+    mine = [(c.counts, o) for c, o in got if c.system == first]
+    half = len(mine) // 2
+    assert half and [m for m, _ in mine[:half]] == [m for m, _ in mine[half:]]
+    assert [o for _, o in mine] == list(range(mine[0][1], mine[0][1] + 2 * half))
+
+
+def _color_weights(sys):
+    return tuple(omega_of_color(sys, i) for i in range(len(colors(sys))))
+
+
+def _minimal_subsets(sys):
+    return tuple(d.members for d in enumerate_distinguished(sys) if d.minimal)
+
+
+@pytest.mark.parametrize("differ", ["minimal", "swaps"])
+def test_faithful_couples_of_systems_sharing_color_weights(f4_census, differ):
+    rs = f4_census.rs
+    weights = list(product(range(3), repeat=rs.rank))
+    closed = [s for s in f4_census.systems if is_spherically_closed(s)]
+
+    def profiles_differ(a, b):
+        if differ == "minimal":
+            return _minimal_subsets(a) != _minimal_subsets(b)
+        return gamma_group(a).swaps != gamma_group(b).swaps
+
+    # the first such pair where both systems have couples, and not the same
+    # ones, at some weight
+    for a, b in combinations(closed, 2):
+        if _color_weights(a) != _color_weights(b) or not profiles_differ(a, b):
+            continue
+        want = {w: _reference_faithful_couples([a, b], rs, w) for w in weights}
+        found = [{(w, c.counts) for w, cs in want.items() for c, _ in cs if c.system == s}
+                 for s in (a, b)]
+        if all(found) and found[0] != found[1]:
+            break
+    else:
+        pytest.fail(f"no pair of F4 systems shares color weights and differs in {differ}")
+    for w in weights:
+        assert _couple_ids(faithful_couples([a, b], rs, w)) == _couple_ids(want[w]), w
+        assert _couple_ids(faithful_couples([b, a], rs, w)) == \
+            _couple_ids(_reference_faithful_couples([b, a], rs, w)), w
