@@ -138,6 +138,8 @@ def _parse_weight(rank: int, text: str) -> List[int]:
             raise UsageError(f"bad weight {text!r}")
         if not 0 <= idx < rank:
             raise UsageError(f"weight index out of range in {text!r}")
+        if mult < 0:
+            raise UsageError(f"negative coefficient in {text!r}: not a dominant weight")
         coords[idx] += mult
     return coords
 

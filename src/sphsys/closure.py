@@ -169,6 +169,10 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     A multiplicity is faithful when its support meets every minimal
     distinguished subset and it separates the colors of every swap; the
     weight-independent part of that test is each system's cached profile.
+    The swaps are disjoint pairs (i, j) with i < j of colors with equal
+    weights, so each Gamma-orbit of a faithful multiplicity lies among the
+    solutions, and its lexicographically least member is the one with
+    counts[i] < counts[j] for every swap: only that member is kept.
 
     The multiplicities of a given weight depend only on the color weights,
     so within one call they are solved once per distinct color-weight vector,
@@ -187,17 +191,10 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
             sols = solved[profile.weights] = [
                 (counts, _support(counts))
                 for counts in _multiplicities_with_weight(profile.weights, target)]
-        seen: Set[Counts] = set()
         for counts, supp in sols:
-            least = counts  # without swaps the orbit is {counts}
-            if profile.gamma.swaps:
-                if counts in seen:
-                    continue
-                orbit = profile.gamma.orbit(counts)
-                seen |= orbit
-                least = min(orbit)
-            if _faithful(profile, counts, supp):
-                out.append((FaithfulCouple(system=sys, counts=least), len(out)))
+            if (all(counts[i] < counts[j] for i, j in profile.gamma.swaps)
+                    and _faithful(profile, counts, supp)):
+                out.append((FaithfulCouple(system=sys, counts=counts), len(out)))
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
@@ -216,16 +216,18 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
 
     The search only builds triples that satisfy the axioms: the pairwise
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
-    through `pair_choices`. So no candidate is validated afterwards.
+    through `pair_choices`. So no candidate is validated afterwards, and
+    no triple is built twice: only the classes modulo diagram automorphisms
+    need deduplicating.
     """
-    seen: Dict[tuple, SphericalSystem] = {}
-    for sigma, low, high in _sigma_candidates(rs, max_rank):
-        for sp in _sp_choices(rs.rank, low, high):
-            for rows in enumerate_a_matrices(sigma):
-                sys = canonical_form(make_system(rs, [s.coeffs for s in sigma], sp, rows),
-                                     mod_diagram_auts)
-                seen.setdefault(sys.key(), sys)
-    systems = tuple(sorted(seen.values(), key=lambda s: s.key()))
+    built: Iterable[SphericalSystem] = (
+        make_system(rs, [s.coeffs for s in sigma], sp, rows)
+        for sigma, low, high in _sigma_candidates(rs, max_rank)
+        for sp in _sp_choices(rs.rank, low, high)
+        for rows in enumerate_a_matrices(sigma))
+    if mod_diagram_auts:
+        built = {canonical_form(s, mod_diagram_auts=True) for s in built}
+    systems = tuple(sorted(built, key=lambda s: s.key()))
     by_rank: Dict[int, int] = {}
     for s in systems:
         by_rank[s.rank] = by_rank.get(s.rank, 0) + 1

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .rootsys import integer_kernel
 from .system import SphericalSystem, colors, defect, make_system, negative_colors
@@ -208,22 +208,17 @@ def _det(m: List[List[int]]) -> int:
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     """The quotient system by a distinguished subset of colors."""
-    return _quotient_cached(sys, tuple(sorted(set(members))))
-
-
-@lru_cache(maxsize=None)
-def _quotient_cached(sys: SphericalSystem, members: Tuple[int, ...]) -> SphericalSystem:
-    if is_distinguished(sys, members) is None:
+    mset = set(members)
+    if is_distinguished(sys, mset) is None:
         raise ValueError("subset of colors is not distinguished")
     cset = colors(sys)
-    gens = kernel_generators(sys, members)
+    gens = kernel_generators(sys, mset)
     n = sys.rs.rank
     new_vectors = []
     for g in gens:
         v = tuple(sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
                   for j in range(n))
         new_vectors.append(v)
-    mset = set(members)
     new_sp = set(sys.sp)
     for alpha in range(n):
         owned = cset.delta_of[alpha]
@@ -248,25 +243,28 @@ class DistinguishedSubset:
 
 
 def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
-    """All nonempty distinguished subsets of colors, with minimality flags."""
-    return list(_enumerate_distinguished_cached(sys))
+    """All nonempty distinguished subsets of colors, by size and then members,
+    with minimality flags.
 
-
-@lru_cache(maxsize=None)
-def _enumerate_distinguished_cached(sys: SphericalSystem) -> Tuple[DistinguishedSubset, ...]:
+    Every proper subset is decided before the subsets that contain it, and
+    every distinguished subset contains a minimal one; so a subset is minimal
+    exactly when it contains none of the minimal ones found before it.
+    """
     rows = [c.row for c in colors(sys).colors]
     k = len(rows)
-    found: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    out: List[DistinguishedSubset] = []
+    minimal_masks: List[int] = []
     for size in range(1, k + 1):
         for members in combinations(range(k), size):
             w = _decide(tuple(rows[i] for i in members), sys.rank)
-            if w is not None:
-                found[members] = w
-    out = []
-    for members, w in sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        minimal = not any(set(other) < set(members) for other in found)
-        out.append(DistinguishedSubset(members=members, witness=w, minimal=minimal))
-    return tuple(out)
+            if w is None:
+                continue
+            mask = sum(1 << i for i in members)
+            minimal = all(m & mask != m for m in minimal_masks)
+            if minimal:
+                minimal_masks.append(mask)
+            out.append(DistinguishedSubset(members=members, witness=w, minimal=minimal))
+    return out
 
 
 def classify(sys: SphericalSystem, members: Sequence[int]) -> str:

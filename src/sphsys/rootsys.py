@@ -105,11 +105,7 @@ class RootSystem:
         return isinstance(other, RootSystem) and self.name == other.name
 
     def is_positive_root(self, v: Vector) -> bool:
-        return tuple(v) in self._posset
-
-    @property
-    def _posset(self) -> frozenset:
-        return _positive_root_set(self.name)
+        return tuple(v) in self.positive_roots
 
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
@@ -130,11 +126,6 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
         roots |= new
         frontier = new
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
-
-
-@lru_cache(maxsize=None)
-def _positive_root_set(name: str) -> frozenset:
-    return frozenset(build_root_system(name).positive_roots)
 
 
 @lru_cache(maxsize=None)
@@ -211,23 +202,17 @@ def integer_kernel(rows: Sequence[Sequence[int]],
     return tuple(pivots), tuple(basis)
 
 
-@lru_cache(maxsize=None)
-def _fundamental_weights(name: str) -> Tuple[QVector, ...]:
-    """Columns of the inverse Cartan matrix C^-1.
+def fundamental_weights(rs: RootSystem) -> List[QVector]:
+    """Fundamental weights in simple-root coordinates: the columns of the
+    inverse Cartan matrix C^-1.
 
     C is invertible, so the free columns of [C | -I] are n..2n-1 and the
     kernel basis vector at column n + k is (s C^-1 e_k, s e_k) with s > 0.
     """
-    rs = build_root_system(name)
     n = rs.rank
     _, basis = integer_kernel([list(rs.cartan[i]) + [-1 if j == i else 0 for j in range(n)]
                                for i in range(n)], 2 * n)
-    return tuple(tuple(Q(x, v[n + k]) for x in v[:n]) for k, v in enumerate(basis))
-
-
-def fundamental_weights(rs: RootSystem) -> List[QVector]:
-    """Fundamental weights in simple-root coordinates (columns of the inverse Cartan)."""
-    return list(_fundamental_weights(rs.name))
+    return [tuple(Q(x, v[n + k]) for x in v[:n]) for k, v in enumerate(basis)]
 
 
 def _match_component(block: Sequence[Sequence[int]], local: Sequence[int],
@@ -343,10 +328,9 @@ def parabolic_grading(rs: RootSystem, alpha: int) -> ParabolicGrading:
     return ParabolicGrading(levi=sub.name, steps=steps, dims=dims)
 
 
-@lru_cache(maxsize=None)
-def _dual_involution(name: str) -> Tuple[int, ...]:
-    """The involution of S induced by -w0, as a permutation of simple indices."""
-    rs = build_root_system(name)
+def dual_weight(rs: RootSystem, coords: Sequence) -> tuple:
+    """Dual of a weight given in fundamental-weight coordinates: its image
+    under the involution of S induced by -w0."""
     perm = list(range(rs.rank))
     for letter, r, idx in rs.components:
         if letter == "A":
@@ -357,12 +341,6 @@ def _dual_involution(name: str) -> Tuple[int, ...]:
         elif letter == "E" and r == 6:
             for p, q in ((0, 5), (2, 4)):
                 perm[idx[p]], perm[idx[q]] = idx[q], idx[p]
-    return tuple(perm)
-
-
-def dual_weight(rs: RootSystem, coords: Sequence) -> tuple:
-    """Dual of a weight given in fundamental-weight coordinates."""
-    perm = _dual_involution(rs.name)
     out = [0] * rs.rank
     for i, c in enumerate(coords):
         out[perm[i]] = c

@@ -78,13 +78,16 @@ def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],
                 sp: Iterable[int], a_rows: Iterable[Sequence[int]]) -> SphericalSystem:
     """Build a system in canonical order from sigma vectors and matching rows."""
     sigmas = [spherical_root(rs, v) for v in sigma_vectors]
+    sp = frozenset(sp)
+    if any(not 0 <= a < rs.rank for a in sp):
+        raise ValueError(f"Sp {sorted(sp)} has an index outside 0..{rs.rank - 1}")
     rows = [tuple(r) for r in a_rows]
     if any(len(r) != len(sigmas) for r in rows):
         raise ValueError("a_rows width must equal the number of spherical roots")
     order = sorted(range(len(sigmas)), key=lambda i: sigmas[i].sort_key())
     sigmas = [sigmas[i] for i in order]
     rows = sorted(tuple(r[i] for i in order) for r in rows)
-    return SphericalSystem(rs=rs, sigma=tuple(sigmas), sp=frozenset(sp),
+    return SphericalSystem(rs=rs, sigma=tuple(sigmas), sp=sp,
                            a_rows=tuple(rows))
 
 

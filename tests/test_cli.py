@@ -86,7 +86,19 @@ def test_bad_arguments_are_usage_errors(example_doc, capsys):
     assert main(["census", "--type", "A0"]) == 2
     assert main(["faithful", "--type", "A3x", "--weight", "w1"]) == 2
     assert main(["faithful", "--type", "A3", "--weight", "xw1"]) == 2
+    # a negative coefficient is not a dominant weight
+    assert main(["faithful", "--type", "A3", "--weight=-1w1"]) == 2
+    assert main(["faithful", "--type", "A3", "--weight", "w1+-2w3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sp", ["[7]", "[-1]"])
+def test_sp_index_out_of_range_is_usage_error(tmp_path, capsys, sp):
+    path = tmp_path / "f4.json"
+    path.write_text('{"root_system":{"components":[{"rank":4,"type":"F"}]},'
+                    '"system":{"a_rows":[],"sigma":[],"sp":' + sp + '},"version":"1"}\n')
+    assert main(["validate", str(path)]) == 2
+    assert "outside 0..3" in capsys.readouterr().err
 
 
 # A D4 census member with a quotient whose spherical root (1,2,2,1) is

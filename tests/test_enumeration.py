@@ -53,7 +53,8 @@ def test_rank_zero_systems_are_sp_choices(f4_census):
 @pytest.mark.parametrize(
     "name",
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
-     "A1xA1", "A2xA1", "A3xA1", "A2xA2", "B2xA1", "B3xA1", "A1xG2"],
+     "A1xA1", "A2xA1", "A3xA1", "A2xA2", "B2xA1", "B3xA1", "A1xG2",
+     "A5", "B5", "C5", "D5"],
 )
 def test_census_members_are_valid_and_distinct(name):
     seen = set()

@@ -1,5 +1,6 @@
-"""Every name a `sphsys` module imports is used in that module, and every
-import sits at module level.
+"""Every name a `sphsys` module imports is used in that module, every
+import sits at module level, and the process-lifetime caches are the
+expected ones.
 
 No linter ships with the project, so this test is the guard against dead
 and function-local imports. `__init__.py` is left out of the unused-import
@@ -66,3 +67,51 @@ def test_guard_sees_a_local_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_local_imports(path):
     assert local_imports(path.read_text()) == []
+
+
+def lru_caches(source: str):
+    """Names of the functions decorated with `lru_cache`, called or not, or
+    with `cache`, which is `lru_cache(maxsize=None)`."""
+    tree = ast.parse(source)
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                    out.append(fn.name)
+    return sorted(out)
+
+
+def test_guard_sees_every_lru_cache():
+    source = ("import functools\n"
+              "from functools import cache, cached_property, lru_cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def a(x): return x\n"
+              "@functools.lru_cache\n"
+              "def b(x): return x\n"
+              "@cache\n"
+              "def c(x): return x\n"
+              "@cached_property\n"
+              "def d(x):\n"
+              "    @lru_cache\n"
+              "    def e(y): return y\n"
+              "    return e(x)\n")
+    assert lru_caches(source) == ["a", "b", "c", "e"]
+
+
+# The eight process-lifetime caches; each is hit again and again within one
+# command. A new one must be added here on purpose.
+KEPT_CACHES = {
+    "closure.py": ["_profile"],
+    "enumeration.py": ["census"],
+    "quotient.py": ["_decide", "_kernel_rays"],
+    "rootsys.py": ["build_root_system"],
+    "sphroots.py": ["_by_vector", "spherical_roots_of"],
+    "system.py": ["colors"],
+}
+
+
+def test_only_the_kept_lru_caches():
+    found = {p.name: lru_caches(p.read_text()) for p in ALL_MODULES}
+    assert {name: fns for name, fns in found.items() if fns} == KEPT_CACHES

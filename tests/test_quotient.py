@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphsys import build_root_system, colors, defect, make_system, validate
+from sphsys.closure import _profile
 from sphsys.enumeration import census
 from sphsys.rootsys import integer_kernel
 from sphsys.quotient import (
@@ -534,3 +535,22 @@ def test_quotients_of_census_sample_are_valid(f4_census):
         for d in enumerate_distinguished(sys):
             if d.minimal:
                 assert validate(quotient(sys, d.members)) == []
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4"])
+def test_minimal_flags_match_definition_and_closure_search(name):
+    """`enumerate_distinguished` flags minimality while it sweeps by size;
+    `closure._profile` searches minimal subsets skipping supersets. Both
+    must agree with the definition, and with each other."""
+    closed = 0
+    for sys in census(name).systems:
+        subsets = enumerate_distinguished(sys)
+        sets = [set(d.members) for d in subsets]
+        for d, members in zip(subsets, sets):
+            assert d.minimal == (not any(other < members for other in sets))
+        profile = _profile(sys)
+        if profile is not None:
+            closed += 1
+            assert [sum(1 << i for i in d.members) for d in subsets if d.minimal] == \
+                list(profile.minimal)
+    assert closed

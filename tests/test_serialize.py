@@ -70,6 +70,15 @@ def test_schema_errors():
             parse_system(json.dumps(doc))
 
 
+@pytest.mark.parametrize("sigma, sp", [([], [7]), ([], [-1]), ([], [0, 4]),
+                                       ([[1, 2, 3, 2]], [0, 1, 2, 4])])
+def test_sp_index_out_of_range_is_schema_error(sigma, sp):
+    doc = {"version": "1", "root_system": {"components": [{"type": "F", "rank": 4}]},
+           "system": {"sigma": sigma, "sp": sp, "a_rows": []}}
+    with pytest.raises(SchemaError, match="outside 0..3"):
+        parse_system(json.dumps(doc))
+
+
 def test_empty_localization_round_trip(f4_example):
     sys = localize_s(f4_example, [])
     text = emit_system(sys)
