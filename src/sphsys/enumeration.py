@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem, build_root_system, diagram_automorphisms
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
 from .system import (SphericalSystem, _a1_ok, _proportional, _sigma1_ok,
                      _sigma2_ok, make_system)
@@ -180,21 +180,8 @@ def _mult(pair: Tuple[Row, Row], row: Row) -> int:
     return (pair[0] == row) + (pair[1] == row)
 
 
-def diagram_automorphisms(rs: RootSystem) -> List[Tuple[int, ...]]:
-    """All permutations of S preserving the Cartan matrix."""
-    n = rs.rank
-    out = []
-    for p in permutations(range(n)):
-        if all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
-               for i in range(n) for j in range(n)):
-            out.append(p)
-    return out
-
-
-def canonical_form(sys: SphericalSystem, mod_diagram_auts: bool = False) -> SphericalSystem:
-    """Canonical representative; optionally minimal over diagram automorphisms."""
-    if not mod_diagram_auts:
-        return sys
+def canonical_form(sys: SphericalSystem) -> SphericalSystem:
+    """The least image of sys, by key, under the diagram automorphisms."""
     best = sys
     for p in diagram_automorphisms(sys.rs):
         vecs = []
@@ -226,7 +213,7 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
         for sp in _sp_choices(rs.rank, low, high)
         for rows in enumerate_a_matrices(sigma))
     if mod_diagram_auts:
-        built = {canonical_form(s, mod_diagram_auts=True) for s in built}
+        built = {canonical_form(s) for s in built}
     systems = tuple(sorted(built, key=lambda s: s.key()))
     by_rank: Dict[int, int] = {}
     for s in systems:

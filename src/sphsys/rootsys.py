@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 QVector = Tuple[Q, ...]
@@ -215,36 +215,33 @@ def fundamental_weights(rs: RootSystem) -> List[QVector]:
     return [tuple(Q(x, v[n + k]) for x in v[:n]) for k, v in enumerate(basis)]
 
 
-def _match_component(block: Sequence[Sequence[int]], local: Sequence[int],
-                     target: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Find an order of `local` realizing the `target` Cartan matrix, if any."""
-    k = len(local)
+def _orders(block: Sequence[Sequence[int]], local: Sequence[int],
+            target: Sequence[Sequence[int]]) -> Iterator[List[int]]:
+    """Every order of `local` realizing the `target` Cartan matrix, in
+    lexicographic order of positions in `local`."""
     perm: List[int] = []
-    used = [False] * k
 
-    def ok(pos: int, cand: int) -> bool:
-        for q in range(pos):
-            p = perm[q]
-            if block[local[cand]][local[p]] != target[pos][q]:
-                return False
-            if block[local[p]][local[cand]] != target[q][pos]:
-                return False
-        return True
-
-    def rec(pos: int) -> bool:
-        if pos == k:
-            return True
-        for cand in range(k):
-            if not used[cand] and ok(pos, cand):
-                used[cand] = True
+    def rec() -> Iterator[List[int]]:
+        pos = len(perm)
+        if pos == len(local):
+            yield [local[c] for c in perm]
+            return
+        for cand in range(len(local)):
+            if cand not in perm and all(
+                    block[local[cand]][local[p]] == target[pos][q]
+                    and block[local[p]][local[cand]] == target[q][pos]
+                    for q, p in enumerate(perm)):
                 perm.append(cand)
-                if rec(pos + 1):
-                    return True
+                yield from rec()
                 perm.pop()
-                used[cand] = False
-        return False
 
-    return [local[c] for c in perm] if rec(0) else None
+    return rec()
+
+
+def diagram_automorphisms(rs: RootSystem) -> List[Tuple[int, ...]]:
+    """All permutations p of S with cartan[p[i]][p[j]] == cartan[i][j], in
+    lexicographic order; the identity comes first."""
+    return [tuple(p) for p in _orders(rs.cartan, range(rs.rank), rs.cartan)]
 
 
 def _candidate_types(k: int) -> List[str]:
@@ -289,7 +286,7 @@ def recognize(cartan: Sequence[Sequence[int]],
         k = len(comp)
         for cand in _candidate_types(k):
             target = build_root_system(cand).cartan
-            order = _match_component(cartan, comp, target)
+            order = next(_orders(cartan, comp, target), None)
             if order is not None:
                 out.append((cand, tuple(order)))
                 break

@@ -1,7 +1,8 @@
 """Spherical roots of a root system and their compatibility with parabolic subsets.
 
 A spherical root is a nonnegative combination of simple roots cut out by a
-fixed table of shapes, one per type of its support.
+fixed table of shapes, one per type of its support, or the image of such a
+shape under an automorphism of the support's diagram.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Sequence, Tuple
 
-from .rootsys import RootSystem, cartan_eval, recognize
+from .rootsys import (RootSystem, build_root_system, cartan_eval,
+                      diagram_automorphisms, recognize)
 
 Vector = Tuple[int, ...]
 
@@ -57,34 +59,38 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
         if a[i][j] == 0:
             add("a1xa1", (i, j), (1, 1))
 
-    # connected subsets of the Dynkin diagram, size >= 2
+    # connected subsets of the Dynkin diagram, size >= 2; each shape once per
+    # automorphism of the support's own diagram, the identity first, so the
+    # catalog is closed under diagram automorphisms
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
             comps = recognize(a, subset)
             if len(comps) > 1:
                 continue
-            (tname, order), = comps
-            r = len(order)
+            (tname, bourbaki), = comps
+            r = len(bourbaki)
             letter = tname[0]
-            if letter == "A":
-                add("a-sum", order, (1,) * r)
-                if r == 3:
-                    add("a3-mid", order, (1, 2, 1))
-            elif letter == "B":
-                add("b-sum", order, (1,) * r)
-                add("2b-sum", order, (2,) * r)
-                if r == 3:
-                    add("b3-triple", order, (1, 2, 3))
-            elif letter == "C":
-                add("c-shape", order, (1,) + (2,) * (r - 2) + (1,))
-            elif letter == "D":
-                add("d-shape", order, (2,) * (r - 2) + (1, 1))
-            elif letter == "F":
-                add("f4-shape", order, (1, 2, 3, 2))
-            elif letter == "G":
-                add("g2-sum", order, (1, 1))
-                add("g2-short2", order, (2, 1))
-                add("g2-double", order, (4, 2))
+            for aut in diagram_automorphisms(build_root_system(tname)):
+                order = [bourbaki[i] for i in aut]
+                if letter == "A":
+                    add("a-sum", order, (1,) * r)
+                    if r == 3:
+                        add("a3-mid", order, (1, 2, 1))
+                elif letter == "B":
+                    add("b-sum", order, (1,) * r)
+                    add("2b-sum", order, (2,) * r)
+                    if r == 3:
+                        add("b3-triple", order, (1, 2, 3))
+                elif letter == "C":
+                    add("c-shape", order, (1,) + (2,) * (r - 2) + (1,))
+                elif letter == "D":
+                    add("d-shape", order, (2,) * (r - 2) + (1, 1))
+                elif letter == "F":
+                    add("f4-shape", order, (1, 2, 3, 2))
+                elif letter == "G":
+                    add("g2-sum", order, (1, 1))
+                    add("g2-short2", order, (2, 1))
+                    add("g2-double", order, (4, 2))
     return tuple(sorted(found.values(), key=SphericalRoot.sort_key))
 
 

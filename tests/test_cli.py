@@ -101,20 +101,36 @@ def test_sp_index_out_of_range_is_usage_error(tmp_path, capsys, sp):
     assert "outside 0..3" in capsys.readouterr().err
 
 
-# A D4 census member with a quotient whose spherical root (1,2,2,1) is
-# missing from the D4 catalog: an internal failure, not a usage error.
-# Completing the catalog removes this failure; the test then needs another.
-D4_QUOTIENT_FAILURE = (
+def test_internal_value_error_exit_code(example_doc, monkeypatch, capsys):
+    # a ValueError raised past the argument checks is an internal failure,
+    # not a usage error
+    def broken(sys):
+        raise ValueError("no such spherical root")
+
+    monkeypatch.setattr("sphsys.cli.quotient_lattice", broken)
+    path, _ = example_doc
+    assert main(["quotients", str(path)]) == 3
+    assert "internal error: no such spherical root" in capsys.readouterr().err
+
+
+# A D4 census member with a quotient whose spherical root (1,2,2,1) is a
+# triality image of the d-shape root (2,2,1,1).
+D4_TRIALITY_QUOTIENT = (
     '{"root_system":{"components":[{"rank":4,"type":"D"}]},'
     '"system":{"a_rows":[],"sigma":[[0,1,1,0],[1,0,0,1]],"sp":[]},"version":"1"}\n'
 )
 
 
-def test_internal_value_error_exit_code(tmp_path, capsys):
+def test_d4_triality_quotient(tmp_path, capsys):
     path = tmp_path / "d4.json"
-    path.write_text(D4_QUOTIENT_FAILURE)
-    assert main(["quotients", str(path)]) == 3
-    assert "internal error: (1, 2, 2, 1) is not a spherical root of D4" in capsys.readouterr().err
+    path.write_text(D4_TRIALITY_QUOTIENT)
+    assert main(["quotients", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_census_mod_diagram_auts_d4(capsys):
+    assert main(["census", "--type", "D4", "--mod-diagram-auts"]) == 0
+    assert "total 92" in capsys.readouterr().out
 
 
 def test_colors_table(example_doc, capsys):

@@ -5,11 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from sphsys import build_root_system, make_system, validate
-from sphsys.enumeration import (canonical_form, census, diagram_automorphisms,
-                                enumerate_systems)
-from sphsys.rootsys import cartan_eval
+from sphsys.enumeration import canonical_form, census, enumerate_systems
+from sphsys.quotient import enumerate_distinguished, quotient
+from sphsys.rootsys import cartan_eval, diagram_automorphisms
 from sphsys.serialize import emit_system
 from sphsys.sphroots import sp_of, spherical_roots_of, spp_of
+from sphsys.system import localize_s
 
 
 def test_f4_census_counts(f4_census):
@@ -30,6 +31,11 @@ def test_f4_census_diff_reports_mismatch(f4_census):
         ("B2", {0: 4, 1: 7, 2: 8}),
         ("G2", {0: 4, 1: 7, 2: 5}),
         ("A3", {0: 8, 1: 15, 2: 17, 3: 10}),
+        # regression values of this engine, not reference values from the
+        # paper: the D4 triality images of the d-shape root moved them from
+        # 264 and 1,044 systems
+        ("D4", {0: 16, 1: 44, 2: 78, 3: 78, 4: 50}),
+        ("D5", {0: 32, 1: 98, 2: 181, 3: 243, 4: 287, 5: 205}),
     ],
 )
 def test_small_census_counts(name, by_rank):
@@ -99,7 +105,7 @@ def test_census_mod_diagram_automorphisms_orbits(a3_census):
     reps = census("A3", mod_diagram_auts=True).systems
     assert len(reps) == 37
     # representative count equals the number of orbits in the full census
-    orbits = {canonical_form(s, mod_diagram_auts=True) for s in a3_census.systems}
+    orbits = {canonical_form(s) for s in a3_census.systems}
     assert len(orbits) == len(reps)
 
 
@@ -253,25 +259,68 @@ def test_pruned_search_matches_reference(name):
     assert got == [emit_system(s) for s in _reference_census(rs)]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["A5", "B5", "C5", "D5",
-     pytest.param("D4", marks=pytest.mark.xfail(
-         strict=True, raises=AssertionError,
-         reason="the catalog has one d-shape root per D4 support, "
-                "not its triality images"))],
-)
+def _image(sys, p):
+    """The system moved by the diagram automorphism p of its root system."""
+    vecs = []
+    for s in sys.sigma:
+        v = [0] * sys.rs.rank
+        for i, c in enumerate(s.coeffs):
+            v[p[i]] = c
+        vecs.append(tuple(v))
+    return make_system(sys.rs, vecs, [p[i] for i in sys.sp], sys.a_rows)
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "D4"])
 def test_census_closed_under_diagram_automorphisms(name):
     rs = build_root_system(name)
     catalog = {s.coeffs for s in spherical_roots_of(rs)}
     members = set(census(name).systems)
     for p in diagram_automorphisms(rs):
         for sys in members:
-            vecs = []
-            for s in sys.sigma:
-                v = [0] * rs.rank
-                for i, c in enumerate(s.coeffs):
-                    v[p[i]] = c
-                vecs.append(tuple(v))
-            assert set(vecs) <= catalog
-            assert make_system(rs, vecs, [p[i] for i in sys.sp], sys.a_rows) in members
+            moved = _image(sys, p)
+            assert {s.coeffs for s in moved.sigma} <= catalog
+            assert moved in members
+
+
+# Closure oracles: a census must hold every quotient and localization of its
+# members, and its members modulo diagram automorphisms must be orbits that
+# add up to it again.
+SLOW = pytest.mark.slow
+CLOSURE_TYPES = ["D4", "A2xA2"] + [pytest.param(t, marks=SLOW)
+                                   for t in ["A5", "B5", "C5", "D5", "D4xA1"]]
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_census_closed_under_quotients(name):
+    members = set(census(name).systems)
+    for sys in members:
+        for d in enumerate_distinguished(sys):
+            q = quotient(sys, d.members)
+            assert validate(q) == []
+            assert q in members
+
+
+@pytest.mark.parametrize("name", CLOSURE_TYPES)
+def test_census_closed_under_localization(name):
+    rank = build_root_system(name).rank
+    subcensus = {}
+    for sys in census(name).systems:
+        for k in range(rank):
+            for keep in combinations(range(rank), k):
+                loc = localize_s(sys, keep)
+                if loc.rs.name not in subcensus:
+                    subcensus[loc.rs.name] = set(census(loc.rs.name).systems)
+                assert loc in subcensus[loc.rs.name]
+
+
+@pytest.mark.parametrize(
+    "name,orbits",
+    [("D4", 92), ("A2xA2", 56)] + [pytest.param(t, n, marks=SLOW) for t, n in [
+        ("A5", 498), ("B5", 1419), ("C5", 1202), ("D5", 696), ("D4xA1", 470)]])
+def test_orbit_stabilizer(name, orbits):
+    auts = diagram_automorphisms(build_root_system(name))
+    reps = census(name, mod_diagram_auts=True).systems
+    images = [{_image(sys, p) for p in auts} for sys in reps]
+    assert len(reps) == orbits
+    assert sum(len(o) for o in images) == census(name).total
+    assert set().union(*images) == set(census(name).systems)

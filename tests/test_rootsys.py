@@ -1,6 +1,7 @@
 """Root system construction, recognition, weights, and parabolic gradings."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -8,6 +9,7 @@ from sphsys.rootsys import (
     ParabolicGrading,
     build_root_system,
     cartan_eval,
+    diagram_automorphisms,
     dual_weight,
     fundamental_weights,
     parabolic_grading,
@@ -166,3 +168,29 @@ def test_fundamental_weights_invert_the_cartan_matrix(spec):
         assert all(type(x) is Fraction for x in w)
         assert [cartan_eval(rs, i, w) for i in range(rs.rank)] == \
             [int(i == k) for i in range(rs.rank)]
+
+
+def _brute_force_automorphisms(rs):
+    """The n! reference: every permutation of S that preserves the Cartan
+    matrix, in lexicographic order."""
+    n = rs.rank
+    return [p for p in permutations(range(n))
+            if all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
+                   for i in range(n) for j in range(n))]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(3, 7)] + [f"D{n}" for n in range(4, 7)]
+    + ["E6", "F4", "G2", "", "A2xA2", "A1xA1xA1", "D4xA1"])
+def test_diagram_automorphisms_match_brute_force(spec):
+    rs = build_root_system(spec)
+    assert diagram_automorphisms(rs) == _brute_force_automorphisms(rs)
+
+
+@pytest.mark.parametrize("spec,order", [("E8", 1), ("A8", 2), ("D4", 6), ("A2xA2xA2", 48)])
+def test_diagram_automorphism_group_orders(spec, order):
+    auts = diagram_automorphisms(build_root_system(spec))
+    assert len(auts) == order
+    assert auts[0] == tuple(range(len(auts[0])))

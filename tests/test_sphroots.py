@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from sphsys.enumeration import census
-from sphsys.rootsys import build_root_system, cartan_eval
+from sphsys.rootsys import build_root_system, cartan_eval, diagram_automorphisms, recognize
 from sphsys.serialize import emit_system, parse_system
 from sphsys.sphroots import (
     is_compatible,
@@ -46,11 +46,42 @@ def test_f4_catalog_exact(f4):
     assert len(roots) == 20
 
 
+# The D and E sizes are regression values of this engine, not reference
+# values from the paper; each D4 support holds three d-shape roots.
 @pytest.mark.parametrize(
-    "name,count", [("A1", 2), ("A2", 5), ("A3", 11), ("B2", 6), ("G2", 7)]
+    "name,count", [("A1", 2), ("A2", 5), ("A3", 11), ("B2", 6), ("G2", 7),
+                   ("D4", 23), ("D5", 34), ("E6", 47), ("E8", 79)]
 )
 def test_catalog_sizes(name, count):
     assert len(spherical_roots_of(build_root_system(name))) == count
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "D4xA1", "D5xD4"])
+def test_catalog_closed_under_support_automorphisms(name):
+    # the roots on a connected support are permuted by every automorphism
+    # of that support's own Dynkin diagram
+    rs = build_root_system(name)
+    by_support = {}
+    for sr in spherical_roots_of(rs):
+        supp = tuple(i for i, c in enumerate(sr.coeffs) if c)
+        by_support.setdefault(supp, set()).add(sr.coeffs)
+    for supp, roots in by_support.items():
+        comps = recognize(rs.cartan, supp)
+        if len(comps) > 1:
+            continue
+        (tname, order), = comps
+        for aut in diagram_automorphisms(build_root_system(tname)):
+            moved = set()
+            for v in roots:
+                w = [0] * rs.rank
+                for i, a in enumerate(aut):
+                    w[order[a]] = v[order[i]]
+                moved.add(tuple(w))
+            assert moved == roots
 
 
 def test_supports(f4):
