@@ -12,7 +12,7 @@ from typing import List, Optional
 
 from .closure import faithful_couples
 from .enumeration import census
-from .quotient import FreenessError, quotient_lattice
+from .quotient import quotient_lattice
 from .rootsys import build_root_system
 from .serialize import (InvalidSystemError, SchemaError, emit_system,
                         parse_system, render_colors, render_dot, render_text)
@@ -32,8 +32,6 @@ def _read(path: str) -> str:
 def _load(path: str, allow_invalid: bool = False):
     try:
         return parse_system(_read(path), allow_invalid=allow_invalid)
-    except InvalidSystemError:
-        raise
     except (OSError, SchemaError) as e:
         raise UsageError(str(e))
 
@@ -220,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_USAGE
-    except (FreenessError, RuntimeError, ValueError) as e:
+    except (RuntimeError, ValueError) as e:
         print(f"internal error: {e}", file=_sys.stderr)
         return EXIT_INTERNAL
 

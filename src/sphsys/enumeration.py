@@ -8,8 +8,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system, diagram_automorphisms
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
-from .system import (SphericalSystem, _a1_ok, _proportional, _sigma1_ok,
-                     _sigma2_ok, make_system)
+from .system import (SphericalSystem, _a1_ok, _proportional, _relabel,
+                     _sigma1_ok, _sigma2_ok, make_system)
 
 Row = Tuple[int, ...]
 
@@ -42,8 +42,7 @@ def _mask(indices: FrozenSet[int]) -> int:
     return sum(1 << i for i in indices)
 
 
-def _sigma_candidates(rs: RootSystem, max_rank: Optional[int]
-                      ) -> List[Tuple[Tuple[SphericalRoot, ...], int, int]]:
+def _sigma_candidates(rs: RootSystem) -> List[Tuple[Tuple[SphericalRoot, ...], int, int]]:
     """All (sigma, low, high) with sigma's pairwise constraints holding and
     its S^p interval [low, high] (bitmasks over S) nonempty.
 
@@ -65,8 +64,6 @@ def _sigma_candidates(rs: RootSystem, max_rank: Optional[int]
     def rec(chosen: List[int], allowed: int, low: int, high: int):
         # allowed: roots after the last chosen one, compatible with all chosen
         out.append((tuple(roots[i] for i in chosen), low, high))
-        if max_rank is not None and len(chosen) >= max_rank:
-            return
         while allowed:
             bit = allowed & -allowed
             allowed ^= bit
@@ -151,14 +148,12 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
         # allowed[b]: owner b's choices that agree with every owner assigned
         i = len(assign)
         if i == m:
-            mult: Dict[Row, int] = {}
-            for pa in assign:
-                for row in set(pa):
-                    mult[row] = max(mult.get(row, 0), _mult(pa, row))
-            flat = []
-            for row, k in mult.items():
-                flat.extend([row] * k)
-            results.append(tuple(sorted(flat)))
+            # a row lies in the pair of every owner it has a 1 for, with one
+            # multiplicity (two owners share at most one row, and a doubled
+            # row has its only 1 at its owner): count it at its first owner
+            results.append(tuple(sorted(
+                row for k, pa in enumerate(assign) for row in pa
+                if all(row[c] != 1 for c in cols[:k]))))
             return
         todo = allowed[i]
         while todo:
@@ -176,29 +171,17 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
     return results
 
 
-def _mult(pair: Tuple[Row, Row], row: Row) -> int:
-    return (pair[0] == row) + (pair[1] == row)
-
-
 def canonical_form(sys: SphericalSystem) -> SphericalSystem:
-    """The least image of sys, by key, under the diagram automorphisms."""
-    best = sys
-    for p in diagram_automorphisms(sys.rs):
-        vecs = []
-        for s in sys.sigma:
-            v = [0] * sys.rs.rank
-            for i, c in enumerate(s.coeffs):
-                v[p[i]] = c
-            vecs.append(tuple(v))
-        moved = make_system(sys.rs, vecs,
-                            [p[i] for i in sys.sp], sys.a_rows)
-        if moved.key() < best.key():
-            best = moved
-    return best
+    """The least image of sys, by key, under the diagram automorphisms.
+
+    Relabeling by p gives the image under p^-1; the automorphisms form a
+    group, so the images are the same set.
+    """
+    return min((_relabel(sys, sys.rs, p) for p in diagram_automorphisms(sys.rs)),
+               key=SphericalSystem.key)
 
 
-def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
-                      mod_diagram_auts: bool = False) -> CensusReport:
+def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusReport:
     """All spherical systems of rs, grouped by rank.
 
     The search only builds triples that satisfy the axioms: the pairwise
@@ -209,7 +192,7 @@ def enumerate_systems(rs: RootSystem, max_rank: Optional[int] = None,
     """
     built: Iterable[SphericalSystem] = (
         make_system(rs, [s.coeffs for s in sigma], sp, rows)
-        for sigma, low, high in _sigma_candidates(rs, max_rank)
+        for sigma, low, high in _sigma_candidates(rs)
         for sp in _sp_choices(rs.rank, low, high)
         for rows in enumerate_a_matrices(sigma))
     if mod_diagram_auts:

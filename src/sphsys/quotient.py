@@ -8,7 +8,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .rootsys import integer_kernel
-from .system import SphericalSystem, colors, defect, make_system, negative_colors
+from .system import (SphericalSystem, _on_generators, colors, defect, make_system,
+                     negative_colors)
 
 Row = Tuple[int, ...]
 
@@ -211,28 +212,11 @@ def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     mset = set(members)
     if is_distinguished(sys, mset) is None:
         raise ValueError("subset of colors is not distinguished")
-    cset = colors(sys)
-    gens = kernel_generators(sys, mset)
-    n = sys.rs.rank
-    new_vectors = []
-    for g in gens:
-        v = tuple(sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
-                  for j in range(n))
-        new_vectors.append(v)
-    new_sp = set(sys.sp)
-    for alpha in range(n):
-        owned = cset.delta_of[alpha]
-        if owned and set(owned) <= mset:
-            new_sp.add(alpha)
-    # rows of A(alpha) for simple alpha still spherical in the quotient,
-    # re-expressed on the new generators
-    new_simple = {v.index(1) for v in new_vectors if sum(v) == 1}
-    old_simple_cols = sys.simple_sigma()
-    new_rows = []
-    for r in sys.a_rows:
-        if any(r[c] == 1 for a, c in old_simple_cols.items() if a in new_simple):
-            new_rows.append(tuple(sum(gi * ri for gi, ri in zip(g, r)) for g in gens))
-    return make_system(sys.rs, new_vectors, new_sp, new_rows)
+    delta_of = colors(sys).delta_of
+    vectors, rows = _on_generators(sys, kernel_generators(sys, mset))
+    new_sp = sys.sp | {alpha for alpha, owned in enumerate(delta_of)
+                       if owned and set(owned) <= mset}
+    return make_system(sys.rs, vectors, new_sp, rows)
 
 
 @dataclass(frozen=True)
@@ -275,7 +259,11 @@ def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
     consistent with every worked case); "LR" when only a new interior
     negative color appears and the type is not determined.
     """
-    target = quotient(sys, members)
+    return _edge_kind(sys, quotient(sys, members))
+
+
+def _edge_kind(sys: SphericalSystem, target: SphericalSystem) -> str:
+    """`classify` of the edge from sys to its quotient target."""
     d0, d1 = defect(sys), defect(target)
     if d1 < d0:
         return "P"
@@ -306,19 +294,17 @@ def is_strongly_solvable(sys: SphericalSystem) -> Tuple[bool, Optional[List[Sphe
     Returns the flag and a shortest witness chain of intermediate systems
     (excluding sys itself, ending in the trivial system) when it exists.
     """
-    trivial_key = (sys.rs.name, (), (), ())
-    if sys.key() == trivial_key:
+    if not sys.sigma and not sys.sp:
         return True, []
     seen = {sys.key()}
     frontier = [(sys, [])]
     while frontier:
         nxt = []
         for cur, chain in frontier:
+            # a projective color's row is nonnegative: {idx} is distinguished
             for idx, _ in projective_colors(cur):
-                if is_distinguished(cur, [idx]) is None:
-                    continue
                 q = quotient(cur, [idx])
-                if q.key() == trivial_key:
+                if not q.sigma and not q.sp:
                     return True, chain + [q]
                 if q.key() not in seen:
                     seen.add(q.key())
@@ -357,7 +343,7 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
                     seen[q.key()] = q
                     nodes.append(q)
                     nxt.append(q)
-                kind = classify(cur, d.members) if d.minimal else None
+                kind = _edge_kind(cur, q) if d.minimal else None
                 edges.append(QuotientEdge(source=cur, target=seen[q.key()],
                                           members=d.members, minimal=d.minimal,
                                           kind=kind))

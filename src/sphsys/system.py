@@ -281,29 +281,41 @@ def negative_colors(sys: SphericalSystem) -> List[Tuple[Color, str]]:
     return out
 
 
+def _on_generators(sys: SphericalSystem, gens: Sequence[Sequence[int]]
+                   ) -> Tuple[List[Tuple[int, ...]], List[Row]]:
+    """The Sigma vectors sum_i g_i sigma_i of the generators g, and the rows
+    of A(alpha) for every simple alpha still in Sigma, re-expressed as r . g."""
+    n = sys.rs.rank
+    vectors = [tuple(sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
+                     for j in range(n)) for g in gens]
+    still_simple = {v.index(1) for v in vectors if sum(v) == 1}
+    cols = [c for a, c in sys.simple_sigma().items() if a in still_simple]
+    rows = [tuple(sum(gi * ri for gi, ri in zip(g, r)) for g in gens)
+            for r in sys.a_rows if any(r[c] == 1 for c in cols)]
+    return vectors, rows
+
+
+def _relabel(sys: SphericalSystem, rs: RootSystem, emb: Sequence[int]) -> SphericalSystem:
+    """sys over rs, where simple root k of rs is simple root emb[k] of sys;
+    Sigma and Sp must lie on the image of emb."""
+    return make_system(rs, [tuple(s.coeffs[j] for j in emb) for s in sys.sigma],
+                       [k for k, j in enumerate(emb) if j in sys.sp], sys.a_rows)
+
+
 def localize_sigma(sys: SphericalSystem, keep_vectors: Iterable[Sequence[int]]) -> SphericalSystem:
     """Localization at a subset of Sigma: keep Sp, restrict A to the kept columns."""
     keep = {tuple(v) for v in keep_vectors}
     cols = [i for i, s in enumerate(sys.sigma) if s.coeffs in keep]
     if len(cols) != len(keep):
         raise ValueError("keep_vectors must be a subset of sigma")
-    kept_simple_cols = {c for c in cols if sys.sigma[c].height == 1}
-    rows = [tuple(r[c] for c in cols) for r in sys.a_rows
-            if any(r[c] == 1 for c in kept_simple_cols)]
-    return make_system(sys.rs, [sys.sigma[c].coeffs for c in cols], sys.sp, rows)
+    units = [tuple(int(i == c) for i in range(sys.rank)) for c in cols]
+    vectors, rows = _on_generators(sys, units)
+    return make_system(sys.rs, vectors, sys.sp, rows)
 
 
 def localize_s(sys: SphericalSystem, s_keep: Iterable[int]) -> SphericalSystem:
     """Localization at a subset of S, over the corresponding root subsystem."""
     s_keep = frozenset(s_keep)
     sub, emb = sub_root_system(sys.rs, s_keep)
-    cols = [i for i, s in enumerate(sys.sigma)
-            if all(s.coeffs[j] == 0 for j in range(sys.rs.rank) if j not in s_keep)]
-    kept_simple_cols = {c for c in cols
-                        if sys.sigma[c].height == 1
-                        and sys.sigma[c].coeffs.index(1) in s_keep}
-    rows = [tuple(r[c] for c in cols) for r in sys.a_rows
-            if any(r[c] == 1 for c in kept_simple_cols)]
-    new_vectors = [tuple(sys.sigma[c].coeffs[j] for j in emb) for c in cols]
-    new_sp = [p for p, j in enumerate(emb) if j in sys.sp]
-    return make_system(sub, new_vectors, new_sp, rows)
+    local = localize_sigma(sys, [s.coeffs for s in sys.sigma if s_keep.issuperset(s.support)])
+    return _relabel(local, sub, emb)

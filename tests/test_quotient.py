@@ -1,6 +1,7 @@
 """Distinguished subsets, quotient systems, minimality types, solvable chains."""
 
 from fractions import Fraction as Q
+from importlib import import_module
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -527,6 +528,34 @@ def test_not_strongly_solvable_without_projective_color(b3_doubled_pair):
     assert projective_colors(b3_doubled_pair) == []
     ok, chain = is_strongly_solvable(b3_doubled_pair)
     assert not ok and chain is None
+
+
+def test_projective_singletons_are_distinguished():
+    # a projective color's row is nonnegative, so it is its own witness
+    for spec in ("F4", "D4"):
+        for sys in census(spec).systems:
+            for idx, _ in projective_colors(sys):
+                assert is_distinguished(sys, [idx]) == (1,)
+
+
+def test_lattice_edges_reuse_their_quotient(monkeypatch):
+    module = import_module("sphsys.quotient")
+    built = []
+
+    def counting(sys, members):
+        built.append(members)
+        return quotient(sys, members)
+
+    for spec in ("F4", "D4"):
+        for sys in census(spec).systems[::90]:
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(module, "quotient", counting)
+                lat = quotient_lattice(sys)
+            assert len(built) == len(lat.edges)
+            for e in lat.edges:
+                if e.minimal:
+                    assert e.kind == classify(e.source, e.members)
 
 
 def test_quotients_of_census_sample_are_valid(f4_census):

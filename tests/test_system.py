@@ -1,5 +1,7 @@
 """System construction, axiom checking, colors, pairing tables, invariants."""
 
+from itertools import combinations
+
 import pytest
 
 from sphsys import (
@@ -16,6 +18,8 @@ from sphsys import (
     parse_system,
     validate,
 )
+from sphsys.enumeration import census
+from sphsys.rootsys import sub_root_system
 
 
 def pairing_rows(sys):
@@ -206,6 +210,47 @@ def test_localize_s_support_filter():
     loc = localize_s(sys, [1, 2])
     assert loc.rs.name == "A2"
     assert [s.coeffs for s in loc.sigma] == [(1, 1)]
+
+
+def _reference_localize_sigma(sys, keep_vectors):
+    """Column-by-column localization at a subset of Sigma: the reference."""
+    keep = {tuple(v) for v in keep_vectors}
+    cols = [i for i, s in enumerate(sys.sigma) if s.coeffs in keep]
+    if len(cols) != len(keep):
+        raise ValueError("keep_vectors must be a subset of sigma")
+    kept_simple_cols = {c for c in cols if sys.sigma[c].height == 1}
+    rows = [tuple(r[c] for c in cols) for r in sys.a_rows
+            if any(r[c] == 1 for c in kept_simple_cols)]
+    return make_system(sys.rs, [sys.sigma[c].coeffs for c in cols], sys.sp, rows)
+
+
+def _reference_localize_s(sys, s_keep):
+    """Localization at a subset of S in one pass: the reference."""
+    s_keep = frozenset(s_keep)
+    sub, emb = sub_root_system(sys.rs, s_keep)
+    cols = [i for i, s in enumerate(sys.sigma)
+            if all(s.coeffs[j] == 0 for j in range(sys.rs.rank) if j not in s_keep)]
+    kept_simple_cols = {c for c in cols
+                        if sys.sigma[c].height == 1
+                        and sys.sigma[c].coeffs.index(1) in s_keep}
+    rows = [tuple(r[c] for c in cols) for r in sys.a_rows
+            if any(r[c] == 1 for c in kept_simple_cols)]
+    new_vectors = [tuple(sys.sigma[c].coeffs[j] for j in emb) for c in cols]
+    new_sp = [p for p, j in enumerate(emb) if j in sys.sp]
+    return make_system(sub, new_vectors, new_sp, rows)
+
+
+@pytest.mark.parametrize("spec", ["F4", "D4"])
+def test_localizations_match_reference(spec):
+    for sys in census(spec).systems:
+        for k in range(sys.rank + 1):
+            for keep in combinations([s.coeffs for s in sys.sigma], k):
+                assert emit_system(localize_sigma(sys, keep)) == \
+                    emit_system(_reference_localize_sigma(sys, keep))
+        for k in range(sys.rs.rank + 1):
+            for keep in combinations(range(sys.rs.rank), k):
+                assert emit_system(localize_s(sys, keep)) == \
+                    emit_system(_reference_localize_s(sys, keep))
 
 
 def test_negative_colors(f4, f4_example):
