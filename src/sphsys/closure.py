@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
 from .system import SphericalSystem, colors
-from .quotient import _decide
+from .quotient import _color_supports, _minimal
 
 Counts = Tuple[int, ...]  # multiplicity per color index
 
@@ -127,22 +126,15 @@ class _Profile:
 @lru_cache(maxsize=None)
 def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     """The profile of a spherically closed system, or None if it is not
-    closed. Minimal distinguished subsets are found by increasing size,
-    skipping every subset that contains one already found."""
+    closed. The minimal distinguished subsets are the minimal ray supports
+    of the colors' cone (`quotient._ray_supports`), by size and then members."""
     if not is_spherically_closed(sys):
         return None
-    rows = [c.row for c in colors(sys).colors]
-    k = len(rows)
-    minimal: List[int] = []
-    for size in range(1, k + 1):
-        for members in combinations(range(k), size):
-            mask = sum(1 << i for i in members)
-            if (all(m & mask != m for m in minimal)
-                    and _decide(tuple(rows[i] for i in members), sys.rank) is not None):
-                minimal.append(mask)
+    k = len(colors(sys))
     weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
                     for i in range(k))
-    return _Profile(weights=weights, gamma=gamma_group(sys), minimal=tuple(minimal))
+    return _Profile(weights=weights, gamma=gamma_group(sys),
+                    minimal=tuple(_minimal(_color_supports(sys))))
 
 
 def _support(counts: Counts) -> int:

@@ -188,13 +188,14 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
     through `pair_choices`. So no candidate is validated afterwards, and
     no triple is built twice: only the classes modulo diagram automorphisms
-    need deduplicating.
+    need deduplicating. The A-matrices depend on sigma alone, so they are
+    enumerated once per sigma and shared by its S^p choices.
     """
     built: Iterable[SphericalSystem] = (
         make_system(rs, [s.coeffs for s in sigma], sp, rows)
         for sigma, low, high in _sigma_candidates(rs)
-        for sp in _sp_choices(rs.rank, low, high)
-        for rows in enumerate_a_matrices(sigma))
+        for rows in enumerate_a_matrices(sigma)
+        for sp in _sp_choices(rs.rank, low, high))
     if mod_diagram_auts:
         built = {canonical_form(s) for s in built}
     systems = tuple(sorted(built, key=lambda s: s.key()))

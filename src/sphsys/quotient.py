@@ -5,9 +5,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import integer_kernel
 from .system import (SphericalSystem, _on_generators, colors, defect, make_system,
                      negative_colors)
 
@@ -23,92 +22,105 @@ def _rows_of(sys: SphericalSystem, members: Sequence[int]) -> List[Row]:
     return [cs[i].row for i in members]
 
 
-def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """A positive integer witness x with sum x_d * row_d >= 0, or None.
-
-    Feasibility over the positive rationals is decided exactly by
-    Fourier-Motzkin elimination; the witness itself is found by an integer
-    search with a deepening coordinate bound, which ends because any rational
-    solution with x >= 1 scales to an integer one.
-    """
+def _color_indices(sys: SphericalSystem, members: Sequence[int]) -> List[int]:
+    """The sorted distinct members; ValueError for one that is not a color index."""
     members = sorted(set(members))
-    if not members:
-        return ()
-    return _decide(tuple(_rows_of(sys, members)), sys.rank)
+    k = len(colors(sys))
+    if members and not 0 <= members[0] <= members[-1] < k:
+        raise ValueError(f"color indices {members} outside 0..{k - 1}")
+    return members
+
+
+def _mask(members: Iterable[int]) -> int:
+    return sum(1 << i for i in members)
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _cone_rays(width: int, inequalities: Sequence[Row],
+               equations: Sequence[Row] = ()) -> List[Tuple[int, ...]]:
+    """Primitive extreme rays of {x >= 0 : c . x >= 0 for each inequality c,
+    c . x = 0 for each equation c}, by the double description method.
+
+    The rays start as the unit vectors. Each constraint keeps the rays on its
+    hyperplane, and those on its positive side if it is an inequality, and
+    adds the combination on its hyperplane of every adjacent pair of rays on
+    opposite sides. Each ray carries its zero set: the bitmask of the
+    constraints so far that it is tight on. The cone is pointed, so two rays
+    are adjacent exactly when no other ray is tight on every constraint that
+    both are tight on.
+    """
+    full = (1 << width) - 1
+    rays = [(tuple(int(i == j) for i in range(width)), full ^ (1 << j)) for j in range(width)]
+    constraints = [(c, False) for c in inequalities] + [(c, True) for c in equations]
+    for t, (c, equation) in enumerate(constraints):
+        bit = 1 << (width + t)
+        signed = [(sum(a * x for a, x in zip(c, r)), r, z) for r, z in rays]
+        nxt = [(r, z | bit) for v, r, z in signed if v == 0]
+        if not equation:
+            nxt += [(r, z) for v, r, z in signed if v > 0]
+        for vp, rp, zp in signed:
+            if vp <= 0:
+                continue
+            for vn, rn, zn in signed:
+                if vn >= 0:
+                    continue
+                common = zp & zn
+                if sum(z & common == common for _, z in rays) == 2:
+                    ray = [vp * y - vn * x for x, y in zip(rp, rn)]
+                    g = gcd(*ray)
+                    nxt.append((tuple(x // g for x in ray), common | bit))
+        rays = nxt
+    return [r for r, _ in rays]
 
 
 @lru_cache(maxsize=None)
-def _decide(rows: Tuple[Row, ...], width: int) -> Optional[Tuple[int, ...]]:
-    k = len(rows)
-    if all(sum(r[j] for r in rows) >= 0 for j in range(width)):
-        return (1,) * k
-    # a column where every row is <= 0 and some row is < 0 cannot be fixed
-    for j in range(width):
-        if all(r[j] <= 0 for r in rows) and any(r[j] < 0 for r in rows):
-            return None
-    if not _feasible(rows, width):
-        return None
-    return tuple(_integer_witness(rows, width))
+def _ray_supports(rows: Tuple[Row, ...], width: int) -> Tuple[int, ...]:
+    """The supports, as bitmasks over the rows, of the extreme rays of
+    {x >= 0 : sum_d x_d * row_d >= 0}, by size and then members.
 
-
-def _feasible(rows: Tuple[Row, ...], width: int) -> bool:
-    """Whether some x >= 1 (componentwise) has sum x_d * row_d >= 0.
-
-    Decided through the dual: the primal is infeasible exactly when some
-    v >= 0 over the columns has all combined values sum_j v_j row_d[j] <= 0
-    with at least one strictly negative. The dual has at most `width`
-    variables, which keeps Fourier-Motzkin elimination small.
+    A point of the cone is a positive combination of extreme rays, and its
+    support is the union of theirs. So a subset carries a positive solution
+    exactly when it is the union of the ray supports inside it, and the
+    minimal such subsets are the minimal ray supports.
     """
-    # dual constraints, as coeffs . v >= const with v eliminated by FM:
-    #   v_j >= 0; for each d: -(row_d . v) >= 0; -(sum_d row_d) . v >= 1
-    cons = []
-    for j in range(width):
-        cons.append((tuple(1 if i == j else 0 for i in range(width)), 0))
-    for r in rows:
-        cons.append((tuple(-r[j] for j in range(width)), 0))
-    total = tuple(-sum(r[j] for r in rows) for j in range(width))
-    cons.append((total, 1))
-    return not _fm_feasible(cons, width)
+    columns = [tuple(r[j] for r in rows) for j in range(width)]
+    masks = {_mask(i for i, x in enumerate(ray) if x) for ray in _cone_rays(len(rows), columns)}
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _members(m))))
 
 
-def _fm_feasible(cons, nvars: int) -> bool:
-    """Whether integer constraints coeffs . x >= const are satisfiable over Q."""
-    for var in range(nvars):
-        pos = [c for c in cons if c[0][var] > 0]
-        neg = [c for c in cons if c[0][var] < 0]
-        new = [c for c in cons if c[0][var] == 0]
-        for cp, bp in pos:
-            for cn, bn in neg:
-                fp, fn = cp[var], -cn[var]
-                coeffs = tuple(fn * x + fp * y for x, y in zip(cp, cn))
-                new.append(_normalize(coeffs, fn * bp + fp * bn))
-        cons = _dedupe(new)
-        if cons is None:
-            return False
-    return all(b <= 0 for _, b in cons)
+def _is_union(supports: Sequence[int], mask: int) -> bool:
+    """Whether mask is the union of the supports inside it."""
+    union = 0
+    for s in supports:
+        if s | mask == mask:
+            union |= s
+    return union == mask
 
 
-def _normalize(coeffs, b):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(b))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        b = b // g
-    return coeffs, b
+def _minimal(supports: Sequence[int]) -> List[int]:
+    """The supports that contain no other one, in their order."""
+    return [s for s in supports if not any(t != s and t & s == t for t in supports)]
 
 
-def _dedupe(cons):
-    seen = {}
-    for coeffs, b in cons:
-        if not any(coeffs):
-            if b > 0:
-                return None  # 0 >= positive: infeasible
-            continue
-        if coeffs not in seen or seen[coeffs] < b:
-            seen[coeffs] = b
-    return [(c, b) for c, b in seen.items()]
+def _color_supports(sys: SphericalSystem) -> Tuple[int, ...]:
+    return _ray_supports(tuple(c.row for c in colors(sys).colors), sys.rank)
+
+
+def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """A positive integer witness x with sum x_d * row_d >= 0, or None.
+
+    The subset is decided exactly by the extreme rays of the colors' cone
+    (`_ray_supports`); the witness of a distinguished subset is then found by
+    an integer search with a deepening coordinate bound, which ends because
+    any rational solution with x >= 1 scales to an integer one.
+    """
+    members = _color_indices(sys, members)
+    if not _is_union(_color_supports(sys), _mask(members)):
+        return None
+    return tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank))
 
 
 def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
@@ -150,40 +162,16 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     kernel vectors, found in integer arithmetic; FreenessError is raised when
     they do not generate the monoid freely.
     """
-    rows = _rows_of(sys, sorted(set(members)))
+    rows = _rows_of(sys, _color_indices(sys, members))
     return list(_kernel_rays(tuple(rows), sys.rank))
 
 
 @lru_cache(maxsize=None)
 def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ...]:
-    """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row},
-    checked to be a free basis of the monoid of its integer points.
-
-    `integer_kernel` gives the kernel dimension d. An extremal ray is a
-    nonnegative kernel vector of minimal support S: the rows restricted to S
-    have a 1-dimensional kernel, whose primitive integer basis vector has one
-    sign. For d = 1 that is the kernel itself; for d >= 2 supports are tried
-    by increasing size, skipping those that contain one already found.
-    """
-    _, basis = integer_kernel(rows, width)
-    if len(basis) <= 1:
-        candidates = list(basis)
-    else:
-        candidates, found = [], []
-        for size in range(1, width + 1):
-            for support in combinations(range(width), size):
-                if any(s <= set(support) for s in found):
-                    continue
-                _, sub_basis = integer_kernel([[r[j] for j in support] for r in rows], size)
-                if len(sub_basis) == 1:
-                    # no zero entries: a smaller support would have been found
-                    v = [0] * width
-                    for j, x in zip(support, sub_basis[0]):
-                        v[j] = x
-                    candidates.append(v)
-                    found.append(set(support))
-    rays = sorted(_nonnegative(v) for v in candidates
-                  if all(x >= 0 for x in v) or all(x <= 0 for x in v))
+    """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row}
+    (`_cone_rays`, with the rows as equations), checked to be a free basis of
+    the monoid of its integer points."""
+    rays = sorted(_cone_rays(width, (), rows))
     # free iff the g rays span a saturated rank-g sublattice of Z^width,
     # that is, iff their g x g minors have gcd 1
     minors_gcd = 0
@@ -192,11 +180,6 @@ def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ..
         if minors_gcd == 1:
             return tuple(rays)
     raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
-
-
-def _nonnegative(v: Sequence[int]) -> Tuple[int, ...]:
-    """v or -v, whichever is nonnegative (v has one sign)."""
-    return tuple(-x for x in v) if sum(v) < 0 else tuple(v)
 
 
 def _det(m: List[List[int]]) -> int:
@@ -209,11 +192,12 @@ def _det(m: List[List[int]]) -> int:
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     """The quotient system by a distinguished subset of colors."""
-    mset = set(members)
-    if is_distinguished(sys, mset) is None:
+    members = _color_indices(sys, members)
+    if not _is_union(_color_supports(sys), _mask(members)):
         raise ValueError("subset of colors is not distinguished")
+    mset = set(members)
     delta_of = colors(sys).delta_of
-    vectors, rows = _on_generators(sys, kernel_generators(sys, mset))
+    vectors, rows = _on_generators(sys, kernel_generators(sys, members))
     new_sp = sys.sp | {alpha for alpha, owned in enumerate(delta_of)
                        if owned and set(owned) <= mset}
     return make_system(sys.rs, vectors, new_sp, rows)
@@ -230,25 +214,19 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
     """All nonempty distinguished subsets of colors, by size and then members,
     with minimality flags.
 
-    Every proper subset is decided before the subsets that contain it, and
-    every distinguished subset contains a minimal one; so a subset is minimal
-    exactly when it contains none of the minimal ones found before it.
+    They are the nonempty unions of the ray supports of the colors' cone, and
+    the minimal ones are the minimal ray supports (`_ray_supports`).
     """
-    rows = [c.row for c in colors(sys).colors]
-    k = len(rows)
-    out: List[DistinguishedSubset] = []
-    minimal_masks: List[int] = []
-    for size in range(1, k + 1):
-        for members in combinations(range(k), size):
-            w = _decide(tuple(rows[i] for i in members), sys.rank)
-            if w is None:
-                continue
-            mask = sum(1 << i for i in members)
-            minimal = all(m & mask != m for m in minimal_masks)
-            if minimal:
-                minimal_masks.append(mask)
-            out.append(DistinguishedSubset(members=members, witness=w, minimal=minimal))
-    return out
+    supports = _color_supports(sys)
+    unions = {0}
+    for s in supports:
+        unions |= {u | s for u in unions}
+    minimal = set(_minimal(supports))
+    return [DistinguishedSubset(
+                members=members,
+                witness=tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank)),
+                minimal=_mask(members) in minimal)
+            for members in sorted(map(_members, unions - {0}), key=lambda m: (len(m), m))]
 
 
 def classify(sys: SphericalSystem, members: Sequence[int]) -> str:

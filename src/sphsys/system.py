@@ -266,7 +266,11 @@ def dimension(sys: SphericalSystem) -> int:
 
 
 def is_cuspidal(sys: SphericalSystem) -> bool:
-    """Whether the support of Sigma together with Sp is all of S."""
+    """Whether the support of Sigma together with Sp is all of S.
+
+    Of the two notions of cuspidality in the literature this is the one
+    with supp Sigma union S^p = S, not the stricter supp Sigma = S.
+    """
     return sys.support() | sys.sp == frozenset(range(sys.rs.rank))
 
 

@@ -15,7 +15,12 @@ from sphsys.enumeration import census
 from sphsys.rootsys import integer_kernel
 from sphsys.quotient import (
     FreenessError,
+    _cone_rays,
+    _integer_witness,
+    _is_union,
     _kernel_rays,
+    _minimal,
+    _ray_supports,
     classify,
     enumerate_distinguished,
     is_distinguished,
@@ -568,9 +573,9 @@ def test_quotients_of_census_sample_are_valid(f4_census):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4"])
 def test_minimal_flags_match_definition_and_closure_search(name):
-    """`enumerate_distinguished` flags minimality while it sweeps by size;
-    `closure._profile` searches minimal subsets skipping supersets. Both
-    must agree with the definition, and with each other."""
+    """`enumerate_distinguished` flags the minimal ray supports, and
+    `closure._profile` lists them. Both must agree with the definition, and
+    with each other."""
     closed = 0
     for sys in census(name).systems:
         subsets = enumerate_distinguished(sys)
@@ -583,3 +588,198 @@ def test_minimal_flags_match_definition_and_closure_search(name):
             assert [sum(1 << i for i in d.members) for d in subsets if d.minimal] == \
                 list(profile.minimal)
     assert closed
+
+
+def test_color_indices_are_checked(sl4):
+    # -1 used to read the last color, and 5 to raise IndexError
+    for bad in ([-1], [0, 5], [7]):
+        with pytest.raises(ValueError, match="color indices"):
+            is_distinguished(sl4, bad)
+        with pytest.raises(ValueError, match="color indices"):
+            kernel_generators(sl4, bad)
+        with pytest.raises(ValueError, match="color indices"):
+            quotient(sl4, bad)
+    last = len(colors(sl4)) - 1
+    assert is_distinguished(sl4, [last, last]) == is_distinguished(sl4, [last])
+
+
+def test_cone_rays_of_the_orthant():
+    assert _cone_rays(3, ()) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _cone_rays(0, ()) == []
+    # an inequality every ray satisfies leaves the rays alone
+    assert sorted(_cone_rays(2, [(1, 2)])) == [(0, 1), (1, 0)]
+
+
+def test_cone_rays_skip_a_non_adjacent_pair():
+    # x0 + x1 >= x2 cuts the orthant to a cone over a quadrilateral, with
+    # rays e0, e1, (1,0,1), (0,1,1); e0 and (0,1,1) are opposite corners.
+    # x0 >= x1 + x2 puts e0 on its positive side and e1, (0,1,1) on its
+    # negative side: the pair (e0, (0,1,1)) would add (2,1,1), which is
+    # (1,0,1) + (1,1,0) and not extreme
+    assert sorted(_cone_rays(3, [(1, 1, -1)])) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    assert sorted(_cone_rays(3, [(1, 1, -1), (1, -1, -1)])) == [(1, 0, 0), (1, 0, 1), (1, 1, 0)]
+
+
+def test_cone_rays_of_a_kernel_cone():
+    assert sorted(_cone_rays(3, (), [(2, -3, 0)])) == [(0, 0, 1), (3, 2, 0)]
+    # x0 + x1 = x2 + x3: a cone over a square, with four rays
+    assert sorted(_cone_rays(4, (), [(1, 1, -1, -1)])) == [
+        (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+    # x0 >= x1 on the plane x0 + x1 = 2 x2, whose rays are (2,0,1) and (0,2,1)
+    assert sorted(_cone_rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
+    assert _cone_rays(2, (), [(1, 0), (0, 1)]) == []
+
+
+# Frozen copy of the earlier decision of distinguishedness: feasibility of
+# some x >= 1 with sum x_d * row_d >= 0, through the dual and Fourier-Motzkin
+# elimination over the rationals. The reference for quotient._ray_supports.
+def fm_feasible(rows, width):
+    cons = []
+    for j in range(width):
+        cons.append((tuple(1 if i == j else 0 for i in range(width)), 0))
+    for r in rows:
+        cons.append((tuple(-r[j] for j in range(width)), 0))
+    total = tuple(-sum(r[j] for r in rows) for j in range(width))
+    cons.append((total, 1))
+    return not fm_satisfiable(cons, width)
+
+
+def fm_satisfiable(cons, nvars):
+    for var in range(nvars):
+        pos = [c for c in cons if c[0][var] > 0]
+        neg = [c for c in cons if c[0][var] < 0]
+        new = [c for c in cons if c[0][var] == 0]
+        for cp, bp in pos:
+            for cn, bn in neg:
+                fp, fn = cp[var], -cn[var]
+                coeffs = tuple(fn * x + fp * y for x, y in zip(cp, cn))
+                new.append(fm_normalize(coeffs, fn * bp + fp * bn))
+        cons = fm_dedupe(new)
+        if cons is None:
+            return False
+    return all(b <= 0 for _, b in cons)
+
+
+def fm_normalize(coeffs, b):
+    g = gcd(*coeffs, b)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        b = b // g
+    return coeffs, b
+
+
+def fm_dedupe(cons):
+    seen = {}
+    for coeffs, b in cons:
+        if not any(coeffs):
+            if b > 0:
+                return None
+            continue
+        if coeffs not in seen or seen[coeffs] < b:
+            seen[coeffs] = b
+    return [(c, b) for c, b in seen.items()]
+
+
+def fm_distinguished(rows, width, decided=None):
+    """(members, witness, minimal) for every nonempty subset of the rows that
+    FM finds feasible, by size and then members, with the witness of
+    `_integer_witness` and minimality against the smaller ones found."""
+    decided = {} if decided is None else decided
+    out, minimal = [], []
+    for size in range(1, len(rows) + 1):
+        for members in combinations(range(len(rows)), size):
+            sub = tuple(rows[i] for i in members)
+            if sub not in decided:
+                decided[sub] = fm_feasible(sub, width)
+            if decided[sub]:
+                is_min = not any(set(m) <= set(members) for m in minimal)
+                if is_min:
+                    minimal.append(members)
+                out.append((members, tuple(_integer_witness(sub, width)), is_min))
+    return out
+
+
+@st.composite
+def color_rows(draw):
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=5))
+    return tuple(rows), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_rows())
+def test_ray_supports_agree_with_fourier_motzkin(case):
+    rows, width = case
+    supports = _ray_supports(rows, width)
+    feasible = []
+    for size in range(1, len(rows) + 1):
+        for members in combinations(range(len(rows)), size):
+            mask = sum(1 << i for i in members)
+            fm = fm_feasible([rows[i] for i in members], width)
+            assert _is_union(supports, mask) == fm, members
+            if fm:
+                feasible.append(members)
+    brute_minimal = [m for m in feasible if not any(set(o) < set(m) for o in feasible)]
+    assert _minimal(supports) == [sum(1 << i for i in m) for m in brute_minimal]
+
+
+# Frozen copy of the earlier quotient._kernel_rays: minimal supports of
+# nonnegative kernel vectors, swept by increasing size with one integer
+# kernel per support. The reference for the double description kernel.
+def support_sweep_kernel_rays(rows, width):
+    _, basis = integer_kernel(rows, width)
+    if len(basis) <= 1:
+        candidates = list(basis)
+    else:
+        candidates, found = [], []
+        for size in range(1, width + 1):
+            for support in combinations(range(width), size):
+                if any(s <= set(support) for s in found):
+                    continue
+                _, sub_basis = integer_kernel([[r[j] for j in support] for r in rows], size)
+                if len(sub_basis) == 1:
+                    v = [0] * width
+                    for j, x in zip(support, sub_basis[0]):
+                        v[j] = x
+                    candidates.append(v)
+                    found.append(set(support))
+    rays = sorted(tuple(-x for x in v) if sum(v) < 0 else tuple(v) for v in candidates
+                  if all(x >= 0 for x in v) or all(x <= 0 for x in v))
+    minors_gcd = 0
+    for cols in combinations(range(width), len(rays)):
+        minors_gcd = gcd(minors_gcd, expansion_det([[ray[j] for ray in rays] for j in cols]))
+        if minors_gcd == 1:
+            return tuple(rays)
+    raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_rows())
+def test_kernel_rays_match_support_sweep(case):
+    rows, width = case
+    assert (generators_or_error(_kernel_rays, rows, width)
+            == generators_or_error(support_sweep_kernel_rays, rows, width))
+
+
+def assert_sweep_matches_references(spec):
+    decided = {}
+    checked = 0
+    for sys in census(spec).systems:
+        rows = tuple(c.row for c in colors(sys).colors)
+        got = [(d.members, d.witness, d.minimal) for d in enumerate_distinguished(sys)]
+        assert got == fm_distinguished(rows, sys.rank, decided), sys.key()
+        for members, _, _ in got:
+            sub = tuple(rows[i] for i in members)
+            assert (generators_or_error(_kernel_rays, sub, sys.rank)
+                    == generators_or_error(support_sweep_kernel_rays, sub, sys.rank))
+            checked += 1
+    return checked
+
+
+def test_sweep_matches_references_small():
+    assert sum(assert_sweep_matches_references(spec) for spec in ("A3", "B3", "A1xG2")) > 0
+
+
+@pytest.mark.slow
+def test_sweep_matches_references_d5():
+    assert assert_sweep_matches_references("D5") == 48362
