@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 internal
-error: an invariant breach (freeness or witness-search failure) or any
-other ValueError raised past the argument checks.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including an
+input file that cannot be read or an output file that cannot be written),
+3 internal error: an invariant breach (freeness or witness-search failure)
+or any other ValueError raised past the argument checks.
 """
 from __future__ import annotations
 
 import argparse
 import sys as _sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .closure import faithful_couples
 from .enumeration import census
@@ -27,6 +28,15 @@ EXIT_INTERNAL = 3
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write(path: str, lines: Iterable[str]) -> None:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise UsageError(str(e))
+    with fh:
+        fh.writelines(lines)
 
 
 def _load(path: str, allow_invalid: bool = False):
@@ -58,10 +68,8 @@ def cmd_census(args) -> int:
     if args.rank is None:
         print(f"total {report.total}")
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for s in report.systems:
-                if args.rank is None or s.rank == args.rank:
-                    fh.write(emit_system(s))
+        _write(args.jsonl, (emit_system(s) for s in report.systems
+                            if args.rank is None or s.rank == args.rank))
     return EXIT_OK
 
 
@@ -85,8 +93,7 @@ def cmd_quotients(args) -> int:
     lattice = quotient_lattice(_load(args.file))
     dot = render_dot(lattice)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write(args.dot, [dot])
     else:
         print(dot, end="")
     return EXIT_OK

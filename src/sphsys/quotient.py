@@ -7,6 +7,7 @@ from itertools import combinations, count
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .rootsys import _cone_rays
 from .system import (SphericalSystem, _on_generators, colors, defect, make_system,
                      negative_colors)
 
@@ -37,43 +38,6 @@ def _mask(members: Iterable[int]) -> int:
 
 def _members(mask: int) -> Tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _cone_rays(width: int, inequalities: Sequence[Row],
-               equations: Sequence[Row] = ()) -> List[Tuple[int, ...]]:
-    """Primitive extreme rays of {x >= 0 : c . x >= 0 for each inequality c,
-    c . x = 0 for each equation c}, by the double description method.
-
-    The rays start as the unit vectors. Each constraint keeps the rays on its
-    hyperplane, and those on its positive side if it is an inequality, and
-    adds the combination on its hyperplane of every adjacent pair of rays on
-    opposite sides. Each ray carries its zero set: the bitmask of the
-    constraints so far that it is tight on. The cone is pointed, so two rays
-    are adjacent exactly when no other ray is tight on every constraint that
-    both are tight on.
-    """
-    full = (1 << width) - 1
-    rays = [(tuple(int(i == j) for i in range(width)), full ^ (1 << j)) for j in range(width)]
-    constraints = [(c, False) for c in inequalities] + [(c, True) for c in equations]
-    for t, (c, equation) in enumerate(constraints):
-        bit = 1 << (width + t)
-        signed = [(sum(a * x for a, x in zip(c, r)), r, z) for r, z in rays]
-        nxt = [(r, z | bit) for v, r, z in signed if v == 0]
-        if not equation:
-            nxt += [(r, z) for v, r, z in signed if v > 0]
-        for vp, rp, zp in signed:
-            if vp <= 0:
-                continue
-            for vn, rn, zn in signed:
-                if vn >= 0:
-                    continue
-                common = zp & zn
-                if sum(z & common == common for _, z in rays) == 2:
-                    ray = [vp * y - vn * x for x, y in zip(rp, rn)]
-                    g = gcd(*ray)
-                    nxt.append((tuple(x // g for x in ray), common | bit))
-        rays = nxt
-    return [r for r, _ in rays]
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Finite root systems with exact arithmetic.
+"""Finite root systems with exact arithmetic, and the package's one exact
+linear-algebra routine, `_cone_rays` (double description).
 
 Cartan matrices follow the Bourbaki numbering; entries are a[i][j] = <alpha_i^vee, alpha_j>.
 Vectors are integer coefficient tuples over the simple roots, except the
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -158,61 +159,59 @@ def cartan_eval(rs: RootSystem, i: int, v: Sequence) -> object:
     return sum(rs.cartan[i][j] * v[j] for j in range(rs.rank))
 
 
-def integer_kernel(rows: Sequence[Sequence[int]],
-                   width: int) -> Tuple[Tuple[int, ...], Tuple[Vector, ...]]:
-    """Pivot columns and a primitive kernel basis of an integer matrix.
+def _cone_rays(width: int, inequalities: Sequence[Vector],
+               equations: Sequence[Vector] = ()) -> List[Vector]:
+    """Primitive extreme rays of {x >= 0 : c . x >= 0 for each inequality c,
+    c . x = 0 for each equation c}, by the double description method.
 
-    Fraction-free Gauss-Jordan elimination: a row is cleared at a pivot
-    column by subtracting integer multiples of the pivot row, then divided
-    by the gcd of its entries, so every entry stays an integer. The rank is
-    the number of pivots. There is one basis vector per free column c: the
-    primitive integer vector of {v : rows . v = 0} that is positive at c and
-    zero at every other free column.
+    The rays start as the unit vectors. Each constraint keeps the rays on its
+    hyperplane, and those on its positive side if it is an inequality, and
+    adds the combination on its hyperplane of every adjacent pair of rays on
+    opposite sides. Each ray carries its zero set: the bitmask of the
+    constraints so far that it is tight on. The cone is pointed, so two rays
+    are adjacent exactly when no other ray is tight on every constraint that
+    both are tight on.
     """
-    m = [list(r) for r in rows]
-    pivots: List[int] = []
-    for col in range(width):
-        top = len(pivots)
-        src = next((i for i in range(top, len(m)) if m[i][col]), None)
-        if src is None:
-            continue
-        m[top], m[src] = m[src], m[top]
-        prow = m[top]
-        p = prow[col]
-        for i, row in enumerate(m):
-            f = row[col]
-            if f and i != top:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        # row r fixes v[pivot_r] = -row_r[free] * scale / row_r[pivot_r]; scale
-        # is a multiple of every pivot divided by, so v stays integral
-        scale = lcm(*(m[r][c] for r, c in enumerate(pivots) if m[r][free]))
-        v = [0] * width
-        v[free] = scale
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][free] * scale // m[r][c]
-        g = gcd(*v)
-        basis.append(tuple(x // g for x in v))
-    return tuple(pivots), tuple(basis)
+    full = (1 << width) - 1
+    rays = [(tuple(int(i == j) for i in range(width)), full ^ (1 << j)) for j in range(width)]
+    constraints = [(c, False) for c in inequalities] + [(c, True) for c in equations]
+    for t, (c, equation) in enumerate(constraints):
+        bit = 1 << (width + t)
+        signed = [(sum(a * x for a, x in zip(c, r)), r, z) for r, z in rays]
+        nxt = [(r, z | bit) for v, r, z in signed if v == 0]
+        if not equation:
+            nxt += [(r, z) for v, r, z in signed if v > 0]
+        for vp, rp, zp in signed:
+            if vp <= 0:
+                continue
+            for vn, rn, zn in signed:
+                if vn >= 0:
+                    continue
+                common = zp & zn
+                if sum(z & common == common for _, z in rays) == 2:
+                    ray = [vp * y - vn * x for x, y in zip(rp, rn)]
+                    g = gcd(*ray)
+                    nxt.append((tuple(x // g for x in ray), common | bit))
+        rays = nxt
+    return [r for r, _ in rays]
 
 
 def fundamental_weights(rs: RootSystem) -> List[QVector]:
     """Fundamental weights in simple-root coordinates: the columns of the
     inverse Cartan matrix C^-1.
 
-    C is invertible, so the free columns of [C | -I] are n..2n-1 and the
-    kernel basis vector at column n + k is (s C^-1 e_k, s e_k) with s > 0.
+    C^-1 >= 0 in every finite type, so the cone {(x, y) >= 0 : C x - y = 0}
+    (`_cone_rays`, with the rows of [C | -I] as equations) is simplicial,
+    with rays (s C^-1 e_k, s e_k) for s > 0; omega_k is the x-part of the ray
+    whose y-part is nonzero at k, divided by y_k.
     """
     n = rs.rank
-    _, basis = integer_kernel([list(rs.cartan[i]) + [-1 if j == i else 0 for j in range(n)]
-                               for i in range(n)], 2 * n)
-    return [tuple(Q(x, v[n + k]) for x in v[:n]) for k, v in enumerate(basis)]
+    weights: List[QVector] = [()] * n
+    for ray in _cone_rays(2 * n, (), [row + tuple(-int(i == j) for j in range(n))
+                                      for i, row in enumerate(rs.cartan)]):
+        k = next(j for j in range(n) if ray[n + j])
+        weights[k] = tuple(Q(x, ray[n + k]) for x in ray[:n])
+    return weights
 
 
 def _orders(block: Sequence[Sequence[int]], local: Sequence[int],

@@ -39,18 +39,24 @@ def spec_to_json(rs: RootSystem) -> dict:
     return {"components": [{"type": l, "rank": r} for l, r, _ in rs.components]}
 
 
+def _int(x: object, what: str) -> int:
+    """x itself if it is a JSON integer; ValueError for a float, a string or
+    a bool (a subclass of int)."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def spec_from_json(doc: dict) -> RootSystem:
     """The root system of a document's components: each has a one-letter type
     in ABCDEFG and an integer rank."""
     try:
         factors = []
         for c in doc["components"]:
-            letter, rank = c["type"], c["rank"]
+            letter = c["type"]
             if letter not in tuple("ABCDEFG"):
                 raise ValueError(f"type {letter!r} is not one letter of ABCDEFG")
-            if type(rank) is not int:  # bool is a subclass of int
-                raise ValueError(f"rank {rank!r} is not an integer")
-            factors.append(f"{letter}{rank}")
+            factors.append(f"{letter}{_int(c['rank'], 'rank')}")
         return build_root_system("x".join(factors))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad root_system spec: {e}")
@@ -73,7 +79,8 @@ def emit_system(sys: SphericalSystem, annotations: Optional[dict] = None) -> str
 
 
 def parse_system(text: str, allow_invalid: bool = False) -> SphericalSystem:
-    """Parse and validate a JSON system document."""
+    """Parse and validate a JSON system document; every sigma, sp and a_rows
+    entry must be an integer."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -87,9 +94,9 @@ def parse_system(text: str, allow_invalid: bool = False) -> SphericalSystem:
     body = doc["system"]
     try:
         sys = make_system(rs,
-                          [tuple(int(c) for c in v) for v in body["sigma"]],
-                          [int(i) for i in body["sp"]],
-                          [tuple(int(c) for c in r) for r in body["a_rows"]])
+                          [tuple(_int(c, "sigma entry") for c in v) for v in body["sigma"]],
+                          [_int(i, "sp entry") for i in body["sp"]],
+                          [tuple(_int(c, "a_rows entry") for c in r) for r in body["a_rows"]])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(str(e))
     if not allow_invalid:

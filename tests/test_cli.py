@@ -55,6 +55,13 @@ def test_census_jsonl_output(tmp_path, capsys):
         parse_system(line)
 
 
+def test_census_unwritable_jsonl_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "systems.jsonl"
+    assert main(["census", "--type", "A1", "--jsonl", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_validate_ok(example_doc, capsys):
     path, _ = example_doc
     assert main(["validate", str(path)]) == 0
@@ -146,6 +153,14 @@ def test_quotients_dot(example_doc, tmp_path, capsys):
     capsys.readouterr()
     dot = target.read_text()
     assert dot.startswith("digraph")
+
+
+def test_quotients_unwritable_dot_is_usage_error(example_doc, tmp_path, capsys):
+    path, _ = example_doc
+    target = tmp_path / "missing" / "lattice.dot"
+    assert main(["quotients", str(path), "--dot", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_localize_sigma(example_doc, capsys):

@@ -7,10 +7,10 @@ import pytest
 from sphsys import build_root_system, make_system, validate
 from sphsys.enumeration import canonical_form, census, enumerate_systems
 from sphsys.quotient import enumerate_distinguished, quotient
-from sphsys.rootsys import cartan_eval, diagram_automorphisms
+from sphsys.rootsys import cartan_eval, diagram_automorphisms, sub_root_system
 from sphsys.serialize import emit_system
 from sphsys.sphroots import sp_of, spherical_roots_of, spp_of
-from sphsys.system import localize_s
+from sphsys.system import is_cuspidal, localize_s
 
 
 def test_f4_census_counts(f4_census):
@@ -259,15 +259,17 @@ def test_pruned_search_matches_reference(name):
     assert got == [emit_system(s) for s in _reference_census(rs)]
 
 
-def _image(sys, p):
-    """The system moved by the diagram automorphism p of its root system."""
+def _image(sys, p, rs=None):
+    """The system moved along p, which sends simple root i of sys.rs to simple
+    root p[i] of rs: a diagram automorphism of sys.rs when rs is left out."""
+    rs = sys.rs if rs is None else rs
     vecs = []
     for s in sys.sigma:
-        v = [0] * sys.rs.rank
+        v = [0] * rs.rank
         for i, c in enumerate(s.coeffs):
             v[p[i]] = c
         vecs.append(tuple(v))
-    return make_system(sys.rs, vecs, [p[i] for i in sys.sp], sys.a_rows)
+    return make_system(rs, vecs, [p[i] for i in sys.sp], sys.a_rows)
 
 
 @pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "D4"])
@@ -311,6 +313,24 @@ def test_census_closed_under_localization(name):
                 if loc.rs.name not in subcensus:
                     subcensus[loc.rs.name] = set(census(loc.rs.name).systems)
                 assert loc in subcensus[loc.rs.name]
+
+
+# Parabolic induction (Luna's reduction to cuspidal systems): a system is
+# induced from its localization at S' = supp Sigma u S^p, which is cuspidal
+# over the Levi of S', and every cuspidal system of a Levi embeds as a
+# system. So a census is the disjoint union over S' of the embedded cuspidal
+# censuses of the Levis.
+@pytest.mark.parametrize("name", ["F4", "D4", "A2xA2", "B3xA1"]
+                         + [pytest.param(t, marks=SLOW) for t in ["D5", "E6"]])
+def test_census_by_parabolic_induction(name):
+    rs = build_root_system(name)
+    induced = []
+    for k in range(rs.rank + 1):
+        for keep in combinations(range(rs.rank), k):
+            levi, emb = sub_root_system(rs, keep)
+            induced += [emit_system(_image(c, emb, rs))
+                        for c in census(levi.name).systems if is_cuspidal(c)]
+    assert sorted(induced) == sorted(emit_system(s) for s in census(name).systems)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Every name a `sphsys` module imports is used in that module, every
-import sits at module level, and the process-lifetime caches are the
-expected ones.
+import sits at module level, the process-lifetime caches are the expected
+ones, and no module computes with floats.
 
 No linter ships with the project, so this test is the guard against dead
 and function-local imports. `__init__.py` is left out of the unused-import
@@ -115,3 +115,32 @@ KEPT_CACHES = {
 def test_only_the_kept_lru_caches():
     found = {p.name: lru_caches(p.read_text()) for p in ALL_MODULES}
     assert {name: fns for name, fns in found.items() if fns} == KEPT_CACHES
+
+
+def float_uses(source: str):
+    """Line numbers of float (or complex) literals, of the name `float` and of
+    true division, which turns two ints into a float."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                   or isinstance(node, ast.Name) and node.id == "float"
+                   or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)})
+
+
+def test_guard_sees_every_float():
+    source = ("x = 0.5\n"
+              "y = float(3)\n"
+              "z = 3 / 2\n"
+              "z /= 2\n"
+              "w = 1e3 + 2j\n"
+              "v = 7 // 2 + 10 % 3\n"
+              "u = '1.5'\n"
+              "def f(t: float): return t\n"
+              "from fractions import Fraction\n"
+              "q = Fraction(3, 2)\n")
+    assert float_uses(source) == [1, 2, 3, 4, 5, 8]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text()) == []

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from sphsys import build_root_system, colors, defect, make_system, validate
 from sphsys.closure import _profile
 from sphsys.enumeration import census
-from sphsys.rootsys import integer_kernel
 from sphsys.quotient import (
     FreenessError,
-    _cone_rays,
     _integer_witness,
     _is_union,
     _kernel_rays,
@@ -286,8 +284,8 @@ def test_kernel_generators_match_lattice_scan():
 
 # Frozen copy of the earlier exact kernel: an RREF over Fraction, the same
 # minimal-support search with one RREF per candidate support, and primitive
-# vectors through the lcm of the denominators. The reference for the integer
-# elimination in rootsys.integer_kernel and quotient._kernel_rays.
+# vectors through the lcm of the denominators. The reference for the double
+# description kernel, quotient._kernel_rays.
 def fraction_rref(matrix, ncols):
     m = [[Q(x) for x in row] for row in matrix]
     pivots = []
@@ -381,32 +379,6 @@ def test_kernel_rays_match_fraction_reference():
 @pytest.mark.parametrize("spec", ["F4", "D4"])
 def test_kernel_rays_match_fraction_reference_rank4(spec):
     assert assert_rays_match_fraction_reference([spec]) > 0
-
-
-@st.composite
-def integer_matrix(draw):
-    width = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width),
-                         max_size=5))
-    return rows, width
-
-
-@settings(max_examples=300, deadline=None)
-@given(integer_matrix())
-def test_integer_kernel_matches_fraction_rref(case):
-    rows, width = case
-    pivots, basis = integer_kernel(rows, width)
-    reduced, want_pivots = fraction_rref(rows, width)
-    assert list(pivots) == want_pivots
-    free = [c for c in range(width) if c not in want_pivots]
-    assert len(basis) == len(free)
-    for f, v in zip(free, basis):
-        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
-        assert gcd(*v) == 1 and v[f] > 0
-        # a positive multiple of the Fraction basis vector at f, which is 1 at
-        # f and 0 at every other free column: so the basis spans the kernel
-        want = fraction_basis_vector(reduced, want_pivots, f, width)
-        assert [Q(x) for x in v] == [v[f] * y for y in want]
 
 
 def test_kernel_generator_beyond_scan_bound():
@@ -603,33 +575,6 @@ def test_color_indices_are_checked(sl4):
     assert is_distinguished(sl4, [last, last]) == is_distinguished(sl4, [last])
 
 
-def test_cone_rays_of_the_orthant():
-    assert _cone_rays(3, ()) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert _cone_rays(0, ()) == []
-    # an inequality every ray satisfies leaves the rays alone
-    assert sorted(_cone_rays(2, [(1, 2)])) == [(0, 1), (1, 0)]
-
-
-def test_cone_rays_skip_a_non_adjacent_pair():
-    # x0 + x1 >= x2 cuts the orthant to a cone over a quadrilateral, with
-    # rays e0, e1, (1,0,1), (0,1,1); e0 and (0,1,1) are opposite corners.
-    # x0 >= x1 + x2 puts e0 on its positive side and e1, (0,1,1) on its
-    # negative side: the pair (e0, (0,1,1)) would add (2,1,1), which is
-    # (1,0,1) + (1,1,0) and not extreme
-    assert sorted(_cone_rays(3, [(1, 1, -1)])) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
-    assert sorted(_cone_rays(3, [(1, 1, -1), (1, -1, -1)])) == [(1, 0, 0), (1, 0, 1), (1, 1, 0)]
-
-
-def test_cone_rays_of_a_kernel_cone():
-    assert sorted(_cone_rays(3, (), [(2, -3, 0)])) == [(0, 0, 1), (3, 2, 0)]
-    # x0 + x1 = x2 + x3: a cone over a square, with four rays
-    assert sorted(_cone_rays(4, (), [(1, 1, -1, -1)])) == [
-        (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
-    # x0 >= x1 on the plane x0 + x1 = 2 x2, whose rays are (2,0,1) and (0,2,1)
-    assert sorted(_cone_rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
-    assert _cone_rays(2, (), [(1, 0), (0, 1)]) == []
-
-
 # Frozen copy of the earlier decision of distinguishedness: feasibility of
 # some x >= 1 with sum x_d * row_d >= 0, through the dual and Fourier-Motzkin
 # elimination over the rationals. The reference for quotient._ray_supports.
@@ -723,42 +668,14 @@ def test_ray_supports_agree_with_fourier_motzkin(case):
     assert _minimal(supports) == [sum(1 << i for i in m) for m in brute_minimal]
 
 
-# Frozen copy of the earlier quotient._kernel_rays: minimal supports of
-# nonnegative kernel vectors, swept by increasing size with one integer
-# kernel per support. The reference for the double description kernel.
-def support_sweep_kernel_rays(rows, width):
-    _, basis = integer_kernel(rows, width)
-    if len(basis) <= 1:
-        candidates = list(basis)
-    else:
-        candidates, found = [], []
-        for size in range(1, width + 1):
-            for support in combinations(range(width), size):
-                if any(s <= set(support) for s in found):
-                    continue
-                _, sub_basis = integer_kernel([[r[j] for j in support] for r in rows], size)
-                if len(sub_basis) == 1:
-                    v = [0] * width
-                    for j, x in zip(support, sub_basis[0]):
-                        v[j] = x
-                    candidates.append(v)
-                    found.append(set(support))
-    rays = sorted(tuple(-x for x in v) if sum(v) < 0 else tuple(v) for v in candidates
-                  if all(x >= 0 for x in v) or all(x <= 0 for x in v))
-    minors_gcd = 0
-    for cols in combinations(range(width), len(rays)):
-        minors_gcd = gcd(minors_gcd, expansion_det([[ray[j] for ray in rays] for j in cols]))
-        if minors_gcd == 1:
-            return tuple(rays)
-    raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
-
-
+# fraction_kernel_rays sweeps the supports by increasing size, one RREF per
+# support
 @settings(max_examples=300, deadline=None)
 @given(color_rows())
 def test_kernel_rays_match_support_sweep(case):
     rows, width = case
     assert (generators_or_error(_kernel_rays, rows, width)
-            == generators_or_error(support_sweep_kernel_rays, rows, width))
+            == generators_or_error(fraction_kernel_rays, rows, width))
 
 
 def assert_sweep_matches_references(spec):
@@ -771,7 +688,7 @@ def assert_sweep_matches_references(spec):
         for members, _, _ in got:
             sub = tuple(rows[i] for i in members)
             assert (generators_or_error(_kernel_rays, sub, sys.rank)
-                    == generators_or_error(support_sweep_kernel_rays, sub, sys.rank))
+                    == generators_or_error(fraction_kernel_rays, sub, sys.rank))
             checked += 1
     return checked
 

@@ -7,6 +7,7 @@ import pytest
 
 from sphsys.rootsys import (
     ParabolicGrading,
+    _cone_rays,
     build_root_system,
     cartan_eval,
     diagram_automorphisms,
@@ -194,3 +195,30 @@ def test_diagram_automorphism_group_orders(spec, order):
     auts = diagram_automorphisms(build_root_system(spec))
     assert len(auts) == order
     assert auts[0] == tuple(range(len(auts[0])))
+
+
+def test_cone_rays_of_the_orthant():
+    assert _cone_rays(3, ()) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _cone_rays(0, ()) == []
+    # an inequality every ray satisfies leaves the rays alone
+    assert sorted(_cone_rays(2, [(1, 2)])) == [(0, 1), (1, 0)]
+
+
+def test_cone_rays_skip_a_non_adjacent_pair():
+    # x0 + x1 >= x2 cuts the orthant to a cone over a quadrilateral, with
+    # rays e0, e1, (1,0,1), (0,1,1); e0 and (0,1,1) are opposite corners.
+    # x0 >= x1 + x2 puts e0 on its positive side and e1, (0,1,1) on its
+    # negative side: the pair (e0, (0,1,1)) would add (2,1,1), which is
+    # (1,0,1) + (1,1,0) and not extreme
+    assert sorted(_cone_rays(3, [(1, 1, -1)])) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    assert sorted(_cone_rays(3, [(1, 1, -1), (1, -1, -1)])) == [(1, 0, 0), (1, 0, 1), (1, 1, 0)]
+
+
+def test_cone_rays_of_a_kernel_cone():
+    assert sorted(_cone_rays(3, (), [(2, -3, 0)])) == [(0, 0, 1), (3, 2, 0)]
+    # x0 + x1 = x2 + x3: a cone over a square, with four rays
+    assert sorted(_cone_rays(4, (), [(1, 1, -1, -1)])) == [
+        (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+    # x0 >= x1 on the plane x0 + x1 = 2 x2, whose rays are (2,0,1) and (0,2,1)
+    assert sorted(_cone_rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
+    assert _cone_rays(2, (), [(1, 0), (0, 1)]) == []

@@ -79,6 +79,19 @@ def test_sp_index_out_of_range_is_schema_error(sigma, sp):
         parse_system(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sigma", [[1.9, 2, 3, 2]]), ("sigma", [[1, 2, 3, 2.0]]), ("sigma", [[True, 2, 3, 2]]),
+    ("sigma", [["1", 2, 3, 2]]), ("sp", ["0", 1, 2]), ("sp", [0, 1, 2.0]), ("sp", [False, 1, 2]),
+    ("a_rows", [[1.0]])])
+def test_non_integer_entries_are_schema_errors(key, value):
+    system = {"sigma": [[1, 2, 3, 2]], "sp": [0, 1, 2], "a_rows": []}
+    system[key] = value
+    doc = {"version": "1", "root_system": {"components": [{"type": "F", "rank": 4}]},
+           "system": system}
+    with pytest.raises(SchemaError, match="is not an integer"):
+        parse_system(json.dumps(doc), allow_invalid=True)
+
+
 def test_empty_localization_round_trip(f4_example):
     sys = localize_s(f4_example, [])
     text = emit_system(sys)
