@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including an
 input file that cannot be read or an output file that cannot be written),
-3 internal error: an invariant breach (freeness or witness-search failure)
-or any other ValueError raised past the argument checks.
+3 internal error: an invariant breach (a kernel that is not free) or any
+other ValueError raised past the argument checks.
 """
 from __future__ import annotations
 
 import argparse
 import sys as _sys
-from typing import Iterable, List, Optional
+from contextlib import nullcontext
+from typing import ContextManager, List, Optional, TextIO
 
 from .closure import faithful_couples
 from .enumeration import census
@@ -30,13 +31,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, lines: Iterable[str]) -> None:
+def _open_output(path: Optional[str]) -> ContextManager[Optional[TextIO]]:
+    """The output file, opened before any search so that a path that cannot be
+    written is a usage error at once; a context of None without a path."""
+    if path is None:
+        return nullcontext()
     try:
-        fh = open(path, "w", encoding="utf-8")
+        return open(path, "w", encoding="utf-8")
     except OSError as e:
         raise UsageError(str(e))
-    with fh:
-        fh.writelines(lines)
 
 
 def _load(path: str, allow_invalid: bool = False):
@@ -59,17 +62,18 @@ def _root_system(spec: str):
 
 def cmd_census(args) -> int:
     _root_system(args.type)
-    report = census(args.type, mod_diagram_auts=args.mod_diagram_auts)
-    ranks = sorted(report.by_rank)
-    if args.rank is not None:
-        ranks = [r for r in ranks if r == args.rank]
-    for r in ranks:
-        print(f"rank {r}: {report.by_rank[r]}")
-    if args.rank is None:
-        print(f"total {report.total}")
-    if args.jsonl:
-        _write(args.jsonl, (emit_system(s) for s in report.systems
-                            if args.rank is None or s.rank == args.rank))
+    with _open_output(args.jsonl) as out:
+        report = census(args.type, mod_diagram_auts=args.mod_diagram_auts)
+        ranks = sorted(report.by_rank)
+        if args.rank is not None:
+            ranks = [r for r in ranks if r == args.rank]
+        for r in ranks:
+            print(f"rank {r}: {report.by_rank[r]}")
+        if args.rank is None:
+            print(f"total {report.total}")
+        if out is not None:
+            out.writelines(emit_system(s) for s in report.systems
+                           if args.rank is None or s.rank == args.rank)
     return EXIT_OK
 
 
@@ -90,12 +94,10 @@ def cmd_colors(args) -> int:
 
 
 def cmd_quotients(args) -> int:
-    lattice = quotient_lattice(_load(args.file))
-    dot = render_dot(lattice)
-    if args.dot:
-        _write(args.dot, [dot])
-    else:
-        print(dot, end="")
+    sys_ = _load(args.file)
+    with _open_output(args.dot) as out:
+        # print writes to stdout when out is None
+        print(render_dot(quotient_lattice(sys_)), end="", file=out)
     return EXIT_OK
 
 
@@ -112,13 +114,13 @@ def cmd_localize(args) -> int:
         raise UsageError("exactly one of --sigma or --s is required")
     if args.sigma is not None:
         keep = _parse_indices(args.sigma)
-        bad = [i for i in keep if not 0 <= i < len(sys_.sigma)]
+        bad = [i + 1 for i in keep if not 0 <= i < len(sys_.sigma)]
         if bad:
             raise UsageError(f"sigma index out of range: {bad}")
         out = localize_sigma(sys_, [sys_.sigma[i].coeffs for i in keep])
     else:
         keep = _parse_indices(args.s)
-        bad = [i for i in keep if not 0 <= i < sys_.rs.rank]
+        bad = [i + 1 for i in keep if not 0 <= i < sys_.rs.rank]
         if bad:
             raise UsageError(f"simple root index out of range: {bad}")
         out = localize_s(sys_, keep)

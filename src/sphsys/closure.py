@@ -127,7 +127,7 @@ class _Profile:
 def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     """The profile of a spherically closed system, or None if it is not
     closed. The minimal distinguished subsets are the minimal ray supports
-    of the colors' cone (`quotient._ray_supports`), by size and then members."""
+    of the colors' cone (`quotient._color_supports`), by size and then members."""
     if not is_spherically_closed(sys):
         return None
     k = len(colors(sys))

@@ -40,7 +40,6 @@ def _members(mask: int) -> Tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@lru_cache(maxsize=None)
 def _ray_supports(rows: Tuple[Row, ...], width: int) -> Tuple[int, ...]:
     """The supports, as bitmasks over the rows, of the extreme rays of
     {x >= 0 : sum_d x_d * row_d >= 0}, by size and then members.
@@ -69,6 +68,7 @@ def _minimal(supports: Sequence[int]) -> List[int]:
     return [s for s in supports if not any(t != s and t & s == t for t in supports)]
 
 
+@lru_cache(maxsize=None)
 def _color_supports(sys: SphericalSystem) -> Tuple[int, ...]:
     return _ray_supports(tuple(c.row for c in colors(sys).colors), sys.rank)
 
@@ -170,7 +170,6 @@ def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
 @dataclass(frozen=True)
 class DistinguishedSubset:
     members: Tuple[int, ...]  # color indices
-    witness: Tuple[int, ...]
     minimal: bool
 
 
@@ -179,17 +178,15 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
     with minimality flags.
 
     They are the nonempty unions of the ray supports of the colors' cone, and
-    the minimal ones are the minimal ray supports (`_ray_supports`).
+    the minimal ones are the minimal ray supports (`_ray_supports`); no
+    witness is searched for (`is_distinguished` gives one).
     """
     supports = _color_supports(sys)
     unions = {0}
     for s in supports:
         unions |= {u | s for u in unions}
     minimal = set(_minimal(supports))
-    return [DistinguishedSubset(
-                members=members,
-                witness=tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank)),
-                minimal=_mask(members) in minimal)
+    return [DistinguishedSubset(members=members, minimal=_mask(members) in minimal)
             for members in sorted(map(_members, unions - {0}), key=lambda m: (len(m), m))]
 
 

@@ -58,7 +58,10 @@ def test_census_jsonl_output(tmp_path, capsys):
 def test_census_unwritable_jsonl_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "systems.jsonl"
     assert main(["census", "--type", "A1", "--jsonl", str(target)]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    # the file is opened before the census, so no count is printed
+    assert out == ""
+    assert "error:" in err
     assert not target.exists()
 
 
@@ -155,12 +158,27 @@ def test_quotients_dot(example_doc, tmp_path, capsys):
     assert dot.startswith("digraph")
 
 
-def test_quotients_unwritable_dot_is_usage_error(example_doc, tmp_path, capsys):
+def test_quotients_unwritable_dot_is_usage_error(example_doc, tmp_path, capsys,
+                                                 monkeypatch):
+    def no_search(sys_):
+        raise AssertionError("the lattice was built before the output was opened")
+
+    monkeypatch.setattr("sphsys.cli.quotient_lattice", no_search)
     path, _ = example_doc
     target = tmp_path / "missing" / "lattice.dot"
     assert main(["quotients", str(path), "--dot", str(target)]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
     assert not target.exists()
+
+
+def test_localize_reports_indices_as_typed(example_doc, capsys):
+    path, _ = example_doc
+    assert main(["localize", str(path), "--sigma", "2,5"]) == 2
+    assert "sigma index out of range: [5]" in capsys.readouterr().err
+    assert main(["localize", str(path), "--s", "0,2,9"]) == 2
+    assert "simple root index out of range: [0, 9]" in capsys.readouterr().err
 
 
 def test_localize_sigma(example_doc, capsys):

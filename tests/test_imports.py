@@ -105,7 +105,7 @@ def test_guard_sees_every_lru_cache():
 KEPT_CACHES = {
     "closure.py": ["_profile"],
     "enumeration.py": ["census"],
-    "quotient.py": ["_kernel_rays", "_ray_supports"],
+    "quotient.py": ["_color_supports", "_kernel_rays"],
     "rootsys.py": ["build_root_system"],
     "sphroots.py": ["_by_vector", "spherical_roots_of"],
     "system.py": ["colors"],
