@@ -62,15 +62,16 @@ def _root_system(spec: str):
 
 def cmd_census(args) -> int:
     _root_system(args.type)
+    if args.rank is not None and args.rank < 0:
+        raise UsageError(f"rank {args.rank} is negative")
     with _open_output(args.jsonl) as out:
         report = census(args.type, mod_diagram_auts=args.mod_diagram_auts)
-        ranks = sorted(report.by_rank)
-        if args.rank is not None:
-            ranks = [r for r in ranks if r == args.rank]
-        for r in ranks:
-            print(f"rank {r}: {report.by_rank[r]}")
         if args.rank is None:
+            for r in sorted(report.by_rank):
+                print(f"rank {r}: {report.by_rank[r]}")
             print(f"total {report.total}")
+        else:
+            print(f"rank {args.rank}: {report.by_rank.get(args.rank, 0)}")
         if out is not None:
             out.writelines(emit_system(s) for s in report.systems
                            if args.rank is None or s.rank == args.rank)

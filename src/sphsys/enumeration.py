@@ -4,11 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system, diagram_automorphisms
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
-from .system import (SphericalSystem, _a1_ok, _proportional, _relabel,
+from .system import (SphericalSystem, _a1_ok, _a2_ok, _proportional, _relabel,
                      _sigma1_ok, _sigma2_ok, make_system)
 
 Row = Tuple[int, ...]
@@ -88,86 +88,60 @@ def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
 
 
 def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
-    """All multisets of rows satisfying the axioms for the given sigma.
+    """All multisets of rows satisfying (A1)-(A3) for the given sigma.
 
     Rows are returned as sorted tuples over the given sigma order; two rows
     are the same color exactly when they are equal as vectors.
+
+    The owners (the simple roots in sigma) are taken in order, and each row
+    is placed at the first owner with a 1 in its column. At an owner, the
+    rows already placed with a 1 in its column decide its pair A(alpha):
+    two are the pair, one forces its partner <alpha^vee, Sigma> - row, and
+    with none the pair is chosen among those whose 1s fall only in the
+    columns of owners not yet taken. After each step a forward check ends
+    the branch as soon as a later owner can no longer complete its pair.
     """
-    r = len(sigma)
-    simple_cols: Dict[int, int] = {}
-    for col, s in enumerate(sigma):
-        if s.height == 1:
-            simple_cols[s.coeffs.index(1)] = col
-    owners = sorted(simple_cols)
-    if not owners:
-        return [()]
-    cols_simple = set(simple_cols.values())
-    cols = [simple_cols[a] for a in owners]
+    col_of = {s.coeffs.index(1): c for c, s in enumerate(sigma) if s.height == 1}
+    cols = [col_of[a] for a in sorted(col_of)]
+    wants = [tuple(s.pairings[a] for s in sigma) for a in sorted(col_of)]
+    m = len(cols)
+    # opened[i][j]: whether column j may hold a 1 in a row placed at owner i or later
+    opened = [[j in cols[i:] for j in range(len(sigma))] for i in range(m + 1)]
 
-    def pair_choices(alpha: int) -> List[Tuple[Row, Row]]:
-        col = simple_cols[alpha]
-        cart = tuple(s.pairings[alpha] for s in sigma)
-        ranges = []
-        for j in range(r):
-            if j == col:
-                ranges.append([1])
-                continue
-            # v and the partner's cart[j] - v are both at most 1
-            simple = j in cols_simple
-            ranges.append([v for v in range(cart[j] - 1, 2)
-                           if _a1_ok(v, simple) and _a1_ok(cart[j] - v, simple)])
-        pairs = []
-        for row in product(*ranges):
-            partner = tuple(c - v for c, v in zip(cart, row))
-            if row <= partner:
-                pairs.append((row, partner))
-        return pairs
+    def partner(i: int, row: Row) -> Row:
+        return tuple(w - v for w, v in zip(wants[i], row))
 
-    # Every row of a pair has value 1 at its owner's column. So the choices
-    # of owners a and b agree (each row shared by A(a) and A(b) has one
-    # multiplicity) exactly when the rows of A(a) with value 1 at b's column
-    # and the rows of A(b) with value 1 at a's column are equal multisets.
-    # The two rows of A(a) sum to <alpha_a^vee, alpha_b> <= 0 at b's
-    # column, so each multiset holds at most one row: the key of the
-    # choice against b.
-    # With owners numbered by position in `owners`, keys[a][c][b] is that
-    # key for choice c of owner a, and index[a][b] maps each key to the
-    # bitmask of owner a's choices that carry it.
-    choices = [pair_choices(a) for a in owners]
-    m = len(owners)
-    keys = [[[p if p[col] == 1 else q if q[col] == 1 else None for col in cols]
-             for p, q in ch] for ch in choices]
-    index: List[List[Dict[Optional[Row], int]]] = [[{} for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for c, key in enumerate(keys[a]):
-            for b in range(m):
-                index[a][b][key[b]] = index[a][b].get(key[b], 0) | 1 << c
+    def fresh_pairs(i: int) -> List[Tuple[Row, ...]]:
+        # (A1) on both rows of the pair, column by column
+        ranges = [[1] if j == cols[i] else
+                  [v for v in range(w - 1, 2) if _a1_ok(v, o) and _a1_ok(w - v, o)]
+                  for j, (w, o) in enumerate(zip(wants[i], opened[i]))]
+        return [(p, partner(i, p)) for p in product(*ranges) if p <= partner(i, p)]
+
+    fresh = [fresh_pairs(i) for i in range(m)]
+
+    def completable(rows: List[Row], b: int, i: int) -> bool:
+        # whether owner b can still complete its pair once owners before i are taken
+        mine = [r for r in rows if r[cols[b]] == 1]
+        if len(mine) == 1:
+            return all(_a1_ok(v, o) for v, o in zip(partner(b, mine[0]), opened[i]))
+        return not mine or _a2_ok(mine, wants[b])
+
     results: List[Tuple[Row, ...]] = []
 
-    def rec(assign: List[Tuple[Row, Row]], allowed: List[int]):
-        # allowed[b]: owner b's choices that agree with every owner assigned
-        i = len(assign)
+    def rec(i: int, placed: List[Row]):
+        # every owner from i on passed `completable` against placed
         if i == m:
-            # a row lies in the pair of every owner it has a 1 for, with one
-            # multiplicity (two owners share at most one row, and a doubled
-            # row has its only 1 at its owner): count it at its first owner
-            results.append(tuple(sorted(
-                row for k, pa in enumerate(assign) for row in pa
-                if all(row[c] != 1 for c in cols[:k]))))
+            results.append(tuple(sorted(placed)))
             return
-        todo = allowed[i]
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            c = bit.bit_length() - 1
-            later = [allowed[b] & index[b][i].get(keys[i][c][b], 0) for b in range(i + 1, m)]
-            # an owner left without choices ends the branch now, not at its turn
-            if all(later):
-                assign.append(choices[i][c])
-                rec(assign, allowed[:i + 1] + later)
-                assign.pop()
+        mine = [r for r in placed if r[cols[i]] == 1]
+        for new in (fresh[i] if not mine else
+                    [(partner(i, mine[0]),)] if len(mine) == 1 else [()]):
+            grown = placed + list(new)
+            if all(completable(grown, b, i + 1) for b in range(i + 1, m)):
+                rec(i + 1, grown)
 
-    rec([], [(1 << len(ch)) - 1 for ch in choices])
+    rec(0, [])
     return results
 
 
@@ -186,10 +160,11 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
 
     The search only builds triples that satisfy the axioms: the pairwise
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
-    through `pair_choices`. So no candidate is validated afterwards, and
-    no triple is built twice: only the classes modulo diagram automorphisms
-    need deduplicating. The A-matrices depend on sigma alone, so they are
-    enumerated once per sigma and shared by its S^p choices.
+    through `enumerate_a_matrices`. So no candidate is validated
+    afterwards, and no triple is built twice: only the classes modulo
+    diagram automorphisms need deduplicating. The A-matrices depend on
+    sigma alone, so they are enumerated once per sigma and shared by its
+    S^p choices.
     """
     built: Iterable[SphericalSystem] = (
         make_system(rs, [s.coeffs for s in sigma], sp, rows)

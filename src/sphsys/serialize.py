@@ -83,7 +83,7 @@ def parse_system(text: str, allow_invalid: bool = False) -> SphericalSystem:
     entry must be an integer."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise SchemaError(f"malformed JSON: {e}")
     if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
         raise SchemaError("missing or unsupported format version")

@@ -119,6 +119,12 @@ def _a1_ok(value: int, at_simple_column: bool) -> bool:
     return value < 1 or value == 1 and at_simple_column
 
 
+def _a2_ok(rows: Sequence[Row], want: Row) -> bool:
+    """(A2): A(alpha), the rows with a 1 in alpha's column, is two rows that
+    sum to want = <alpha^vee, Sigma>."""
+    return len(rows) == 2 and all(x + y == w for x, y, w in zip(*rows, want))
+
+
 def validate(sys: SphericalSystem) -> List[str]:
     """All axiom violations of the triple, in a fixed report order."""
     rs = sys.rs
@@ -141,12 +147,13 @@ def validate(sys: SphericalSystem) -> List[str]:
                        f" {render_root(sys.sigma[col])} in row {r}")
     for alpha, col in sorted(simple_cols.items()):
         rows = [r for r in sys.a_rows if r[col] == 1]
+        want = tuple(s.pairings[alpha] for s in sys.sigma)
+        if _a2_ok(rows, want):
+            continue
         if len(rows) != 2:
             out.append(f"(A2) A(a{alpha + 1}) has {len(rows)} elements, expected 2")
-            continue
-        want = tuple(s.pairings[alpha] for s in sys.sigma)
-        got = tuple(x + y for x, y in zip(rows[0], rows[1]))
-        if got != want:
+        else:
+            got = tuple(x + y for x, y in zip(*rows))
             out.append(f"(A2) A(a{alpha + 1}) sums to {got}, expected {want}")
     for r in sys.a_rows:
         if 1 not in r:

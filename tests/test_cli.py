@@ -45,6 +45,22 @@ def test_census_single_rank(capsys):
     assert out.strip() == "rank 1: 5"
 
 
+def test_census_rank_without_members(tmp_path, capsys):
+    target = tmp_path / "systems.jsonl"
+    assert main(["census", "--type", "F4", "--rank", "7", "--jsonl", str(target)]) == 0
+    assert capsys.readouterr().out == "rank 7: 0\n"
+    assert target.read_text() == ""
+
+
+def test_census_negative_rank_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "systems.jsonl"
+    assert main(["census", "--type", "F4", "--rank", "-1", "--jsonl", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: rank -1 is negative" in err
+    assert not target.exists()
+
+
 def test_census_jsonl_output(tmp_path, capsys):
     target = tmp_path / "systems.jsonl"
     assert main(["census", "--type", "A1", "--jsonl", str(target)]) == 0
@@ -100,6 +116,15 @@ def test_bad_arguments_are_usage_errors(example_doc, capsys):
     assert main(["faithful", "--type", "A3", "--weight=-1w1"]) == 2
     assert main(["faithful", "--type", "A3", "--weight", "w1+-2w3"]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON")
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize("sp", ["[7]", "[-1]"])

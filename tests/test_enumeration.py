@@ -1,11 +1,13 @@
 """Exhaustive census of spherical systems and canonical-form deduplication."""
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
 
 from sphsys import build_root_system, make_system, validate
-from sphsys.enumeration import canonical_form, census, enumerate_systems
+from sphsys.enumeration import (_sigma_candidates, canonical_form, census,
+                                enumerate_a_matrices, enumerate_systems)
 from sphsys.quotient import enumerate_distinguished, quotient
 from sphsys.rootsys import cartan_eval, diagram_automorphisms, sub_root_system
 from sphsys.serialize import emit_system
@@ -178,7 +180,7 @@ def _reference_sp_choices(rs, sigma):
             for size in range(len(free) + 1) for extra in combinations(free, size)]
 
 
-def _reference_a_matrices(rs, sigma, sp):
+def _reference_a_matrices(rs, sigma):
     r = len(sigma)
     simple_cols = {s.coeffs.index(1): col for col, s in enumerate(sigma) if s.height == 1}
     owners = sorted(simple_cols)
@@ -241,7 +243,7 @@ def _reference_census(rs):
     seen = {}
     for sigma in _reference_sigma_candidates(rs):
         for sp in _reference_sp_choices(rs, sigma):
-            for rows in _reference_a_matrices(rs, sigma, sp):
+            for rows in _reference_a_matrices(rs, sigma):
                 sys = make_system(rs, [s.coeffs for s in sigma], sp, rows)
                 if not validate(sys):
                     seen.setdefault(sys.key(), sys)
@@ -257,6 +259,37 @@ def test_pruned_search_matches_reference(name):
     rs = build_root_system(name)
     got = [emit_system(s) for s in enumerate_systems(rs).systems]
     assert got == [emit_system(s) for s in _reference_census(rs)]
+
+
+# The A-matrix layer alone, Sigma by Sigma, on types the census comparison
+# above does not reach.
+@pytest.mark.parametrize("name", ["A2xA3", "F4xA1"]
+                         + [pytest.param(t, marks=pytest.mark.slow)
+                            for t in ["A5", "B5", "C5", "D5"]])
+def test_a_matrices_match_reference(name):
+    rs = build_root_system(name)
+    for sigma, _, _ in _sigma_candidates(rs):
+        assert sorted(enumerate_a_matrices(sigma)) == sorted(_reference_a_matrices(rs, sigma))
+
+
+# sha256 of the sorted emit_system lines of each census: regression values of
+# this engine, not reference values from the paper, for types the reference
+# search above is too slow to check.
+CENSUS_DIGESTS = {
+    "A5": "6f6b287fb5db4e640f23dbc7c41727cef4e65f244dbccc7182616f0837767df1",
+    "B5": "818137f930c29d65d9dcbb332528c55801a07c4fe4078124e35fefc430bfaee4",
+    "C5": "622d76b748930acc3e5b9b94054d848fa655718fcee624bba22081613ae429f5",
+    "D5": "7d0e9c15daa58556e9d2a8e9a269bd17a83b0564505c5cb7814fb9b7306cbd69",
+    "E6": "3df310bf74cf456a554254d09c7873ec3bafe836295fcaec6a6ea2e3c8401550",
+    "E7": "e991e85089c710907d9484234825a89bc2a853aebfcd8ffb3c3c7862b27e21d2",
+}
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "E6",
+                                  pytest.param("E7", marks=pytest.mark.slow)])
+def test_census_digest(name):
+    lines = sorted(emit_system(s) for s in census(name).systems)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[name]
 
 
 def _image(sys, p, rs=None):

@@ -61,6 +61,9 @@ def test_schema_errors():
         parse_system(json.dumps({"version": "1", "root_system": {}}))
     with pytest.raises(SchemaError):
         parse_system("not json")
+    # nested too deeply for the decoder, which raises RecursionError
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        parse_system("[" * 100000 + "]" * 100000)
     for comp in ({"type": "Z", "rank": 3}, {"type": "A", "rank": 0},
                  {"type": "A", "rank": "three"}, {"type": "A1xA", "rank": 2},
                  {"type": "A", "rank": "3"}, {"type": "A", "rank": 3.0}):
