@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including an
-input file that cannot be read or an output file that cannot be written),
-3 internal error: an invariant breach (a kernel that is not free) or any
-other ValueError raised past the argument checks.
+input file that cannot be read or an output, a file or stdout, that cannot
+be written: any OSError), 3 internal error: an invariant breach (a kernel
+that is not free) or any other ValueError raised past the argument checks.
 """
 from __future__ import annotations
 
@@ -34,18 +34,13 @@ def _read(path: str) -> str:
 def _open_output(path: Optional[str]) -> ContextManager[Optional[TextIO]]:
     """The output file, opened before any search so that a path that cannot be
     written is a usage error at once; a context of None without a path."""
-    if path is None:
-        return nullcontext()
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as e:
-        raise UsageError(str(e))
+    return nullcontext() if path is None else open(path, "w", encoding="utf-8")
 
 
 def _load(path: str, allow_invalid: bool = False):
     try:
         return parse_system(_read(path), allow_invalid=allow_invalid)
-    except (OSError, SchemaError) as e:
+    except SchemaError as e:
         raise UsageError(str(e))
 
 
@@ -220,12 +215,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        _sys.stdout.flush()  # so that a full stdout fails here, not at exit
+        return code
     except InvalidSystemError as e:
         for v in e.violations:
             print(v, file=_sys.stderr)
         return EXIT_INVALID
-    except UsageError as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, ValueError) as e:

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
 from .system import SphericalSystem, colors
-from .quotient import _color_supports, _minimal
+from .quotient import _color_supports, _mask, _minimal
 
 Counts = Tuple[int, ...]  # multiplicity per color index
 
@@ -110,7 +110,8 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
     if len(counts) != k:
         raise ValueError(f"{len(counts)} multiplicities for {k} colors")
     profile = _profile(sys)
-    return profile is not None and _faithful(profile, counts, _support(counts))
+    supp = _mask(i for i, m in enumerate(counts) if m)
+    return profile is not None and _faithful(profile, counts, supp)
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,6 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
                     for i in range(k))
     return _Profile(weights=weights, gamma=gamma_group(sys),
                     minimal=tuple(_minimal(_color_supports(sys))))
-
-
-def _support(counts: Counts) -> int:
-    """The colors with a nonzero multiplicity, as a bitmask."""
-    return sum(1 << i for i, m in enumerate(counts) if m)
 
 
 def _faithful(profile: _Profile, counts: Counts, supp: int) -> bool:
@@ -181,7 +177,7 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
         sols = solved.get(profile.weights)
         if sols is None:
             sols = solved[profile.weights] = [
-                (counts, _support(counts))
+                (counts, _mask(i for i, m in enumerate(counts) if m))
                 for counts in _multiplicities_with_weight(profile.weights, target)]
         for counts, supp in sols:
             if (all(counts[i] < counts[j] for i, j in profile.gamma.swaps)

@@ -8,8 +8,9 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system, diagram_automorphisms
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
+from .quotient import _mask
 from .system import (SphericalSystem, _a1_ok, _a2_ok, _proportional, _relabel,
-                     _sigma1_ok, _sigma2_ok, make_system)
+                     _sigma1_ok, _sigma2_ok, _simple_columns, make_system)
 
 Row = Tuple[int, ...]
 
@@ -36,10 +37,6 @@ def _pair_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
     """Whether {s, t} can coexist in Sigma: the pairwise axioms of `system`."""
     return not _proportional(s, t) and all(
         _sigma1_ok(x, y) and _sigma2_ok(x, y) for x, y in ((s, t), (t, s)))
-
-
-def _mask(indices: FrozenSet[int]) -> int:
-    return sum(1 << i for i in indices)
 
 
 def _sigma_candidates(rs: RootSystem) -> List[Tuple[Tuple[SphericalRoot, ...], int, int]]:
@@ -101,7 +98,7 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
     columns of owners not yet taken. After each step a forward check ends
     the branch as soon as a later owner can no longer complete its pair.
     """
-    col_of = {s.coeffs.index(1): c for c, s in enumerate(sigma) if s.height == 1}
+    col_of = _simple_columns(sigma)
     cols = [col_of[a] for a in sorted(col_of)]
     wants = [tuple(s.pairings[a] for s in sigma) for a in sorted(col_of)]
     m = len(cols)

@@ -17,6 +17,11 @@ from .sphroots import SphericalRoot, is_compatible, render_root, spherical_root
 Row = Tuple[int, ...]
 
 
+def _simple_columns(sigma: Sequence[SphericalRoot]) -> Dict[int, int]:
+    """Map simple index alpha -> column of alpha in sigma, for the alpha in sigma."""
+    return {s.support[0]: col for col, s in enumerate(sigma) if s.shape == "a1"}
+
+
 @dataclass(frozen=True)
 class SphericalSystem:
     """An immutable spherical system in canonical internal order.
@@ -55,19 +60,7 @@ class SphericalSystem:
 
     def simple_sigma(self) -> Dict[int, int]:
         """Map simple index -> column for the sigma that are simple roots."""
-        out = {}
-        for col, s in enumerate(self.sigma):
-            if s.height == 1:
-                out[s.coeffs.index(1)] = col
-        return out
-
-    def doubled_simple(self) -> FrozenSet[int]:
-        """Simple indices alpha with 2*alpha in sigma."""
-        out = set()
-        for s in self.sigma:
-            if s.height == 2 and 2 in s.coeffs:
-                out.add(s.coeffs.index(2))
-        return frozenset(out)
+        return _simple_columns(self.sigma)
 
     def support(self) -> FrozenSet[int]:
         return frozenset(i for s in self.sigma for i in range(self.rs.rank)
@@ -199,66 +192,49 @@ class ColorSet:
 
 @lru_cache(maxsize=None)
 def colors(sys: SphericalSystem) -> ColorSet:
-    """All colors with their pairing rows, in a deterministic order.
+    """The colors of a valid system with their pairing rows.
+
+    Delta^a has one color per row of A, owned by the simple roots with a 1
+    in their column. Delta^2a has one color per alpha with 2alpha in Sigma,
+    with row <alpha^vee, Sigma> / 2. Delta^b is S^b, the simple roots in
+    none of S^p, Sigma and Sigma/2, where alpha and beta are one color when
+    they are orthogonal and alpha + beta is in Sigma; its row is
+    <alpha^vee, Sigma>.
+
+    Such classes have at most two members, and both lie in S^b: by (Sigma2)
+    every sigma pairs equally with alpha and beta, so a second root
+    alpha + gamma, which pairs 2 with alpha and at most 0 with beta, is not
+    in Sigma, and neither are alpha, beta, 2alpha and 2beta. Neither end is
+    in S^p by (S). So the class of alpha is alpha and the other end of the
+    orthogonal sum in Sigma that holds it, if any.
 
     Order: the a_rows in their stored order, then type-2a colors by simple
-    index, then type-b colors by smallest member of their class.
+    index, then type-b colors by smallest owner.
     """
-    rs = sys.rs
-    n = rs.rank
-    simple_cols = sys.simple_sigma()
-    doubled = sys.doubled_simple()
-    sb = [i for i in range(n)
-          if i not in sys.sp and i not in simple_cols and i not in doubled]
-    cols: List[Color] = []
-    delta: List[List[int]] = [[] for _ in range(n)]
-    for r in sys.a_rows:
-        owners = tuple(a for a, c in sorted(simple_cols.items()) if r[c] == 1)
-        idx = len(cols)
-        cols.append(Color(kind="a", owners=owners, row=r))
-        for a in owners:
-            delta[a].append(idx)
-    for alpha in sorted(doubled):
-        row = tuple(_half(s.pairings[alpha]) for s in sys.sigma)
-        idx = len(cols)
-        cols.append(Color(kind="2a", owners=(alpha,), row=row))
-        delta[alpha].append(idx)
-    for cls in _b_classes(sys, sb):
-        rep = cls[0]
-        row = tuple(s.pairings[rep] for s in sys.sigma)
-        idx = len(cols)
-        cols.append(Color(kind="b", owners=tuple(cls), row=row))
-        for a in cls:
-            delta[a].append(idx)
-    return ColorSet(colors=tuple(cols), delta_of=tuple(tuple(d) for d in delta))
+    n = sys.rs.rank
+    simple_cols = sorted(sys.simple_sigma().items())
+    doubled = sorted(s.support[0] for s in sys.sigma if s.shape == "2a1")
+    other_end = {}
+    for s in sys.sigma:
+        if s.shape == "a1xa1":
+            i, j = s.support
+            other_end[i], other_end[j] = j, i
+    cols = [Color(kind="a", owners=tuple(a for a, c in simple_cols if r[c] == 1), row=r)
+            for r in sys.a_rows]
+    cols += [Color(kind="2a", owners=(a,), row=tuple(_half(s.pairings[a]) for s in sys.sigma))
+             for a in doubled]
+    taken = sys.sp.union(doubled, (a for a, _ in simple_cols))
+    cols += [Color(kind="b", owners=tuple(sorted({a, other_end.get(a, a)})),
+                   row=tuple(s.pairings[a] for s in sys.sigma))
+             for a in range(n) if a not in taken and other_end.get(a, a) >= a]
+    delta = tuple(tuple(k for k, c in enumerate(cols) if a in c.owners) for a in range(n))
+    return ColorSet(colors=tuple(cols), delta_of=delta)
 
 
 def _half(v: int) -> int:
     if v % 2 != 0:
         raise ValueError(f"odd pairing value {v} at a doubled simple root")
     return v // 2
-
-
-def _b_classes(sys: SphericalSystem, sb: List[int]) -> List[List[int]]:
-    """Classes of S^b under: same color iff orthogonal with sum in Sigma."""
-    n = sys.rs.rank
-    vecs = {s.coeffs for s in sys.sigma}
-    parent = {i: i for i in sb}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in combinations(sb, 2):
-        if sys.rs.cartan[i][j] == 0 and \
-                tuple(1 if k in (i, j) else 0 for k in range(n)) in vecs:
-            parent[find(i)] = find(j)
-    classes: Dict[int, List[int]] = {}
-    for i in sb:
-        classes.setdefault(find(i), []).append(i)
-    return sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
 
 
 def defect(sys: SphericalSystem) -> int:

@@ -1,9 +1,15 @@
 """Command line interface: subcommands, exit codes, file outputs."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sphsys
 from sphsys import build_root_system, make_system
 from sphsys.cli import main
 from sphsys.serialize import emit_system, parse_system
@@ -79,6 +85,35 @@ def test_census_unwritable_jsonl_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert "error:" in err
     assert not target.exists()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this platform")
+
+
+@needs_dev_full
+def test_full_output_file_is_usage_error(example_doc, capsys):
+    path, _ = example_doc
+    for argv in (["census", "--type", "A2", "--jsonl", "/dev/full"],
+                 ["census", "--type", "F4", "--jsonl", "/dev/full"],
+                 ["quotients", str(path), "--dot", "/dev/full"]):
+        assert main(argv) == 2
+        assert f"error: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["render", "colors", "quotients"])
+def test_full_stdout_is_usage_error(example_doc, command):
+    path, _ = example_doc
+    src = str(Path(sphsys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "sphsys.cli", command, str(path)],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_validate_ok(example_doc, capsys):

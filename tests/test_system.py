@@ -1,5 +1,6 @@
 """System construction, axiom checking, colors, pairing tables, invariants."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -289,3 +290,42 @@ def test_equal_systems_share_key_and_hash(a3_census):
         same = parse_system(emit_system(a))
         assert same == a and hash(same) == hash(a)
     assert len(set(a3_census.systems)) == len(a3_census.systems)
+
+
+# sha256 over each census member, in census order, of repr(((kind, owners,
+# row) per color, delta_of)), recorded before colors were rebuilt from the
+# definition; the rebuild must leave every color, row and owner unchanged
+COLOR_DIGESTS = {
+    "F4": "3d0c8c622536e6c38e48542546c38462700ff9bcf465daaf4671481c905277b5",
+    "D4": "bebe0f3bfc69f5fb808180321f693e203bdae94262359b8a9ce4199cfb673965",
+    "B3xA1": "553dce7602e51268aeb3bf9edc4775019de0b54c26652e217f0d8970b44b600b",
+    "A1xG2": "fa62335a04d688feb74f7c883ff65c0ef0d6cd30512f26404c7f029f92f4683e",
+    "A1xA1xA1xA1": "1ef1129ba15ddb9a816b5a955856e77f5b89d10159462eec5bafae7bf92dd3d3",
+    "D5": "24ffa0e750f33850a971d2d181ae749e3b0e69c25c0f3c676a42fbdeb1758750",
+    "E6": "e5e78a1b4ea2e204ac524c6ccc3bab19cf9c730337a87f67a7fbd729922507f3",
+}
+COLOR_TYPES = ["F4", "D4", "B3xA1", "A1xG2", "A1xA1xA1xA1",
+               pytest.param("D5", marks=pytest.mark.slow),
+               pytest.param("E6", marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("spec", COLOR_TYPES)
+def test_colors_pinned(spec):
+    h = hashlib.sha256()
+    for sys in census(spec).systems:
+        cs = colors(sys)
+        h.update(repr((tuple((c.kind, c.owners, c.row) for c in cs.colors),
+                       cs.delta_of)).encode())
+    assert h.hexdigest() == COLOR_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", COLOR_TYPES)
+def test_orthogonal_sums_pair_off_s_b(spec):
+    """What `colors` builds Delta^b on: each simple root lies in at most one
+    orthogonal sum alpha + beta of Sigma, and both its ends are in S^b."""
+    for sys in census(spec).systems:
+        ends = [i for s in sys.sigma if s.shape == "a1xa1" for i in s.support]
+        taken = sys.sp | set(sys.simple_sigma())
+        taken |= {s.support[0] for s in sys.sigma if s.shape == "2a1"}
+        assert len(ends) == len(set(ends))
+        assert not taken & set(ends)
