@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error (including an
-input file that cannot be read or an output, a file or stdout, that cannot
-be written: any OSError), 3 internal error: an invariant breach (a kernel
-that is not free) or any other ValueError raised past the argument checks.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including any
+OSError: an input file that cannot be read, or an output, a file or stdout,
+that cannot be written; and an input that is not UTF-8 text), 3 internal
+error: an invariant breach (a kernel that is not free) or any other
+ValueError raised past the argument checks.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ def _load(path: str, allow_invalid: bool = False):
         return parse_system(_read(path), allow_invalid=allow_invalid)
     except SchemaError as e:
         raise UsageError(str(e))
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path} is not UTF-8 text: {e}")
 
 
 class UsageError(Exception):

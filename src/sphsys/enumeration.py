@@ -4,15 +4,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system, diagram_automorphisms
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
 from .quotient import _mask
 from .system import (SphericalSystem, _a1_ok, _a2_ok, _proportional, _relabel,
-                     _sigma1_ok, _sigma2_ok, _simple_columns, make_system)
+                     _sigma1_ok, _sigma2_ok, _simple_columns)
 
 Row = Tuple[int, ...]
+# an owner's forced partner and the columns it needs open, from `_needs_open`
+Forced = Tuple[Row, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -84,61 +86,127 @@ def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
     return out
 
 
-def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
+def _a_signature(sigma: Sequence[SphericalRoot]) -> Tuple[int, Tuple[Tuple[int, Row], ...]]:
+    """All that the A-matrix search reads of sigma: its length and, owner by
+    owner in simple-index order, the owner's column and <alpha^vee, Sigma>."""
+    col_of = _simple_columns(sigma)
+    return len(sigma), tuple((col_of[a], tuple(s.pairings[a] for s in sigma))
+                             for a in sorted(col_of))
+
+
+def _fresh_pairs(col: int, want: Row, opened: int) -> List[Tuple[Row, Row]]:
+    """Every pair (row, partner) with row <= partner that sums to want, has a 1
+    at col, and satisfies (A1) when only the columns in the bitmask opened
+    may hold a 1."""
+    ranges = []
+    for j, w in enumerate(want):
+        o = bool(opened >> j & 1)
+        ranges.append([1] if j == col else
+                      [v for v in range(w - 1, 2) if _a1_ok(v, o) and _a1_ok(w - v, o)])
+    out = []
+    for row in product(*ranges):
+        partner = tuple(w - v for w, v in zip(want, row))
+        if row <= partner:
+            out.append((row, partner))
+    return out
+
+
+def _needs_open(row: Row) -> Optional[int]:
+    """The columns where (A1) lets row hold its value only at a simple root,
+    as a bitmask; None if (A1) fails on row whichever columns are open."""
+    need = 0
+    for j, v in enumerate(row):
+        if not _a1_ok(v, False):
+            if not _a1_ok(v, True):
+                return None
+            need |= 1 << j
+    return need
+
+
+def enumerate_a_matrices(sigma: Sequence[SphericalRoot],
+                         fresh: Optional[Dict[tuple, List[Tuple[Row, Row]]]] = None
+                         ) -> List[Tuple[Row, ...]]:
     """All multisets of rows satisfying (A1)-(A3) for the given sigma.
 
     Rows are returned as sorted tuples over the given sigma order; two rows
-    are the same color exactly when they are equal as vectors.
+    are the same color exactly when they are equal as vectors. Sigma is
+    read only through `_a_signature`, so sigmas with equal signatures have
+    equal results.
 
     The owners (the simple roots in sigma) are taken in order, and each row
     is placed at the first owner with a 1 in its column. At an owner, the
     rows already placed with a 1 in its column decide its pair A(alpha):
     two are the pair, one forces its partner <alpha^vee, Sigma> - row, and
-    with none the pair is chosen among those whose 1s fall only in the
-    columns of owners not yet taken. After each step a forward check ends
-    the branch as soon as a later owner can no longer complete its pair.
+    with none the pair is chosen among the fresh pairs, whose 1s fall only
+    in the columns of owners not yet taken. Fresh pairs are built only for
+    an owner that the search reaches with no row, and are kept in `fresh`
+    under (column, <alpha^vee, Sigma>, open columns); a caller that passes
+    one dict to many calls shares them.
+
+    A forward check ends a branch as soon as a later owner can no longer
+    complete its pair. Each later owner keeps its rows and, with one row,
+    its forced partner with the bitmask of the columns that partner needs
+    open. A step checks in full only the owners whose column holds a 1 in
+    the rows just placed; every other owner with one row is tested only
+    against the column the step closed.
     """
-    col_of = _simple_columns(sigma)
-    cols = [col_of[a] for a in sorted(col_of)]
-    wants = [tuple(s.pairings[a] for s in sigma) for a in sorted(col_of)]
-    m = len(cols)
-    # opened[i][j]: whether column j may hold a 1 in a row placed at owner i or later
-    opened = [[j in cols[i:] for j in range(len(sigma))] for i in range(m + 1)]
+    width, owners = _a_signature(sigma)
+    fresh = {} if fresh is None else fresh
+    m = len(owners)
+    cols = [c for c, _ in owners]
+    wants = [w for _, w in owners]
+    # open_mask[i]: the columns that may hold a 1 in a row placed at owner i or later
+    open_mask = [_mask(cols[i:]) for i in range(m + 1)]
+    partners: Dict[Tuple[int, Row], Forced] = {}
 
-    def partner(i: int, row: Row) -> Row:
-        return tuple(w - v for w, v in zip(wants[i], row))
-
-    def fresh_pairs(i: int) -> List[Tuple[Row, ...]]:
-        # (A1) on both rows of the pair, column by column
-        ranges = [[1] if j == cols[i] else
-                  [v for v in range(w - 1, 2) if _a1_ok(v, o) and _a1_ok(w - v, o)]
-                  for j, (w, o) in enumerate(zip(wants[i], opened[i]))]
-        return [(p, partner(i, p)) for p in product(*ranges) if p <= partner(i, p)]
-
-    fresh = [fresh_pairs(i) for i in range(m)]
-
-    def completable(rows: List[Row], b: int, i: int) -> bool:
-        # whether owner b can still complete its pair once owners before i are taken
-        mine = [r for r in rows if r[cols[b]] == 1]
-        if len(mine) == 1:
-            return all(_a1_ok(v, o) for v, o in zip(partner(b, mine[0]), opened[i]))
-        return not mine or _a2_ok(mine, wants[b])
+    def partner(b: int, row: Row) -> Forced:
+        got = partners.get((b, row))
+        if got is None:
+            p = tuple(w - v for w, v in zip(wants[b], row))
+            got = partners[b, row] = (p, _needs_open(p))
+        return got
 
     results: List[Tuple[Row, ...]] = []
 
-    def rec(i: int, placed: List[Row]):
-        # every owner from i on passed `completable` against placed
+    def rec(i: int, placed: Tuple[Row, ...], mine: List[Tuple[Row, ...]],
+            forced: List[Optional[Forced]]):
+        # mine[b]: the placed rows with a 1 in owner b's column, for b >= i;
+        # forced[b]: with one such row, its partner and the columns that
+        # partner needs open, all of them open at owner i
         if i == m:
             results.append(tuple(sorted(placed)))
             return
-        mine = [r for r in placed if r[cols[i]] == 1]
-        for new in (fresh[i] if not mine else
-                    [(partner(i, mine[0]),)] if len(mine) == 1 else [()]):
-            grown = placed + list(new)
-            if all(completable(grown, b, i + 1) for b in range(i + 1, m)):
-                rec(i + 1, grown)
+        if not mine[i]:
+            key = (cols[i], wants[i], open_mask[i])
+            choices = fresh.get(key)
+            if choices is None:
+                choices = fresh[key] = _fresh_pairs(*key)
+        else:
+            choices = [(forced[i][0],)] if len(mine[i]) == 1 else [()]
+        closed, still_open = 1 << cols[i], open_mask[i + 1]
+        for new in choices:
+            next_mine, next_forced = mine, forced
+            for b in range(i + 1, m):
+                hit = tuple([r for r in new if r[cols[b]] == 1])
+                if hit:
+                    if next_mine is mine:
+                        next_mine, next_forced = list(mine), list(forced)
+                    rows = next_mine[b] = mine[b] + hit
+                    if len(rows) == 1:
+                        next_forced[b] = partner(b, rows[0])
+                        need = next_forced[b][1]
+                        ok = need is not None and not need & ~still_open
+                    else:
+                        next_forced[b] = None
+                        ok = _a2_ok(rows, wants[b])
+                else:
+                    ok = forced[b] is None or not forced[b][1] & closed
+                if not ok:
+                    break
+            else:
+                rec(i + 1, placed + new, next_mine, next_forced)
 
-    rec(0, [])
+    rec(0, (), [()] * m, [None] * m)
     return results
 
 
@@ -159,14 +227,30 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
     through `enumerate_a_matrices`. So no candidate is validated
     afterwards, and no triple is built twice: only the classes modulo
-    diagram automorphisms need deduplicating. The A-matrices depend on
-    sigma alone, so they are enumerated once per sigma and shared by its
-    S^p choices.
+    diagram automorphisms need deduplicating.
+
+    The A-matrices depend on sigma only through its signature (see
+    `enumerate_a_matrices`), so they are enumerated once per signature and
+    shared by every sigma with it and by their S^p choices; fresh pairs are
+    shared by the whole call. Both tables live only as long as the call.
+    Sigma comes from `_sigma_candidates` in catalog order, which is the
+    canonical (height, coefficients) order, and the rows are sorted tuples
+    over it, so each triple is built as a `SphericalSystem` directly,
+    already in the canonical form `make_system` would give it.
     """
+    fresh: Dict[tuple, List[Tuple[Row, Row]]] = {}
+    by_signature: Dict[tuple, List[Tuple[Row, ...]]] = {}
+
+    def a_matrices(sigma: Tuple[SphericalRoot, ...]) -> List[Tuple[Row, ...]]:
+        signature = _a_signature(sigma)
+        if signature not in by_signature:
+            by_signature[signature] = enumerate_a_matrices(sigma, fresh)
+        return by_signature[signature]
+
     built: Iterable[SphericalSystem] = (
-        make_system(rs, [s.coeffs for s in sigma], sp, rows)
+        SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
         for sigma, low, high in _sigma_candidates(rs)
-        for rows in enumerate_a_matrices(sigma)
+        for rows in a_matrices(sigma)
         for sp in _sp_choices(rs.rank, low, high))
     if mod_diagram_auts:
         built = {canonical_form(s) for s in built}

@@ -137,6 +137,15 @@ def test_missing_file_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_input_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["render", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+    assert "internal error" not in err
+
+
 def test_bad_arguments_are_usage_errors(example_doc, capsys):
     path, _ = example_doc
     assert main(["localize", str(path)]) == 2

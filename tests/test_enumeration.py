@@ -263,13 +263,24 @@ def test_pruned_search_matches_reference(name):
 
 # The A-matrix layer alone, Sigma by Sigma, on types the census comparison
 # above does not reach.
-@pytest.mark.parametrize("name", ["A2xA3", "F4xA1"]
+@pytest.mark.parametrize("name", ["A2xA3", "A4xA1", "F4xA1"]
                          + [pytest.param(t, marks=pytest.mark.slow)
                             for t in ["A5", "B5", "C5", "D5"]])
 def test_a_matrices_match_reference(name):
     rs = build_root_system(name)
     for sigma, _, _ in _sigma_candidates(rs):
         assert sorted(enumerate_a_matrices(sigma)) == sorted(_reference_a_matrices(rs, sigma))
+
+
+# The census builds its members directly, not through make_system: sigma in
+# catalog order and the rows as sorted tuples over it must already be the
+# canonical order that make_system gives.
+@pytest.mark.parametrize("name", ["F4", "D4", "A2xA3", "F4xA1"])
+def test_members_are_built_canonical(name):
+    for s in census(name).systems:
+        again = make_system(s.rs, [r.coeffs for r in s.sigma], s.sp, s.a_rows)
+        assert again == s
+        assert again.sigma == s.sigma and again.a_rows == s.a_rows
 
 
 # sha256 of the sorted emit_system lines of each census: regression values of
