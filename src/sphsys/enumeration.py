@@ -216,8 +216,11 @@ def canonical_form(sys: SphericalSystem) -> SphericalSystem:
     Relabeling by p gives the image under p^-1; the automorphisms form a
     group, so the images are the same set.
     """
-    return min((_relabel(sys, sys.rs, p) for p in diagram_automorphisms(sys.rs)),
-               key=SphericalSystem.key)
+    return _least_image(sys, diagram_automorphisms(sys.rs))
+
+
+def _least_image(sys: SphericalSystem, auts: Sequence[Tuple[int, ...]]) -> SphericalSystem:
+    return min((_relabel(sys, sys.rs, p) for p in auts), key=SphericalSystem.key)
 
 
 def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusReport:
@@ -253,7 +256,8 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
         for rows in a_matrices(sigma)
         for sp in _sp_choices(rs.rank, low, high))
     if mod_diagram_auts:
-        built = {canonical_form(s) for s in built}
+        auts = diagram_automorphisms(rs)
+        built = {_least_image(s, auts) for s in built}
     systems = tuple(sorted(built, key=lambda s: s.key()))
     by_rank: Dict[int, int] = {}
     for s in systems:

@@ -8,6 +8,7 @@ from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import _cone_rays
+from .serialize import emit_system
 from .system import (SphericalSystem, _on_generators, colors, defect, make_system,
                      negative_colors)
 
@@ -220,11 +221,8 @@ def _edge_kind(sys: SphericalSystem, target: SphericalSystem) -> str:
 
 def projective_colors(sys: SphericalSystem) -> List[Tuple[int, int]]:
     """Colors with nonnegative pairing row, as (color index, comb size)."""
-    out = []
-    for i, c in enumerate(colors(sys).colors):
-        if all(v >= 0 for v in c.row):
-            out.append((i, len(c.owners)))
-    return out
+    return [(i, len(c.owners)) for i, c in enumerate(colors(sys).colors)
+            if all(v >= 0 for v in c.row)]
 
 
 def is_strongly_solvable(sys: SphericalSystem) -> Tuple[bool, Optional[List[SphericalSystem]]]:
@@ -268,23 +266,40 @@ class QuotientLattice:
 
 
 def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
-    """All systems reachable by quotients, with one edge per distinguished subset."""
-    nodes = [sys]
-    seen = {sys.key(): sys}
-    edges: List[QuotientEdge] = []
-    frontier = [sys]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for d in enumerate_distinguished(cur):
-                q = quotient(cur, d.members)
-                if q.key() not in seen:
-                    seen[q.key()] = q
-                    nodes.append(q)
-                    nxt.append(q)
-                kind = _edge_kind(cur, q) if d.minimal else None
-                edges.append(QuotientEdge(source=cur, target=seen[q.key()],
-                                          members=d.members, minimal=d.minimal,
-                                          kind=kind))
-        frontier = nxt
-    return QuotientLattice(nodes=tuple(nodes), edges=tuple(edges))
+    """All systems reachable by quotients, with one edge per distinguished subset.
+
+    By Luna's correspondence, (S/D)/E = S/(D u phi(E)) with phi from
+    `_color_map`, so the nodes are S and one S/D per distinguished D of S
+    (the first D of each key). A node's edges are its own distinguished
+    subsets; a target missing among the S/D raises RuntimeError.
+    """
+    built, nodes, edges = {}, {}, []
+    for members in [()] + [d.members for d in enumerate_distinguished(sys)]:
+        q = quotient(sys, members) if members else sys
+        built[_mask(members)] = nodes.setdefault(q.key(), (q, members))[0]
+    for node, members in nodes.values():
+        base, flagged = _mask(members), enumerate_distinguished(node)
+        try:
+            bits = [1 << i for i in _color_map(sys, members, node)]
+            targets = [built[base | sum(bits[i] for i in e.members)] for e in flagged]
+        except (KeyError, IndexError):
+            raise RuntimeError(f"Luna's correspondence fails at D = {list(members)} of S = "
+                               + emit_system(sys).strip())
+        edges += [QuotientEdge(source=node, target=t, members=e.members, minimal=e.minimal,
+                               kind=_edge_kind(node, t) if e.minimal else None)
+                  for e, t in zip(flagged, targets)]
+    return QuotientLattice(nodes=tuple(n for n, _ in nodes.values()), edges=tuple(edges))
+
+
+def _color_map(sys: SphericalSystem, members: Sequence[int], q: SphericalSystem) -> List[int]:
+    """phi: the colors of q = sys/members to those of sys outside members, by owners
+    and row r . g (g: kernel generators in q's column order); equal ones in order."""
+    gens = kernel_generators(sys, members)
+    by_vector = dict(zip(_on_generators(sys, gens)[0], gens))
+    columns = [by_vector[s.coeffs] for s in q.sigma]
+    free = {}
+    for i, c in enumerate(colors(sys).colors):
+        if i not in members:
+            row = tuple(sum(x * y for x, y in zip(c.row, g)) for g in columns)
+            free.setdefault((c.owners, row), []).append(i)
+    return [free[c.owners, c.row].pop(0) for c in colors(q).colors]

@@ -13,12 +13,13 @@ names a1, a2, ... Color memberships are derived on load from the rows.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import render_root
 from .system import SphericalSystem, colors, make_system, validate
-from .quotient import QuotientLattice
+if TYPE_CHECKING:  # quotient imports this module
+    from .quotient import QuotientLattice
 
 FORMAT_VERSION = "1"
 

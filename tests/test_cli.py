@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,24 @@ def test_internal_value_error_exit_code(example_doc, monkeypatch, capsys):
     path, _ = example_doc
     assert main(["quotients", str(path)]) == 3
     assert "internal error: no such spherical root" in capsys.readouterr().err
+
+
+def test_lattice_lookup_miss_exit_code(example_doc, monkeypatch, capsys):
+    # a lattice edge with no quotient to point to is an internal failure,
+    # reported with the system it was built from
+    module = import_module("sphsys.quotient")
+    real = module.enumerate_distinguished
+    path, sys = example_doc
+
+    def hide_largest(s):
+        subsets = real(s)
+        return subsets[:-1] if s == sys else subsets
+
+    monkeypatch.setattr(module, "enumerate_distinguished", hide_largest)
+    assert main(["quotients", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: Luna's correspondence fails")
+    assert emit_system(sys).strip() in err
 
 
 # A D4 census member with a quotient whose spherical root (1,2,2,1) is a

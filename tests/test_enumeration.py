@@ -303,6 +303,20 @@ def test_census_digest(name):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[name]
 
 
+# The same digest for each census modulo diagram automorphisms.
+MOD_AUT_DIGESTS = {
+    "D4": "1128abe981a3246463ab3f652a7d56f809e08a346988fc199ee900f5fae0dd27",
+    "D5": "558d7ce4696288c5473d2bdc221ae3d24446eaf1e78bf65fe0e2a59f3f534ddc",
+    "E6": "5f042dc6a7d79cf086e37178b23306d0efc9a2e3831b4623efa6ab0a2f8b9291",
+}
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "E6"])
+def test_census_mod_diagram_automorphisms_digest(name):
+    lines = sorted(emit_system(s) for s in census(name, mod_diagram_auts=True).systems)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == MOD_AUT_DIGESTS[name]
+
+
 def _image(sys, p, rs=None):
     """The system moved along p, which sends simple root i of sys.rs to simple
     root p[i] of rs: a diagram automorphism of sys.rs when rs is left out."""

@@ -1,5 +1,6 @@
 """Distinguished subsets, quotient systems, minimality types, solvable chains."""
 
+import hashlib
 from fractions import Fraction as Q
 from importlib import import_module
 from itertools import combinations, product
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from sphsys import build_root_system, colors, defect, make_system, validate
 from sphsys.closure import _profile
 from sphsys.enumeration import census
+from sphsys.serialize import emit_system, render_dot
 from sphsys.quotient import (
     FreenessError,
+    _edge_kind,
     _integer_witness,
     _is_union,
     _kernel_rays,
@@ -529,6 +532,7 @@ def test_projective_singletons_are_distinguished():
 
 
 def test_lattice_edges_reuse_their_quotient(monkeypatch):
+    # every node is some sys/D, built once; edges only look their targets up
     module = import_module("sphsys.quotient")
     built = []
 
@@ -542,10 +546,140 @@ def test_lattice_edges_reuse_their_quotient(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(module, "quotient", counting)
                 lat = quotient_lattice(sys)
-            assert len(built) == len(lat.edges)
+            assert built == [d.members for d in enumerate_distinguished(sys)]
             for e in lat.edges:
                 if e.minimal:
                     assert e.kind == classify(e.source, e.members)
+    first = census("F4").systems[0]
+    assert (len(enumerate_distinguished(first)), len(quotient_lattice(first).edges)) == (15, 65)
+
+
+def test_lattice_lookup_miss_is_reported(sl4, monkeypatch):
+    # with its largest distinguished subset hidden, sl4 has no quotient for
+    # the edges that reach it: Luna's correspondence seems to fail
+    def hide_largest(sys):
+        subsets = enumerate_distinguished(sys)
+        return subsets[:-1] if sys == sl4 else subsets
+
+    monkeypatch.setattr(import_module("sphsys.quotient"), "enumerate_distinguished",
+                        hide_largest)
+    with pytest.raises(RuntimeError) as caught:
+        quotient_lattice(sl4)
+    message = str(caught.value)
+    assert emit_system(sl4).strip() in message
+    assert any(f"D = {list(d.members)} of" in message for d in enumerate_distinguished(sl4))
+
+
+# Frozen copy of the earlier quotient_lattice: a breadth-first search that
+# runs a cone per node and a quotient per edge, and keeps the first system of
+# each key. The reference for the lattice built from sys's own subsets.
+def bfs_lattice(sys):
+    nodes = {sys.key(): sys}
+    edges = []
+    frontier = [sys]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for d in enumerate_distinguished(cur):
+                q = quotient(cur, d.members)
+                if q.key() not in nodes:
+                    nodes[q.key()] = q
+                    nxt.append(q)
+                kind = _edge_kind(cur, q) if d.minimal else None
+                edges.append((cur.key(), q.key(), d.members, d.minimal, kind))
+        frontier = nxt
+    return list(nodes), edges
+
+
+def lattice_digest(specs):
+    h = hashlib.sha256()
+    for spec in specs:
+        for sys in census(spec).systems:
+            h.update(render_dot(quotient_lattice(sys)).encode())
+    return h.hexdigest()
+
+
+# sha256 of render_dot(quotient_lattice(s)) over each census in census order,
+# concatenated: regression values of this engine (F4 + D4: 56,636 edges;
+# D5: 455,324 edges)
+LATTICE_DIGESTS = {
+    ("F4", "D4"): "a8ec3139ea33e7b1a53403f4746429b8d5d11742b62d4b545f7ad7d2208ea82e",
+    ("D5",): "493d7785e6b155e8a8884788b9d113b28c27de49b0b59e57bb18c8a3e441c0d1",
+}
+
+
+@pytest.mark.parametrize("specs", [("F4", "D4"), pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_lattice_digest(specs):
+    assert lattice_digest(specs) == LATTICE_DIGESTS[specs]
+
+
+@pytest.mark.parametrize("spec", ["F4", "D4"])
+def test_lattice_matches_bfs(spec):
+    for sys in census(spec).systems[::10]:
+        lat = quotient_lattice(sys)
+        nodes, edges = bfs_lattice(sys)
+        assert [n.key() for n in lat.nodes] == nodes
+        assert [(e.source.key(), e.target.key(), e.members, e.minimal, e.kind)
+                for e in lat.edges] == edges
+
+
+# Luna's correspondence for quotients (Luna, Varietes spheriques de type A,
+# 2001), with colors matched on (owners, row . g) over the kernel generators
+# g, equal colors in order:
+#   the colors of S/D are those of S outside D;
+#   the distinguished subsets of S/D are the E with D u E distinguished in S;
+#   (S/D)/E = S/(D u E).
+def luna_color_map(sys, members, q):
+    """Each color of q = sys/members to a color of sys outside members with
+    the same owners and row r . g, g in q's column order; None when the two
+    color multisets differ."""
+    gens = kernel_generators(sys, members)
+    vector = {tuple(sum(x * s.coeffs[j] for x, s in zip(g, sys.sigma))
+                    for j in range(sys.rs.rank)): g for g in gens}
+    columns = [vector[s.coeffs] for s in q.sigma]
+    outside = {}
+    for i, c in enumerate(colors(sys).colors):
+        if i not in members:
+            row = tuple(sum(x * y for x, y in zip(c.row, g)) for g in columns)
+            outside.setdefault((c.owners, row), []).append(i)
+    inside = {}
+    for k, c in enumerate(colors(q).colors):
+        inside.setdefault((c.owners, c.row), []).append(k)
+    if {key: len(v) for key, v in inside.items()} != {key: len(v) for key, v in outside.items()}:
+        return None
+    return {k: i for key, ks in inside.items() for k, i in zip(ks, outside[key])}
+
+
+def assert_luna_correspondence(systems):
+    """The three properties for every distinguished subset of every system;
+    returns the number of (S/D)/E checked."""
+    checked = 0
+    for sys in systems:
+        dist = [frozenset(d.members) for d in enumerate_distinguished(sys)]
+        by_subset = {d: quotient(sys, sorted(d)) for d in dist}
+        for d, q in by_subset.items():
+            phi = luna_color_map(sys, d, q)
+            assert phi is not None, (emit_system(sys), sorted(d))
+            images = {e: frozenset(phi[k] for k in e.members) for e in enumerate_distinguished(q)}
+            assert set(images.values()) == {other - d for other in dist if other > d}, \
+                (emit_system(sys), sorted(d))
+            for e, image in images.items():
+                assert quotient(q, e.members).key() == by_subset[d | image].key(), \
+                    (emit_system(sys), sorted(d), e.members)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("spec,step", [("B3xA1", 1), ("A1xG2", 1), ("A2xA2", 1),
+                                       ("F4", 10), ("D4", 10)])
+def test_luna_correspondence(spec, step):
+    assert assert_luna_correspondence(census(spec).systems[::step]) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["F4", "D4", "D5"])
+def test_luna_correspondence_full(spec):
+    assert assert_luna_correspondence(census(spec).systems) > 0
 
 
 def test_quotients_of_census_sample_are_valid(f4_census):
