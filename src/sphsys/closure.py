@@ -29,7 +29,7 @@ def loose_roots(sys: SphericalSystem) -> List[SphericalRoot]:
         else:
             doubled = tuple(2 * c for c in s.coeffs)
             sr2 = _by_vector(rs).get(doubled)
-            if sr2 is not None and is_compatible(rs, sr2, sys.sp):
+            if sr2 is not None and is_compatible(sr2, sys.sp):
                 out.append(s)
     return out
 

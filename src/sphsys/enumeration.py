@@ -56,8 +56,8 @@ def _sigma_candidates(rs: RootSystem) -> List[Tuple[Tuple[SphericalRoot, ...], i
         if _pair_ok(roots[i], roots[j]):
             compat[i] |= 1 << j
             compat[j] |= 1 << i
-    low_of = [_mask(spp_of(rs, s)) for s in roots]
-    high_of = [_mask(sp_of(rs, s)) for s in roots]
+    low_of = [_mask(spp_of(s)) for s in roots]
+    high_of = [_mask(sp_of(s)) for s in roots]
     out: List[Tuple[Tuple[SphericalRoot, ...], int, int]] = []
 
     def rec(chosen: List[int], allowed: int, low: int, high: int):
@@ -94,7 +94,8 @@ def _a_signature(sigma: Sequence[SphericalRoot]) -> Tuple[int, Tuple[Tuple[int, 
                              for a in sorted(col_of))
 
 
-def _fresh_pairs(col: int, want: Row, opened: int) -> List[Tuple[Row, Row]]:
+@lru_cache(maxsize=None)
+def _fresh_pairs(col: int, want: Row, opened: int) -> Tuple[Tuple[Row, Row], ...]:
     """Every pair (row, partner) with row <= partner that sums to want, has a 1
     at col, and satisfies (A1) when only the columns in the bitmask opened
     may hold a 1."""
@@ -103,12 +104,8 @@ def _fresh_pairs(col: int, want: Row, opened: int) -> List[Tuple[Row, Row]]:
         o = bool(opened >> j & 1)
         ranges.append([1] if j == col else
                       [v for v in range(w - 1, 2) if _a1_ok(v, o) and _a1_ok(w - v, o)])
-    out = []
-    for row in product(*ranges):
-        partner = tuple(w - v for w, v in zip(want, row))
-        if row <= partner:
-            out.append((row, partner))
-    return out
+    pairs = ((row, tuple(w - v for w, v in zip(want, row))) for row in product(*ranges))
+    return tuple((row, partner) for row, partner in pairs if row <= partner)
 
 
 def _needs_open(row: Row) -> Optional[int]:
@@ -123,9 +120,7 @@ def _needs_open(row: Row) -> Optional[int]:
     return need
 
 
-def enumerate_a_matrices(sigma: Sequence[SphericalRoot],
-                         fresh: Optional[Dict[tuple, List[Tuple[Row, Row]]]] = None
-                         ) -> List[Tuple[Row, ...]]:
+def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
     """All multisets of rows satisfying (A1)-(A3) for the given sigma.
 
     Rows are returned as sorted tuples over the given sigma order; two rows
@@ -139,9 +134,8 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot],
     two are the pair, one forces its partner <alpha^vee, Sigma> - row, and
     with none the pair is chosen among the fresh pairs, whose 1s fall only
     in the columns of owners not yet taken. Fresh pairs are built only for
-    an owner that the search reaches with no row, and are kept in `fresh`
-    under (column, <alpha^vee, Sigma>, open columns); a caller that passes
-    one dict to many calls shares them.
+    an owner that the search reaches with no row, once per (column,
+    <alpha^vee, Sigma>, open columns) for the process (`_fresh_pairs`).
 
     A forward check ends a branch as soon as a later owner can no longer
     complete its pair. Each later owner keeps its rows and, with one row,
@@ -150,8 +144,7 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot],
     the rows just placed; every other owner with one row is tested only
     against the column the step closed.
     """
-    width, owners = _a_signature(sigma)
-    fresh = {} if fresh is None else fresh
+    _, owners = _a_signature(sigma)
     m = len(owners)
     cols = [c for c, _ in owners]
     wants = [w for _, w in owners]
@@ -177,10 +170,7 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot],
             results.append(tuple(sorted(placed)))
             return
         if not mine[i]:
-            key = (cols[i], wants[i], open_mask[i])
-            choices = fresh.get(key)
-            if choices is None:
-                choices = fresh[key] = _fresh_pairs(*key)
+            choices = _fresh_pairs(cols[i], wants[i], open_mask[i])
         else:
             choices = [(forced[i][0],)] if len(mine[i]) == 1 else [()]
         closed, still_open = 1 << cols[i], open_mask[i + 1]
@@ -234,20 +224,19 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
 
     The A-matrices depend on sigma only through its signature (see
     `enumerate_a_matrices`), so they are enumerated once per signature and
-    shared by every sigma with it and by their S^p choices; fresh pairs are
-    shared by the whole call. Both tables live only as long as the call.
+    shared by every sigma with it and by their S^p choices. That table
+    lives only as long as the call.
     Sigma comes from `_sigma_candidates` in catalog order, which is the
     canonical (height, coefficients) order, and the rows are sorted tuples
     over it, so each triple is built as a `SphericalSystem` directly,
     already in the canonical form `make_system` would give it.
     """
-    fresh: Dict[tuple, List[Tuple[Row, Row]]] = {}
     by_signature: Dict[tuple, List[Tuple[Row, ...]]] = {}
 
     def a_matrices(sigma: Tuple[SphericalRoot, ...]) -> List[Tuple[Row, ...]]:
         signature = _a_signature(sigma)
         if signature not in by_signature:
-            by_signature[signature] = enumerate_a_matrices(sigma, fresh)
+            by_signature[signature] = enumerate_a_matrices(sigma)
         return by_signature[signature]
 
     built: Iterable[SphericalSystem] = (

@@ -5,7 +5,7 @@ Document schema (version "1"):
     {"version": "1",
      "root_system": {"components": [{"type": "F", "rank": 4}]},
      "system": {"sigma": [[1,2,3,2]], "sp": [0,1,2], "a_rows": [[...]]},
-     "annotations": {...}}           # optional, free-form
+     "annotations": {...}}           # optional; accepted, ignored, never emitted
 
 Simple-root indices are 0-based in JSON; text renderings use the 1-based
 names a1, a2, ... Color memberships are derived on load from the rows.
@@ -13,7 +13,7 @@ names a1, a2, ... Color memberships are derived on load from the rows.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import render_root
@@ -63,7 +63,7 @@ def spec_from_json(doc: dict) -> RootSystem:
         raise SchemaError(f"bad root_system spec: {e}")
 
 
-def emit_system(sys: SphericalSystem, annotations: Optional[dict] = None) -> str:
+def emit_system(sys: SphericalSystem) -> str:
     """Canonical JSON document for a system; byte-deterministic."""
     doc = {
         "version": FORMAT_VERSION,
@@ -74,8 +74,6 @@ def emit_system(sys: SphericalSystem, annotations: Optional[dict] = None) -> str
             "a_rows": [list(r) for r in sys.a_rows],
         },
     }
-    if annotations:
-        doc["annotations"] = annotations
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -59,15 +59,15 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
         if a[i][j] == 0:
             add("a1xa1", (i, j), (1, 1))
 
-    # connected subsets of the Dynkin diagram, size >= 2; each shape once per
-    # automorphism of the support's own diagram, the identity first, so the
-    # catalog is closed under diagram automorphisms
+    # connected subsets of the Dynkin diagram, size >= 2, grown one neighbour
+    # at a time; each shape once per automorphism of the support's own
+    # diagram, the identity first, so the catalog is closed under diagram
+    # automorphisms
+    level = {frozenset({i}) for i in range(n)}
     for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            comps = recognize(a, subset)
-            if len(comps) > 1:
-                continue
-            (tname, bourbaki), = comps
+        level = {s | {j} for s in level for i in s for j in range(n) if a[i][j] and j not in s}
+        for subset in sorted(tuple(sorted(s)) for s in level):
+            (tname, bourbaki), = recognize(a, subset)
             r = len(bourbaki)
             letter = tname[0]
             for aut in diagram_automorphisms(build_root_system(tname)):
@@ -107,14 +107,14 @@ def spherical_root(rs: RootSystem, v: Sequence[int]) -> SphericalRoot:
     return sr
 
 
-def sp_of(rs: RootSystem, sigma: SphericalRoot) -> FrozenSet[int]:
+def sp_of(sigma: SphericalRoot) -> FrozenSet[int]:
     """Largest parabolic subset compatible with sigma: simple roots orthogonal to it."""
     return frozenset(i for i, v in enumerate(sigma.pairings) if v == 0)
 
 
-def spp_of(rs: RootSystem, sigma: SphericalRoot) -> FrozenSet[int]:
+def spp_of(sigma: SphericalRoot) -> FrozenSet[int]:
     """Smallest parabolic subset compatible with sigma."""
-    sp = sp_of(rs, sigma)
+    sp = sp_of(sigma)
     supp = set(sigma.support)
     if sigma.shape == "b-sum":
         return frozenset((sp & supp) - {sigma.support[-1]})
@@ -123,9 +123,9 @@ def spp_of(rs: RootSystem, sigma: SphericalRoot) -> FrozenSet[int]:
     return frozenset(sp & supp)
 
 
-def is_compatible(rs: RootSystem, sigma: SphericalRoot, sp: FrozenSet[int]) -> bool:
+def is_compatible(sigma: SphericalRoot, sp: FrozenSet[int]) -> bool:
     """Whether (sigma, sp) is a compatible couple."""
-    return spp_of(rs, sigma) <= frozenset(sp) <= sp_of(rs, sigma)
+    return spp_of(sigma) <= frozenset(sp) <= sp_of(sigma)
 
 
 def render_root(sigma: SphericalRoot) -> str:

@@ -120,14 +120,13 @@ def _a2_ok(rows: Sequence[Row], want: Row) -> bool:
 
 def validate(sys: SphericalSystem) -> List[str]:
     """All axiom violations of the triple, in a fixed report order."""
-    rs = sys.rs
     out: List[str] = []
     for s, t in combinations(sys.sigma, 2):
         if _proportional(s, t):
             out.append(f"proportional spherical roots {render_root(s)}"
                        f" and {render_root(t)}")
     for s in sys.sigma:
-        if not is_compatible(rs, s, sys.sp):
+        if not is_compatible(s, sys.sp):
             out.append(f"(S) Sp not compatible with {render_root(s)}")
     simple_cols = sys.simple_sigma()
     cols_simple = set(simple_cols.values())

@@ -171,8 +171,8 @@ def _reference_sigma_candidates(rs):
 def _reference_sp_choices(rs, sigma):
     low, high = set(), set(range(rs.rank))
     for s in sigma:
-        low |= spp_of(rs, s)
-        high &= sp_of(rs, s)
+        low |= spp_of(s)
+        high &= sp_of(s)
     if not low <= high:
         return []
     free = sorted(high - low)

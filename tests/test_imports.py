@@ -1,9 +1,9 @@
 """Every name a `sphsys` module imports is used in that module, every
 import sits at module level, the process-lifetime caches are the expected
-ones, and no module computes with floats.
+ones, no module computes with floats, and every parameter is read.
 
 No linter ships with the project, so this test is the guard against dead
-and function-local imports. `__init__.py` is left out of the unused-import
+and function-local imports and unread parameters. `__init__.py` is left out of the unused-import
 check: its imports are the package's exports.
 """
 import ast
@@ -100,11 +100,11 @@ def test_guard_sees_every_lru_cache():
     assert lru_caches(source) == ["a", "b", "c", "e"]
 
 
-# The eight process-lifetime caches; each is hit again and again within one
+# The nine process-lifetime caches; each is hit again and again within one
 # command. A new one must be added here on purpose.
 KEPT_CACHES = {
     "closure.py": ["_profile"],
-    "enumeration.py": ["census"],
+    "enumeration.py": ["_fresh_pairs", "census"],
     "quotient.py": ["_color_supports", "_kernel_rays"],
     "rootsys.py": ["build_root_system"],
     "sphroots.py": ["_by_vector", "spherical_roots_of"],
@@ -144,3 +144,40 @@ def test_guard_sees_every_float():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_floats(path):
     assert float_uses(path.read_text()) == []
+
+
+def unread_parameters(source: str):
+    """(function, parameter) for every parameter, `self` aside, that its
+    function's body never reads; nested functions and lambdas included."""
+    tree = ast.parse(source)
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            out += [(getattr(fn, "name", "<lambda>"), p) for p in params
+                    if p != "self" and p not in read]
+    return out
+
+
+def test_guard_sees_an_unread_parameter():
+    source = ("def f(rs, sigma, *args, key=None, **kw):\n"
+              "    return sigma\n"
+              "class C:\n"
+              "    def g(self, x):\n"
+              "        h = lambda y, z: y\n"
+              "        def k(w):\n"
+              "            w = 1\n"
+              "        return x\n")
+    assert unread_parameters(source) == [
+        ("f", "rs"), ("f", "key"), ("f", "args"), ("f", "kw"),
+        ("k", "w"), ("<lambda>", "z")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

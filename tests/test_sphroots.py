@@ -1,9 +1,11 @@
 """Catalog of spherical roots per root system, supports and compatibility."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+from sphsys import sphroots
 from sphsys.enumeration import census
 from sphsys.rootsys import build_root_system, cartan_eval, diagram_automorphisms, recognize
 from sphsys.serialize import emit_system, parse_system
@@ -50,10 +52,29 @@ def test_f4_catalog_exact(f4):
 # values from the paper; each D4 support holds three d-shape roots.
 @pytest.mark.parametrize(
     "name,count", [("A1", 2), ("A2", 5), ("A3", 11), ("B2", 6), ("G2", 7),
-                   ("D4", 23), ("D5", 34), ("E6", 47), ("E8", 79)]
+                   ("D4", 23), ("D5", 34), ("E6", 47), ("E8", 79), ("A20", 419)]
 )
 def test_catalog_sizes(name, count):
     assert len(spherical_roots_of(build_root_system(name))) == count
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "E6", "F4", "B3xA1", "A2xG2"])
+def test_catalog_recognizes_connected_subsets_only(name, monkeypatch):
+    # the catalog grows connected supports one neighbour at a time instead of
+    # recognizing all 2^n subsets; it still meets them in `combinations` order
+    rs = build_root_system(name)
+    connected = [sub for size in range(2, rs.rank + 1)
+                 for sub in combinations(range(rs.rank), size)
+                 if len(recognize(rs.cartan, sub)) == 1]
+    catalog = spherical_roots_of(rs)
+    seen = []
+
+    def counted(cartan, indices):
+        seen.append(tuple(indices))
+        return recognize(cartan, indices)
+    monkeypatch.setattr(sphroots, "recognize", counted)
+    assert spherical_roots_of.__wrapped__(rs) == catalog
+    assert seen == connected
 
 
 @pytest.mark.parametrize(
@@ -93,38 +114,38 @@ def test_supports(f4):
 def test_sp_and_spp_short_root_sum(f4):
     # sum over a B-type subdiagram: the short end of the support leaves spp
     sigma = spherical_root(f4, (0, 1, 1, 0))
-    assert sp_of(f4, sigma) == frozenset({2})
-    assert spp_of(f4, sigma) == frozenset()
+    assert sp_of(sigma) == frozenset({2})
+    assert spp_of(sigma) == frozenset()
 
     sigma = spherical_root(f4, (1, 1, 1, 0))
-    assert sp_of(f4, sigma) == frozenset({1, 2})
-    assert spp_of(f4, sigma) == frozenset({1})
+    assert sp_of(sigma) == frozenset({1, 2})
+    assert spp_of(sigma) == frozenset({1})
 
 
 def test_sp_and_spp_c_shape(f4):
     # the first support vertex (in the C-ordering of the subdiagram) leaves spp
     sigma = spherical_root(f4, (0, 1, 2, 1))
     assert sigma.shape == "c-shape"
-    assert sp_of(f4, sigma) == frozenset({1, 3})
-    assert spp_of(f4, sigma) == frozenset({1})
+    assert sp_of(sigma) == frozenset({1, 3})
+    assert spp_of(sigma) == frozenset({1})
 
 
 def test_sp_of_triple_and_full_roots(f4):
     sigma = spherical_root(f4, (1, 2, 3, 0))
-    assert sp_of(f4, sigma) == frozenset({0, 1})
-    assert spp_of(f4, sigma) == frozenset({0, 1})
+    assert sp_of(sigma) == frozenset({0, 1})
+    assert spp_of(sigma) == frozenset({0, 1})
 
     sigma = spherical_root(f4, (1, 2, 3, 2))
-    assert sp_of(f4, sigma) == frozenset({0, 1, 2})
-    assert spp_of(f4, sigma) == frozenset({0, 1, 2})
+    assert sp_of(sigma) == frozenset({0, 1, 2})
+    assert spp_of(sigma) == frozenset({0, 1, 2})
 
 
 def test_compatibility_interval(f4):
     roots = spherical_roots_of(f4)
     for sigma in roots:
-        assert is_compatible(f4, sigma, sp_of(f4, sigma))
-        assert is_compatible(f4, sigma, spp_of(f4, sigma))
-        assert not is_compatible(f4, sigma, sp_of(f4, sigma) | set(sigma.support))
+        assert is_compatible(sigma, sp_of(sigma))
+        assert is_compatible(sigma, spp_of(sigma))
+        assert not is_compatible(sigma, sp_of(sigma) | set(sigma.support))
 
 
 def test_render_root(f4):
