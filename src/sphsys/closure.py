@@ -88,6 +88,8 @@ def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:
 
 def omega_of(sys: SphericalSystem, counts: Sequence[int]) -> Counts:
     """Weight of a color multiplicity, in fundamental-weight coordinates."""
+    if len(counts) != len(colors(sys)):
+        raise ValueError(f"{len(counts)} multiplicities for {len(colors(sys))} colors")
     out = [0] * sys.rs.rank
     for idx, m in enumerate(counts):
         if m:

@@ -1,12 +1,13 @@
 """Exhaustive enumeration of spherical systems of a root system."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, build_root_system, diagram_automorphisms
+from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
 from .quotient import _mask
 from .system import (SphericalSystem, _a1_ok, _a2_ok, _proportional, _relabel,
@@ -206,21 +207,23 @@ def canonical_form(sys: SphericalSystem) -> SphericalSystem:
     Relabeling by p gives the image under p^-1; the automorphisms form a
     group, so the images are the same set.
     """
-    return _least_image(sys, diagram_automorphisms(sys.rs))
+    return min((_relabel(sys, sys.rs, p) for p in sys.rs.automorphisms),
+               key=SphericalSystem.key)
 
 
-def _least_image(sys: SphericalSystem, auts: Sequence[Tuple[int, ...]]) -> SphericalSystem:
-    return min((_relabel(sys, sys.rs, p) for p in auts), key=SphericalSystem.key)
+def _report(rs: RootSystem, systems: Iterable[SphericalSystem]) -> CensusReport:
+    """The census report of the given systems of rs, sorted by key."""
+    ordered = tuple(sorted(systems, key=SphericalSystem.key))
+    return CensusReport(rs=rs, systems=ordered, by_rank=dict(Counter(s.rank for s in ordered)))
 
 
-def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusReport:
+def enumerate_systems(rs: RootSystem) -> CensusReport:
     """All spherical systems of rs, grouped by rank.
 
     The search only builds triples that satisfy the axioms: the pairwise
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
     through `enumerate_a_matrices`. So no candidate is validated
-    afterwards, and no triple is built twice: only the classes modulo
-    diagram automorphisms need deduplicating.
+    afterwards, and no triple is built twice.
 
     The A-matrices depend on sigma only through its signature (see
     `enumerate_a_matrices`), so they are enumerated once per signature and
@@ -239,23 +242,20 @@ def enumerate_systems(rs: RootSystem, mod_diagram_auts: bool = False) -> CensusR
             by_signature[signature] = enumerate_a_matrices(sigma)
         return by_signature[signature]
 
-    built: Iterable[SphericalSystem] = (
+    return _report(rs, (
         SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
         for sigma, low, high in _sigma_candidates(rs)
         for rows in a_matrices(sigma)
-        for sp in _sp_choices(rs.rank, low, high))
-    if mod_diagram_auts:
-        auts = diagram_automorphisms(rs)
-        built = {_least_image(s, auts) for s in built}
-    systems = tuple(sorted(built, key=lambda s: s.key()))
-    by_rank: Dict[int, int] = {}
-    for s in systems:
-        by_rank[s.rank] = by_rank.get(s.rank, 0) + 1
-    return CensusReport(rs=rs, systems=systems, by_rank=by_rank)
+        for sp in _sp_choices(rs.rank, low, high)))
 
 
 @lru_cache(maxsize=None)
 def census(spec: str, mod_diagram_auts: bool = False) -> CensusReport:
-    """Cached full census for a root system spec string."""
-    return enumerate_systems(build_root_system(spec),
-                             mod_diagram_auts=mod_diagram_auts)
+    """Cached full census for a root system spec string; mod_diagram_auts keeps
+    the canonical forms of its members (built in canonical order)."""
+    if not mod_diagram_auts:
+        return enumerate_systems(build_root_system(spec))
+    full = census(spec)
+    if len(full.rs.automorphisms) == 1:
+        return full
+    return _report(full.rs, {canonical_form(s) for s in full.systems})

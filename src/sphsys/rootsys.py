@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -98,6 +98,12 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return len(self.cartan)
+
+    # listed on first read, not when built: k equal factors have k! of them
+    @cached_property
+    def automorphisms(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every p with cartan[p[i]][p[j]] == cartan[i][j], lexicographic, identity first."""
+        return tuple(tuple(p) for p in _orders(self.cartan, range(self.rank), self.cartan))
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -237,27 +243,10 @@ def _orders(block: Sequence[Sequence[int]], local: Sequence[int],
     return rec()
 
 
-def diagram_automorphisms(rs: RootSystem) -> List[Tuple[int, ...]]:
-    """All permutations p of S with cartan[p[i]][p[j]] == cartan[i][j], in
-    lexicographic order; the identity comes first."""
-    return [tuple(p) for p in _orders(rs.cartan, range(rs.rank), rs.cartan)]
-
-
 def _candidate_types(k: int) -> List[str]:
-    out = [f"A{k}"]
-    if k >= 2:
-        out.append(f"B{k}")
-    if k >= 3:
-        out.append(f"C{k}")
-    if k >= 4:
-        out.append(f"D{k}")
-    if k in (6, 7, 8):
-        out.append(f"E{k}")
-    if k == 4:
-        out.append(f"F{k}")
-    if k == 2:
-        out.append(f"G{k}")
-    return out
+    fits = {"A": True, "B": k >= 2, "C": k >= 3, "D": k >= 4,
+            "E": k in (6, 7, 8), "F": k == 4, "G": k == 2}
+    return [f"{letter}{k}" for letter, ok in fits.items() if ok]
 
 
 def recognize(cartan: Sequence[Sequence[int]],
@@ -327,6 +316,8 @@ def parabolic_grading(rs: RootSystem, alpha: int) -> ParabolicGrading:
 def dual_weight(rs: RootSystem, coords: Sequence) -> tuple:
     """Dual of a weight given in fundamental-weight coordinates: its image
     under the involution of S induced by -w0."""
+    if len(coords) != rs.rank:
+        raise ValueError(f"{len(coords)} coordinates for rank {rs.rank}")
     perm = list(range(rs.rank))
     for letter, r, idx in rs.components:
         if letter == "A":

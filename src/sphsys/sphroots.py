@@ -11,8 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Sequence, Tuple
 
-from .rootsys import (RootSystem, build_root_system, cartan_eval,
-                      diagram_automorphisms, recognize)
+from .rootsys import RootSystem, build_root_system, cartan_eval, recognize
 
 Vector = Tuple[int, ...]
 
@@ -70,7 +69,7 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
             (tname, bourbaki), = recognize(a, subset)
             r = len(bourbaki)
             letter = tname[0]
-            for aut in diagram_automorphisms(build_root_system(tname)):
+            for aut in build_root_system(tname).automorphisms:
                 order = [bourbaki[i] for i in aut]
                 if letter == "A":
                     add("a-sum", order, (1,) * r)

@@ -98,6 +98,21 @@ def test_omega_of_is_gamma_invariant(a1_pair):
             assert omega_of(a1_pair, other) == omega_of(a1_pair, counts)
 
 
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 0, 0, 0)])
+def test_weight_of_wrong_length_is_rejected(f4, f4_census, weight):
+    with pytest.raises(ValueError):
+        dual_weight(f4, weight)
+    with pytest.raises(ValueError):
+        faithful_couples(f4_census.systems, f4, weight)
+
+
+def test_counts_of_wrong_length_are_rejected(a1_pair):
+    k = len(colors(a1_pair))
+    for counts in ((1,) * (k - 1), (1,) * (k + 1)):
+        with pytest.raises(ValueError):
+            omega_of(a1_pair, counts)
+
+
 def test_adjoint_weight_couples_count(a3_census):
     rs = build_root_system("A3")
     couples = faithful_couples(a3_census.systems, rs, (1, 0, 1))

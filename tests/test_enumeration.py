@@ -1,15 +1,16 @@
 """Exhaustive census of spherical systems and canonical-form deduplication."""
 
 import hashlib
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from sphsys import build_root_system, make_system, validate
+from sphsys import build_root_system, enumeration, make_system, validate
 from sphsys.enumeration import (_sigma_candidates, canonical_form, census,
                                 enumerate_a_matrices, enumerate_systems)
 from sphsys.quotient import enumerate_distinguished, quotient
-from sphsys.rootsys import cartan_eval, diagram_automorphisms, sub_root_system
+from sphsys.rootsys import cartan_eval, sub_root_system
 from sphsys.serialize import emit_system
 from sphsys.sphroots import sp_of, spherical_roots_of, spp_of
 from sphsys.system import is_cuspidal, localize_s
@@ -94,12 +95,9 @@ def test_census_contains_worked_fixtures(f4, f4_census):
 
 
 def test_diagram_automorphisms():
-    assert diagram_automorphisms(build_root_system("F4")) == [(0, 1, 2, 3)]
-    assert diagram_automorphisms(build_root_system("A3")) == [
-        (0, 1, 2),
-        (2, 1, 0),
-    ]
-    assert len(diagram_automorphisms(build_root_system("D4"))) == 6
+    assert build_root_system("F4").automorphisms == ((0, 1, 2, 3),)
+    assert build_root_system("A3").automorphisms == ((0, 1, 2), (2, 1, 0))
+    assert len(build_root_system("D4").automorphisms) == 6
 
 
 def test_census_mod_diagram_automorphisms_orbits(a3_census):
@@ -109,6 +107,35 @@ def test_census_mod_diagram_automorphisms_orbits(a3_census):
     # representative count equals the number of orbits in the full census
     orbits = {canonical_form(s) for s in a3_census.systems}
     assert len(orbits) == len(reps)
+
+
+@pytest.mark.parametrize("name", ["F4", "B3", "C4", "G2", "B2xG2"])
+def test_orbit_census_of_a_trivial_group_is_the_full_census(name):
+    # members are built in canonical order: each is its own canonical form
+    full = census(name)
+    assert census(name, mod_diagram_auts=True) == full
+    assert [canonical_form(s).key() for s in full.systems] == [s.key() for s in full.systems]
+
+
+def test_orbit_census_reuses_the_full_census(monkeypatch):
+    # the census mod diagram automorphisms is read off the cached full
+    # census, so asking for both enumerates once; a fresh cache keeps the
+    # count independent of what other tests have cached
+    calls = []
+    search = enumeration.enumerate_systems
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "enumerate_systems", counting)
+    fresh = lru_cache(maxsize=None)(census.__wrapped__)
+    monkeypatch.setattr(enumeration, "census", fresh)
+    full = fresh("A1xA3")
+    reps = fresh("A1xA3", mod_diagram_auts=True)
+    assert len(calls) == 1
+    assert set(reps.systems) == {canonical_form(s) for s in full.systems}
+    assert reps.total < full.total
 
 
 def test_canonical_form_presentation_invariance(f4):
@@ -335,7 +362,7 @@ def test_census_closed_under_diagram_automorphisms(name):
     rs = build_root_system(name)
     catalog = {s.coeffs for s in spherical_roots_of(rs)}
     members = set(census(name).systems)
-    for p in diagram_automorphisms(rs):
+    for p in rs.automorphisms:
         for sys in members:
             moved = _image(sys, p)
             assert {s.coeffs for s in moved.sigma} <= catalog
@@ -396,7 +423,7 @@ def test_census_by_parabolic_induction(name):
     [("D4", 92), ("A2xA2", 56)] + [pytest.param(t, n, marks=SLOW) for t, n in [
         ("A5", 498), ("B5", 1419), ("C5", 1202), ("D5", 696), ("D4xA1", 470)]])
 def test_orbit_stabilizer(name, orbits):
-    auts = diagram_automorphisms(build_root_system(name))
+    auts = build_root_system(name).automorphisms
     reps = census(name, mod_diagram_auts=True).systems
     images = [{_image(sys, p) for p in auts} for sys in reps]
     assert len(reps) == orbits

@@ -10,7 +10,6 @@ from sphsys.rootsys import (
     _cone_rays,
     build_root_system,
     cartan_eval,
-    diagram_automorphisms,
     dual_weight,
     fundamental_weights,
     parabolic_grading,
@@ -175,9 +174,9 @@ def _brute_force_automorphisms(rs):
     """The n! reference: every permutation of S that preserves the Cartan
     matrix, in lexicographic order."""
     n = rs.rank
-    return [p for p in permutations(range(n))
-            if all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
-                   for i in range(n) for j in range(n))]
+    return tuple(p for p in permutations(range(n))
+                 if all(rs.cartan[p[i]][p[j]] == rs.cartan[i][j]
+                        for i in range(n) for j in range(n)))
 
 
 @pytest.mark.parametrize(
@@ -187,14 +186,26 @@ def _brute_force_automorphisms(rs):
     + ["E6", "F4", "G2", "", "A2xA2", "A1xA1xA1", "D4xA1"])
 def test_diagram_automorphisms_match_brute_force(spec):
     rs = build_root_system(spec)
-    assert diagram_automorphisms(rs) == _brute_force_automorphisms(rs)
+    assert rs.automorphisms == _brute_force_automorphisms(rs)
 
 
 @pytest.mark.parametrize("spec,order", [("E8", 1), ("A8", 2), ("D4", 6), ("A2xA2xA2", 48)])
 def test_diagram_automorphism_group_orders(spec, order):
-    auts = diagram_automorphisms(build_root_system(spec))
+    auts = build_root_system(spec).automorphisms
     assert len(auts) == order
     assert auts[0] == tuple(range(len(auts[0])))
+
+
+def test_sub_root_system_does_not_list_its_automorphisms():
+    # every other simple root of A23 spans A1^12, whose group has 12! elements:
+    # building it must not list them, reading them must
+    sub, embedding = sub_root_system(build_root_system("A23"), range(0, 23, 2))
+    assert sub.name == "x".join(["A1"] * 12)
+    assert embedding == tuple(range(0, 23, 2))
+    assert "automorphisms" not in vars(sub)
+    small = build_root_system("A1xA1xA1")
+    assert len(small.automorphisms) == 6
+    assert "automorphisms" in vars(small)
 
 
 def test_cone_rays_of_the_orthant():

@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from sphsys import sphroots
+from sphsys import rootsys, sphroots
 from sphsys.enumeration import census
-from sphsys.rootsys import build_root_system, cartan_eval, diagram_automorphisms, recognize
+from sphsys.rootsys import build_root_system, cartan_eval, recognize
 from sphsys.serialize import emit_system, parse_system
 from sphsys.sphroots import (
     is_compatible,
@@ -95,7 +95,7 @@ def test_catalog_closed_under_support_automorphisms(name):
         if len(comps) > 1:
             continue
         (tname, order), = comps
-        for aut in diagram_automorphisms(build_root_system(tname)):
+        for aut in build_root_system(tname).automorphisms:
             moved = set()
             for v in roots:
                 w = [0] * rs.rank
@@ -103,6 +103,25 @@ def test_catalog_closed_under_support_automorphisms(name):
                     w[order[a]] = v[order[i]]
                 moved.add(tuple(w))
             assert moved == roots
+
+
+def test_catalog_finds_each_support_group_once(monkeypatch):
+    # the diagram automorphisms of a support come with its root system, so
+    # the A12 catalog searches at most one group per support type (A2..A12),
+    # not one per connected subset (66); a group is the search of a Cartan
+    # matrix onto itself over range(n), recognition searches a list of indices
+    rs = build_root_system("A12")
+    searches = []
+    orders = rootsys._orders
+
+    def counting(block, local, target):
+        if isinstance(local, range):
+            searches.append(len(local))
+        return orders(block, local, target)
+
+    monkeypatch.setattr(rootsys, "_orders", counting)
+    spherical_roots_of.__wrapped__(rs)
+    assert len(searches) <= 11
 
 
 def test_supports(f4):

@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 
 from sphsys.enumeration import canonical_form, census
-from sphsys.rootsys import build_root_system, cartan_eval, diagram_automorphisms
+from sphsys.rootsys import build_root_system, cartan_eval
 from sphsys.system import dimension, make_system, validate
 
 # The real ranks of the real forms of each type, up to diagram automorphisms:
@@ -104,7 +104,7 @@ def symmetric_systems(name):
     rs = build_root_system(name)
     n, d = rs.rank, _norms(rs)
     out = set()
-    for eps in diagram_automorphisms(rs):
+    for eps in rs.automorphisms:
         if any(eps[eps[i]] != i for i in range(n)):
             continue
         for size in range(n + 1):
