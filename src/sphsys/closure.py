@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, dual_weight
@@ -86,12 +88,26 @@ def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:
     return tuple(out)
 
 
+def _naturals(values: Sequence) -> bool:
+    return all(isinstance(v, int) and v >= 0 for v in values)
+
+
+def _counts(sys: SphericalSystem, counts: Sequence[int]) -> Counts:
+    """counts as a tuple; ValueError unless it holds one nonnegative integer
+    per color."""
+    counts = tuple(counts)
+    k = len(colors(sys))
+    if len(counts) != k:
+        raise ValueError(f"{len(counts)} multiplicities for {k} colors")
+    if not _naturals(counts):
+        raise ValueError(f"multiplicities {list(counts)} are not nonnegative integers")
+    return counts
+
+
 def omega_of(sys: SphericalSystem, counts: Sequence[int]) -> Counts:
     """Weight of a color multiplicity, in fundamental-weight coordinates."""
-    if len(counts) != len(colors(sys)):
-        raise ValueError(f"{len(counts)} multiplicities for {len(colors(sys))} colors")
     out = [0] * sys.rs.rank
-    for idx, m in enumerate(counts):
+    for idx, m in enumerate(_counts(sys, counts)):
         if m:
             w = omega_of_color(sys, idx)
             out = [o + m * wi for o, wi in zip(out, w)]
@@ -107,23 +123,47 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
     Every distinguished subset contains a minimal one, so the support only
     has to meet each minimal distinguished subset (see `_profile`).
     """
-    counts = tuple(counts)
-    k = len(colors(sys))
-    if len(counts) != k:
-        raise ValueError(f"{len(counts)} multiplicities for {k} colors")
+    counts = _counts(sys, counts)
     profile = _profile(sys)
     supp = _mask(i for i, m in enumerate(counts) if m)
-    return profile is not None and _faithful(profile, counts, supp)
+    return (profile is not None and all(m & supp for m in profile.minimal)
+            and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
 
-@dataclass(frozen=True)
+# The colors split by their weights (see `_split`): per coordinate j, the
+# colors that reach j alone; per coordinate j, their w_j; and (color, weight)
+# for each color that reaches two or more coordinates.
+Split = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...],
+              Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]]
+
+
+@dataclass(frozen=True, slots=True)  # one per closed system: no __dict__
 class _Profile:
     """What the faithful-couple search needs of a closed system, whatever
     the weight."""
 
-    weights: Tuple[Tuple[Tuple[int, int], ...], ...]  # per color: (j, w_j) with w_j > 0
+    # per simple root, the colors it owns alone and their factors (2 for a
+    # 2a color, else 1); then each color owned by two or more, with its weight
+    split: Split
     gamma: GammaGroup
     minimal: Tuple[int, ...]  # minimal distinguished subsets as color bitmasks
+
+
+def _split(weights: Sequence[Sequence[Tuple[int, int]]], rank: int) -> Split:
+    """The colors, given by their weights as (j, w_j) with w_j > 0, split
+    into those that reach one coordinate, listed under it with their w_j,
+    and those that reach two or more. A color of weight zero is in neither."""
+    lone: List[List[int]] = [[] for _ in range(rank)]
+    factors: List[List[int]] = [[] for _ in range(rank)]
+    shared = []
+    for i, w in enumerate(weights):
+        if len(w) == 1:
+            (j, wj), = w
+            lone[j].append(i)
+            factors[j].append(wj)
+        elif w:
+            shared.append((i, tuple(w)))
+    return tuple(map(tuple, lone)), tuple(map(tuple, factors)), tuple(shared)
 
 
 @lru_cache(maxsize=None)
@@ -134,15 +174,10 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     if not is_spherically_closed(sys):
         return None
     k = len(colors(sys))
-    weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
-                    for i in range(k))
-    return _Profile(weights=weights, gamma=gamma_group(sys),
+    split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
+                    for i in range(k)], sys.rs.rank)
+    return _Profile(split=split, gamma=gamma_group(sys),
                     minimal=tuple(_minimal(_color_supports(sys))))
-
-
-def _faithful(profile: _Profile, counts: Counts, supp: int) -> bool:
-    return (all(m & supp for m in profile.minimal)
-            and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
 
 @dataclass(frozen=True)
@@ -155,6 +190,7 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
                      pi_coords: Sequence[int]) -> List[Tuple[FaithfulCouple, int]]:
     """Faithful couples with color weight equal to the dual of pi, one per
     Gamma-orbit, over the given systems. Returns (couple, orbit id).
+    ValueError unless pi is a dominant weight of rs.
 
     A multiplicity is faithful when its support meets every minimal
     distinguished subset and it separates the colors of every swap; the
@@ -165,25 +201,29 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     counts[i] < counts[j] for every swap: only that member is kept.
 
     The multiplicities of a given weight depend only on the color weights,
-    so within one call they are solved once per distinct color-weight vector,
-    with each solution's support bitmask, and shared by every system with
-    those color weights. Nothing is cached across calls.
+    so within one call they are solved once per distinct split of the colors
+    (`_Profile.split`), with each solution's support bitmask, and shared by
+    every system with that split; so are the compositions of a value over
+    the factors of one coordinate. Nothing is cached across calls.
     """
     target = dual_weight(rs, pi_coords)
+    if not _naturals(target):
+        raise ValueError(f"{list(pi_coords)} is not a dominant weight")
     out: List[Tuple[FaithfulCouple, int]] = []
-    solved: Dict[tuple, List[Tuple[Counts, int]]] = {}
+    solved: Dict[Split, List[Tuple[Counts, int]]] = {}
+    compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]] = {}
     for sys in systems:
         profile = _profile(sys)
         if profile is None:
             continue
-        sols = solved.get(profile.weights)
+        sols = solved.get(profile.split)
         if sols is None:
-            sols = solved[profile.weights] = [
-                (counts, _mask(i for i, m in enumerate(counts) if m))
-                for counts in _multiplicities_with_weight(profile.weights, target)]
+            sols = solved[profile.split] = _solve(len(colors(sys)), profile.split, target,
+                                                  compositions)
+        swaps, minimal = profile.gamma.swaps, profile.minimal
         for counts, supp in sols:
-            if (all(counts[i] < counts[j] for i, j in profile.gamma.swaps)
-                    and _faithful(profile, counts, supp)):
+            if (all(counts[i] < counts[j] for i, j in swaps)
+                    and all(map(supp.__and__, minimal))):
                 out.append((FaithfulCouple(system=sys, counts=counts), len(out)))
     return out
 
@@ -192,43 +232,89 @@ def _multiplicities_with_weight(weights: Sequence[Sequence[Tuple[int, int]]],
                                 target: Sequence[int]) -> List[Counts]:
     """All multiplicity vectors m, in lexicographic order, with
     sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
-    w_j > 0; a color of weight zero only takes multiplicity 0.
+    w_j > 0; a color of weight zero only takes multiplicity 0."""
+    return [counts for counts, _ in _solve(len(weights), _split(weights, len(target)),
+                                           target, {})]
 
-    The multiplicity of the last color that reaches a coordinate is forced to
-    rem[j] / w_j, or the branch is dead; a target coordinate that no color
-    reaches must be zero.
+
+def _solve(n: int, split: Split, target: Sequence[int],
+           compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]]
+           ) -> List[Tuple[Counts, int]]:
+    """Every multiplicity of the n colors of a `_split` with weight
+    `target`, in lexicographic order, with its support bitmask.
+
+    The shared colors are enumerated depth first: the last one that reaches
+    a coordinate no lone color reaches is forced to close it, or the branch
+    is dead. What is left at each coordinate j is then split over the lone
+    colors of j, as its compositions over their factors from the table
+    `compositions`, which is filled on demand; what is left at a coordinate
+    that no color reaches must be zero.
     """
-    n = len(weights)
-    last = {j: i for i, w in enumerate(weights) for j, _ in w}
-    if any(t and j not in last for j, t in enumerate(target)):
-        return []
-    closes = [[(j, wj) for j, wj in w if last[j] == i] for i, w in enumerate(weights)]
-    rem = list(target)
-    acc = [0] * n
-    sols: List[Counts] = []
+    lone, factors, shared = split
+    leaves = [((), tuple(target))]
+    if shared:
+        last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
+        closes = [[(j, wj) for j, wj in w if last.get(j) == s] for s, (_, w) in enumerate(shared)]
+        rem = list(target)
+        acc = [0] * len(shared)
+        leaves = []
 
-    def rec(i: int) -> None:
-        if i == n:
-            sols.append(tuple(acc))
-            return
-        w = weights[i]
-        if closes[i]:
-            j, wj = closes[i][0]
-            m = rem[j] // wj
-            if (m < 0 or any(rem[k] != m * wk for k, wk in closes[i])
-                    or any(rem[k] < m * wk for k, wk in w)):
+        def rec(s: int) -> None:
+            if s == len(shared):
+                leaves.append((tuple(acc), tuple(rem)))
                 return
-            choices = (m,)
-        else:
-            choices = range(min((rem[j] // wj for j, wj in w), default=0) + 1)
-        for m in choices:
-            acc[i] = m
-            for j, wj in w:
-                rem[j] -= m * wj
-            rec(i + 1)
-            for j, wj in w:
-                rem[j] += m * wj
-        acc[i] = 0
+            w = shared[s][1]
+            if closes[s]:
+                j, wj = closes[s][0]
+                m = rem[j] // wj
+                if (m < 0 or any(rem[k] != m * wk for k, wk in closes[s])
+                        or any(rem[k] < m * wk for k, wk in w)):
+                    return
+                choices = (m,)
+            else:
+                choices = range(min(rem[j] // wj for j, wj in w) + 1)
+            for m in choices:
+                acc[s] = m
+                for j, wj in w:
+                    rem[j] -= m * wj
+                rec(s + 1)
+                for j, wj in w:
+                    rem[j] += m * wj
 
-    rec(0)
-    return sols
+        rec(0)
+    # a solution is built as the shared colors' multiplicities, then each
+    # coordinate's composition, then zeros; `place` puts it in color order
+    found: List[Counts] = []
+    for head, rem_ in leaves:
+        part = [head]
+        for fs, r in zip(factors, rem_):
+            if fs:
+                comps = compositions.get((fs, r))
+                if comps is None:
+                    comps = compositions[fs, r] = _compositions(fs, r)
+                part = [v + c for v in part for c in comps]
+            elif r:  # reached by no color
+                break
+        else:
+            found += part
+    if not found:
+        return []
+    order = [i for i, _ in shared] + [i for cs in lone for i in cs]
+    zeros = (0,) * (n - len(order))
+    if zeros:
+        order += sorted(set(range(n)).difference(order))
+    # itemgetter of one index returns an item, not a tuple
+    place = itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple
+    found = sorted([place(v + zeros) for v in found])
+    bits = [1 << i for i in range(n)]
+    return [(counts, sum(compress(bits, counts))) for counts in found]
+
+
+def _compositions(factors: Tuple[int, ...], value: int) -> List[Counts]:
+    """Every (m_1, ..., m_k) >= 0 with sum_p factors[p] * m_p == value, in
+    lexicographic order."""
+    f = factors[0]
+    if len(factors) == 1:
+        return [(value // f,)] if value >= 0 and value % f == 0 else []
+    return [(m,) + rest for m in range(value // f + 1)
+            for rest in _compositions(factors[1:], value - m * f)]

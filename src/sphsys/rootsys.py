@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
+from itertools import filterfalse, islice
 from math import gcd
+from operator import mul, sub
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -176,28 +178,47 @@ def _cone_rays(width: int, inequalities: Sequence[Vector],
     opposite sides. Each ray carries its zero set: the bitmask of the
     constraints so far that it is tight on. The cone is pointed, so two rays
     are adjacent exactly when no other ray is tight on every constraint that
-    both are tight on.
+    both are tight on. The count stops at a third such ray.
+
+    Before it, a pair is skipped when the two rays share fewer than
+    width - 2 tight constraints. That never skips an adjacent pair: the
+    constraints tight on both rays are those tight on the smallest face that
+    holds both, whose dimension is width minus their rank, and that face has
+    dimension 2 when the rays are adjacent. A lower-dimensional cone only
+    adds its implicit equations to every zero set, so the bound holds there
+    too.
     """
     full = (1 << width) - 1
-    rays = [(tuple(int(i == j) for i in range(width)), full ^ (1 << j)) for j in range(width)]
+    rays = [((0,) * j + (1,) + (0,) * (width - j - 1), full ^ (1 << j)) for j in range(width)]
     constraints = [(c, False) for c in inequalities] + [(c, True) for c in equations]
     for t, (c, equation) in enumerate(constraints):
         bit = 1 << (width + t)
-        signed = [(sum(a * x for a, x in zip(c, r)), r, z) for r, z in rays]
-        nxt = [(r, z | bit) for v, r, z in signed if v == 0]
-        if not equation:
-            nxt += [(r, z) for v, r, z in signed if v > 0]
-        for vp, rp, zp in signed:
-            if vp <= 0:
-                continue
-            for vn, rn, zn in signed:
-                if vn >= 0:
-                    continue
+        zero, pos, neg = [], [], []
+        for r, z in rays:
+            v = sum(map(mul, c, r))
+            if v > 0:
+                pos.append((v, r, z))
+            elif v < 0:
+                neg.append((v, r, z))
+            else:
+                zero.append((r, z | bit))
+        nxt = zero if equation else zero + [(r, z) for _, r, z in pos]
+        # the rays tight on every constraint in `common` are those whose
+        # slack, the complement of the zero set, misses it
+        slack = [~z for _, z in rays]
+        for vp, rp, zp in pos:
+            for vn, rn, zn in neg:
                 common = zp & zn
-                if sum(z & common == common for _, z in rays) == 2:
-                    ray = [vp * y - vn * x for x, y in zip(rp, rn)]
+                if common.bit_count() < width - 2:
+                    continue
+                third = next(islice(filterfalse(common.__and__, slack), 2, None), None)
+                if third is None:
+                    # vp * rn - vn * rp, on the hyperplane of c
+                    ray = tuple(map(sub, map(vp.__mul__, rn), map(vn.__mul__, rp)))
                     g = gcd(*ray)
-                    nxt.append((tuple(x // g for x in ray), common | bit))
+                    if g > 1:
+                        ray = tuple(x // g for x in ray)
+                    nxt.append((ray, common | bit))
         rays = nxt
     return [r for r, _ in rays]
 

@@ -1,12 +1,15 @@
 """Loose roots, spherical closure, color swaps and faithful couples."""
 
+import hashlib
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from sphsys import build_root_system, colors, dual_weight, make_system, validate
+from sphsys import build_root_system, colors, dual_weight, emit_system, make_system, validate
 from sphsys.closure import (
     FaithfulCouple,
+    _multiplicities_with_weight,
     faithful_couples,
     gamma_group,
     is_faithful,
@@ -111,6 +114,33 @@ def test_counts_of_wrong_length_are_rejected(a1_pair):
     for counts in ((1,) * (k - 1), (1,) * (k + 1)):
         with pytest.raises(ValueError):
             omega_of(a1_pair, counts)
+
+
+def test_negative_or_non_integer_counts_are_rejected(f4, a1_pair):
+    closed = make_system(f4, [(2, 2, 2, 0)], [1, 2], [])
+    not_closed = make_system(f4, [(0, 1, 1, 0)], [2], [])
+    for sys in (a1_pair, closed, not_closed):
+        k = len(colors(sys))
+        for bad in ((-1,) * k, (1,) * (k - 1) + (-2,), (Fraction(1, 2),) * k, (1.0,) * k):
+            with pytest.raises(ValueError):
+                is_faithful(sys, bad)
+            with pytest.raises(ValueError):
+                omega_of(sys, bad)
+
+
+@pytest.mark.parametrize("weight", [(-1, 0, 0, 0), (0, 1, -1, 1), (Fraction(1, 2), 0, 0, 0)])
+def test_weight_that_is_not_dominant_is_rejected(f4, f4_census, weight):
+    with pytest.raises(ValueError, match="not a dominant weight"):
+        faithful_couples(f4_census.systems, f4, weight)
+
+
+def test_multiplicities_leave_a_color_of_weight_zero_at_zero():
+    # no color of a system has weight zero, but the solver takes such weights
+    assert _multiplicities_with_weight([((0, 1),), (), ((0, 1),)], (2,)) == \
+        [(0, 0, 2), (1, 0, 1), (2, 0, 0)]
+    assert _multiplicities_with_weight([(), ((0, 2), (1, 1)), ((1, 1),), ()], (2, 3)) == \
+        [(0, 1, 2, 0)]
+    assert _multiplicities_with_weight([()], (1,)) == []
 
 
 def test_adjoint_weight_couples_count(a3_census):
@@ -229,6 +259,24 @@ def test_faithful_couples_match_reference_f4_binary():
 @pytest.mark.slow
 def test_faithful_couples_match_reference_f4():
     _assert_couples_match_reference("F4", range(3))
+
+
+def test_faithful_couples_digest(f4_census, a3_census):
+    # every weight in {0,1,2}^n minus 0 over F4 and A3, one line per couple
+    # as `bench/workloads.py` prints it (type, weight, orbit id, counts,
+    # system), sorted and joined by newlines; the F4 weights are those that
+    # the reference check compares only under `slow`
+    lines = []
+    for report in (f4_census, a3_census):
+        rs = report.rs
+        for w in product(range(3), repeat=rs.rank):
+            if any(w):
+                lines += [f"{rs.name} {list(w)} {orbit} {list(c.counts)} "
+                          f"{emit_system(c.system).strip()}"
+                          for c, orbit in faithful_couples(report.systems, rs, w)]
+    assert len(lines) == 11572
+    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == \
+        "f8d48a96012df33c2eabef08df9c208c39a1b0c95bf094a3161df2a7b1373ff1"
 
 
 # Within one call, systems with the same color weights share the solved

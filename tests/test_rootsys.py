@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphsys.rootsys import (
     ParabolicGrading,
@@ -233,3 +236,61 @@ def test_cone_rays_of_a_kernel_cone():
     # x0 >= x1 on the plane x0 + x1 = 2 x2, whose rays are (2,0,1) and (0,2,1)
     assert sorted(_cone_rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
     assert _cone_rays(2, (), [(1, 0), (0, 1)]) == []
+
+
+def test_cone_rays_of_a_lower_dimensional_cone():
+    # x0 >= x1 and x1 >= x0: the half-line x0 = x1
+    assert _cone_rays(2, [(1, -1), (-1, 1)]) == [(1, 1)]
+    assert _cone_rays(3, [(1, -1, 0), (-1, 1, 0)]) == [(0, 0, 1), (1, 1, 0)]
+    assert _cone_rays(3, [(1, -1, 0), (-1, 1, 0), (0, -1, 1)]) == [(0, 0, 1), (1, 1, 1)]
+
+
+# Frozen copy of the double description before it split the rays by sign
+# once per constraint, stopped the adjacency count at a third ray and skipped
+# pairs with fewer than width - 2 common tight constraints. The current
+# routine must return the same rays in the same order.
+
+def _reference_cone_rays(width, inequalities, equations=()):
+    full = (1 << width) - 1
+    rays = [(tuple(int(i == j) for i in range(width)), full ^ (1 << j)) for j in range(width)]
+    constraints = [(c, False) for c in inequalities] + [(c, True) for c in equations]
+    for t, (c, equation) in enumerate(constraints):
+        bit = 1 << (width + t)
+        signed = [(sum(a * x for a, x in zip(c, r)), r, z) for r, z in rays]
+        nxt = [(r, z | bit) for v, r, z in signed if v == 0]
+        if not equation:
+            nxt += [(r, z) for v, r, z in signed if v > 0]
+        for vp, rp, zp in signed:
+            if vp <= 0:
+                continue
+            for vn, rn, zn in signed:
+                if vn >= 0:
+                    continue
+                common = zp & zn
+                if sum(z & common == common for _, z in rays) == 2:
+                    ray = [vp * y - vn * x for x, y in zip(rp, rn)]
+                    g = gcd(*ray)
+                    nxt.append((tuple(x // g for x in ray), common | bit))
+        rays = nxt
+    return [r for r, _ in rays]
+
+
+@st.composite
+def cones(draw):
+    width = draw(st.integers(0, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * width)
+    inequalities = draw(st.lists(row, max_size=5))
+    # the negation of an inequality makes its hyperplane an implicit
+    # equation, so the cone is lower-dimensional
+    flipped = draw(st.lists(st.sampled_from(inequalities), max_size=2)) if inequalities else []
+    inequalities += [tuple(-a for a in c) for c in flipped]
+    equations = draw(st.lists(row, max_size=2))
+    return width, inequalities, equations
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones())
+def test_cone_rays_match_the_reference(cone):
+    width, inequalities, equations = cone
+    assert _cone_rays(width, inequalities, equations) == \
+        _reference_cone_rays(width, inequalities, equations)
