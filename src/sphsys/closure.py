@@ -38,7 +38,11 @@ def loose_roots(sys: SphericalSystem) -> List[SphericalRoot]:
 
 def is_spherically_closed(sys: SphericalSystem) -> bool:
     """No loose roots outside the simple ones."""
-    return all(s.height == 1 for s in loose_roots(sys))
+    return _closed(loose_roots(sys))
+
+
+def _closed(loose: Sequence[SphericalRoot]) -> bool:
+    return all(s.height == 1 for s in loose)
 
 
 def is_strict(sys: SphericalSystem) -> bool:
@@ -66,9 +70,13 @@ class GammaGroup:
 
 
 def gamma_group(sys: SphericalSystem) -> GammaGroup:
+    return _gamma(sys, loose_roots(sys))
+
+
+def _gamma(sys: SphericalSystem, loose: Sequence[SphericalRoot]) -> GammaGroup:
     cset = colors(sys)
     swaps = []
-    for s in loose_roots(sys):
+    for s in loose:
         if s.height != 1:
             continue
         alpha = s.coeffs.index(1)
@@ -171,12 +179,13 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     """The profile of a spherically closed system, or None if it is not
     closed. The minimal distinguished subsets are the minimal ray supports
     of the colors' cone (`quotient._color_supports`), by size and then members."""
-    if not is_spherically_closed(sys):
+    loose = loose_roots(sys)
+    if not _closed(loose):
         return None
     k = len(colors(sys))
     split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
                     for i in range(k)], sys.rs.rank)
-    return _Profile(split=split, gamma=gamma_group(sys),
+    return _Profile(split=split, gamma=_gamma(sys, loose),
                     minimal=tuple(_minimal(_color_supports(sys))))
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -49,10 +49,15 @@ def _ray_supports(rows: Tuple[Row, ...], width: int) -> Tuple[int, ...]:
     support is the union of theirs. So a subset carries a positive solution
     exactly when it is the union of the ray supports inside it, and the
     minimal such subsets are the minimal ray supports.
+
+    Each support is read off the ray's zero set. Of two of one size, the one
+    with the lowest member where they differ has the larger reversed mask.
     """
+    k = len(rows)
+    full = (1 << k) - 1
     columns = [tuple(r[j] for r in rows) for j in range(width)]
-    masks = {_mask(i for i, x in enumerate(ray) if x) for ray in _cone_rays(len(rows), columns)}
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _members(m))))
+    masks = {full & ~z for _, z in _cone_rays(k, columns)}
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{k}b}"[::-1], 2))))
 
 
 def _is_union(supports: Sequence[int], mask: int) -> bool:
@@ -79,8 +84,7 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
 
     The subset is decided exactly by the extreme rays of the colors' cone
     (`_ray_supports`); the witness of a distinguished subset is then found by
-    an integer search with a deepening coordinate bound, which ends because
-    any rational solution with x >= 1 scales to an integer one.
+    an integer search with a deepening coordinate bound (`_integer_witness`).
     """
     members = _color_indices(sys, members)
     if not _is_union(_color_supports(sys), _mask(members)):
@@ -89,14 +93,18 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
 
 
 def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
-    """Smallest-bound integer witness x in {1..B}^k with sum x_d row_d >= 0.
-
-    Iterative deepening on the coordinate bound B with optimistic pruning on
-    the partial column sums. The rows must be feasible over the rationals,
-    or the search does not end.
+    """Smallest-bound integer witness x in {1..b}^k with sum x_d row_d >= 0,
+    by iterative deepening on b with optimistic pruning on the partial
+    column sums. The sum of the extreme rays of {x >= 0 : sum x_d row_d >= 0}
+    is a witness when its entries are >= 1, and has a 0 when there is none
+    (ValueError). So b stops at its largest entry (1 with no rows).
     """
     k = len(rows)
-    for bound in count(1):
+    rays = [r for r, _ in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)])]
+    total = [sum(col) for col in zip(*rays)] or [0] * k
+    if not all(total):
+        raise ValueError(f"rows {list(rows)} have no witness x >= 1")
+    for bound in range(1, max(total, default=1) + 1):
         # best[d][j]: largest contribution of colors d..k-1 to column j
         best = [[0] * width for _ in range(k + 1)]
         for d in range(k - 1, -1, -1):
@@ -118,6 +126,7 @@ def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
 
         if rec(0, tuple([0] * width)):
             return choice
+    raise AssertionError(f"the ray sum {total} is a witness within the bound")
 
 
 def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -136,7 +145,7 @@ def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ..
     """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row}
     (`_cone_rays`, with the rows as equations), checked to be a free basis of
     the monoid of its integer points."""
-    rays = sorted(_cone_rays(width, (), rows))
+    rays = sorted(r for r, _ in _cone_rays(width, (), rows))
     # free iff the g rays span a saturated rank-g sublattice of Z^width,
     # that is, iff their g x g minors have gcd 1
     minors_gcd = 0
@@ -157,15 +166,25 @@ def _det(m: List[List[int]]) -> int:
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     """The quotient system by a distinguished subset of colors."""
+    return _quotient(sys, members)[0]
+
+
+# a quotient S/D with the kernel generators it was built from and their Sigma vectors
+Built = Tuple[SphericalSystem, List[Tuple[int, ...]], List[Tuple[int, ...]]]
+
+
+def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
+    """`quotient`, with what `_color_map` reads."""
     members = _color_indices(sys, members)
     if not _is_union(_color_supports(sys), _mask(members)):
         raise ValueError("subset of colors is not distinguished")
     mset = set(members)
     delta_of = colors(sys).delta_of
-    vectors, rows = _on_generators(sys, kernel_generators(sys, members))
+    gens = kernel_generators(sys, members)
+    vectors, rows = _on_generators(sys, gens)
     new_sp = sys.sp | {alpha for alpha, owned in enumerate(delta_of)
                        if owned and set(owned) <= mset}
-    return make_system(sys.rs, vectors, new_sp, rows)
+    return make_system(sys.rs, vectors, new_sp, rows), gens, vectors
 
 
 @dataclass(frozen=True)
@@ -230,22 +249,33 @@ def is_strongly_solvable(sys: SphericalSystem) -> Tuple[bool, Optional[List[Sphe
 
     Returns the flag and a shortest witness chain of intermediate systems
     (excluding sys itself, ending in the trivial system) when it exists.
+
+    The search is breadth first over distinguished subsets D of sys, one
+    system per key: by Luna's correspondence, S/D divided by its color k is
+    S/(D u {phi(k)}) (`_color_map`), so each step is built from sys. The
+    projective colors of S/D are tried in S/D's color order.
     """
     if not sys.sigma and not sys.sp:
         return True, []
-    seen = {sys.key()}
-    frontier = [(sys, [])]
+    seen, tried = {sys.key()}, set()
+    frontier = [((), (sys, [], []), [])]
     while frontier:
         nxt = []
-        for cur, chain in frontier:
+        for members, built, chain in frontier:
+            phi = _color_map(sys, members, built)
             # a projective color's row is nonnegative: {idx} is distinguished
-            for idx, _ in projective_colors(cur):
-                q = quotient(cur, [idx])
+            for idx, _ in projective_colors(built[0]):
+                step = tuple(sorted(members + (phi[idx],)))
+                if step in tried:  # its key is seen already
+                    continue
+                tried.add(step)
+                q_built = _quotient(sys, step)
+                q = q_built[0]
                 if not q.sigma and not q.sp:
                     return True, chain + [q]
                 if q.key() not in seen:
                     seen.add(q.key())
-                    nxt.append((q, chain + [q]))
+                    nxt.append((step, q_built, chain + [q]))
         frontier = nxt
     return False, None
 
@@ -269,33 +299,45 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
     """All systems reachable by quotients, with one edge per distinguished subset.
 
     By Luna's correspondence, (S/D)/E = S/(D u phi(E)) with phi from
-    `_color_map`, so the nodes are S and one S/D per distinguished D of S
-    (the first D of each key). A node's edges are its own distinguished
-    subsets; a target missing among the S/D raises RuntimeError.
+    `_color_map`. So the nodes are S and one S/D per distinguished D of S
+    (the first D of each key), and the edges of S/D are the distinguished
+    D' of S that hold D: members phi^-1(D' - D), by size and then members,
+    and target S/D'. The minimal ones are the minimal nonempty s - D over
+    the ray supports s of S. A color map that cannot be matched raises
+    RuntimeError.
     """
-    built, nodes, edges = {}, {}, []
-    for members in [()] + [d.members for d in enumerate_distinguished(sys)]:
-        q = quotient(sys, members) if members else sys
-        built[_mask(members)] = nodes.setdefault(q.key(), (q, members))[0]
-    for node, members in nodes.values():
-        base, flagged = _mask(members), enumerate_distinguished(node)
+    supports = _color_supports(sys)
+    nodes, by_mask = {sys.key(): ((), (sys, [], []))}, {0: sys}
+    for d in enumerate_distinguished(sys):
+        q_built = _quotient(sys, d.members)
+        by_mask[_mask(d.members)] = nodes.setdefault(q_built[0].key(), (d.members, q_built))[1][0]
+    edges = []
+    for members, q_built in nodes.values():
+        node, base = q_built[0], _mask(members)
         try:
-            bits = [1 << i for i in _color_map(sys, members, node)]
-            targets = [built[base | sum(bits[i] for i in e.members)] for e in flagged]
+            inverse = {i: k for k, i in enumerate(_color_map(sys, members, q_built))}
+            above = sorted(((tuple(sorted(inverse[i] for i in _members(m & ~base))), m & ~base, t)
+                            for m, t in by_mask.items() if m != base and m & base == base),
+                           key=lambda e: (len(e[0]), e[0]))
         except (KeyError, IndexError):
             raise RuntimeError(f"Luna's correspondence fails at D = {list(members)} of S = "
                                + emit_system(sys).strip())
-        edges += [QuotientEdge(source=node, target=t, members=e.members, minimal=e.minimal,
-                               kind=_edge_kind(node, t) if e.minimal else None)
-                  for e, t in zip(flagged, targets)]
-    return QuotientLattice(nodes=tuple(n for n, _ in nodes.values()), edges=tuple(edges))
+        minimal = set(_minimal([s & ~base for s in supports if s & ~base]))
+        edges += [QuotientEdge(source=node, target=t, members=e, minimal=rest in minimal,
+                               kind=_edge_kind(node, t) if rest in minimal else None)
+                  for e, rest, t in above]
+    return QuotientLattice(nodes=tuple(b[0] for _, b in nodes.values()), edges=tuple(edges))
 
 
-def _color_map(sys: SphericalSystem, members: Sequence[int], q: SphericalSystem) -> List[int]:
-    """phi: the colors of q = sys/members to those of sys outside members, by owners
-    and row r . g (g: kernel generators in q's column order); equal ones in order."""
-    gens = kernel_generators(sys, members)
-    by_vector = dict(zip(_on_generators(sys, gens)[0], gens))
+def _color_map(sys: SphericalSystem, members: Sequence[int], built: Built) -> List[int]:
+    """phi: the colors of q = sys/members to those of sys outside members, by
+    owners and row r . g (g: the generators of `built`, found by their Sigma
+    vectors in q's column order); equal ones in order. The identity for no
+    members."""
+    if not members:
+        return list(range(len(colors(sys))))
+    q, gens, vectors = built
+    by_vector = dict(zip(vectors, gens))
     columns = [by_vector[s.coeffs] for s in q.sigma]
     free = {}
     for i, c in enumerate(colors(sys).colors):

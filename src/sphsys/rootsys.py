@@ -168,17 +168,19 @@ def cartan_eval(rs: RootSystem, i: int, v: Sequence) -> object:
 
 
 def _cone_rays(width: int, inequalities: Sequence[Vector],
-               equations: Sequence[Vector] = ()) -> List[Vector]:
+               equations: Sequence[Vector] = ()) -> List[Tuple[Vector, int]]:
     """Primitive extreme rays of {x >= 0 : c . x >= 0 for each inequality c,
     c . x = 0 for each equation c}, by the double description method.
 
     The rays start as the unit vectors. Each constraint keeps the rays on its
     hyperplane, and those on its positive side if it is an inequality, and
     adds the combination on its hyperplane of every adjacent pair of rays on
-    opposite sides. Each ray carries its zero set: the bitmask of the
-    constraints so far that it is tight on. The cone is pointed, so two rays
-    are adjacent exactly when no other ray is tight on every constraint that
-    both are tight on. The count stops at a third such ray.
+    opposite sides. Each ray carries, and is returned with, its zero set z:
+    the bitmask of the constraints so far that it is tight on, bit j < width
+    for x_j >= 0 and bit width + t for the t-th constraint, inequalities
+    first. So its support is the low width bits of ~z. The cone is pointed,
+    so two rays are adjacent exactly when no other ray is tight on every
+    constraint that both are tight on. The count stops at a third such ray.
 
     Before it, a pair is skipped when the two rays share fewer than
     width - 2 tight constraints. That never skips an adjacent pair: the
@@ -220,7 +222,7 @@ def _cone_rays(width: int, inequalities: Sequence[Vector],
                         ray = tuple(x // g for x in ray)
                     nxt.append((ray, common | bit))
         rays = nxt
-    return [r for r, _ in rays]
+    return rays
 
 
 def fundamental_weights(rs: RootSystem) -> List[QVector]:
@@ -234,8 +236,8 @@ def fundamental_weights(rs: RootSystem) -> List[QVector]:
     """
     n = rs.rank
     weights: List[QVector] = [()] * n
-    for ray in _cone_rays(2 * n, (), [row + tuple(-int(i == j) for j in range(n))
-                                      for i, row in enumerate(rs.cartan)]):
+    for ray, _ in _cone_rays(2 * n, (), [row + tuple(-int(i == j) for j in range(n))
+                                         for i, row in enumerate(rs.cartan)]):
         k = next(j for j in range(n) if ray[n + j])
         weights[k] = tuple(Q(x, ray[n + k]) for x in ray[:n])
     return weights

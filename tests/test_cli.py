@@ -194,17 +194,17 @@ def test_internal_value_error_exit_code(example_doc, monkeypatch, capsys):
 
 
 def test_lattice_lookup_miss_exit_code(example_doc, monkeypatch, capsys):
-    # a lattice edge with no quotient to point to is an internal failure,
-    # reported with the system it was built from
+    # a quotient whose colors cannot be matched with the system's is an
+    # internal failure, reported with the system it was built from
     module = import_module("sphsys.quotient")
-    real = module.enumerate_distinguished
+    build = module._quotient
     path, sys = example_doc
 
-    def hide_largest(s):
-        subsets = real(s)
-        return subsets[:-1] if s == sys else subsets
+    def drop_a_generator(s, members):
+        q, gens, vectors = build(s, members)
+        return q, gens[1:], vectors[1:]
 
-    monkeypatch.setattr(module, "enumerate_distinguished", hide_largest)
+    monkeypatch.setattr(module, "_quotient", drop_a_generator)
     assert main(["quotients", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: Luna's correspondence fails")

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations, product
 
 import pytest
@@ -65,6 +66,26 @@ def test_census_non_closed_systems(f4_census):
         (((1, 0, 0, 0), (0, 1, 1, 0)), (2,)),
         (((1, 1, 1, 0),), (1, 2)),
     ])
+
+
+def test_profile_finds_the_loose_roots_once(f4_census, monkeypatch):
+    # closure and the swap group are both read off one list of loose roots
+    module = import_module("sphsys.closure")
+    find = module.loose_roots
+    calls = []
+
+    def counting(sys):
+        calls.append(sys)
+        return find(sys)
+
+    monkeypatch.setattr(module, "loose_roots", counting)
+    for sys in f4_census.systems + census("D4").systems:
+        calls.clear()
+        # the uncached profile, so that every system is built afresh
+        profile = module._profile.__wrapped__(sys)
+        assert calls == [sys]
+        if profile is not None:
+            assert profile.gamma == gamma_group(sys)
 
 
 def test_gamma_group_trivial_without_equal_pairs():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sphsys import build_root_system, colors, defect, make_system, validate
 from sphsys.closure import _profile
 from sphsys.enumeration import census
+from sphsys.rootsys import _cone_rays
 from sphsys.serialize import emit_system, render_dot
 from sphsys.quotient import (
     FreenessError,
@@ -437,6 +438,17 @@ def test_witness_beyond_entry_bound():
         assert validate(quotient(sys, d.members)) == []
 
 
+def test_witness_search_has_a_stated_bound():
+    # the rays of {x >= 0 : x0 >= x1 + x2 + x3} are e0 and e0 + e_i, with
+    # sum (4, 1, 1, 1): the search stops by bound 4, and (3, 1, 1, 1) is in it
+    assert _integer_witness(((1,), (-1,), (-1,), (-1,)), 1) == [3, 1, 1, 1]
+    assert _integer_witness((), 2) == []
+    # no witness: x0 >= x1 and -x0 >= 0 force x0 = x1 = 0
+    for rows, width in ((((-1,),), 1), (((1, -1), (-1, 0)), 2), (((0, 0), (-1, 1)), 2)):
+        with pytest.raises(ValueError, match="no witness"):
+            _integer_witness(rows, width)
+
+
 def test_classify_r_type(b3_doubled_pair):
     subs = [d for d in enumerate_distinguished(b3_doubled_pair) if d.minimal]
     assert len(subs) == 1
@@ -534,17 +546,18 @@ def test_projective_singletons_are_distinguished():
 def test_lattice_edges_reuse_their_quotient(monkeypatch):
     # every node is some sys/D, built once; edges only look their targets up
     module = import_module("sphsys.quotient")
+    build = module._quotient
     built = []
 
     def counting(sys, members):
         built.append(members)
-        return quotient(sys, members)
+        return build(sys, members)
 
     for spec in ("F4", "D4"):
         for sys in census(spec).systems[::90]:
             built.clear()
             with monkeypatch.context() as m:
-                m.setattr(module, "quotient", counting)
+                m.setattr(module, "_quotient", counting)
                 lat = quotient_lattice(sys)
             assert built == [d.members for d in enumerate_distinguished(sys)]
             for e in lat.edges:
@@ -555,19 +568,78 @@ def test_lattice_edges_reuse_their_quotient(monkeypatch):
 
 
 def test_lattice_lookup_miss_is_reported(sl4, monkeypatch):
-    # with its largest distinguished subset hidden, sl4 has no quotient for
-    # the edges that reach it: Luna's correspondence seems to fail
-    def hide_largest(sys):
-        subsets = enumerate_distinguished(sys)
-        return subsets[:-1] if sys == sl4 else subsets
+    # with a generator dropped from each quotient's build, the colors of
+    # sl4/D cannot be matched with those of sl4: Luna's correspondence seems
+    # to fail
+    module = import_module("sphsys.quotient")
+    build = module._quotient
 
-    monkeypatch.setattr(import_module("sphsys.quotient"), "enumerate_distinguished",
-                        hide_largest)
+    def drop_a_generator(sys, members):
+        q, gens, vectors = build(sys, members)
+        return q, gens[1:], vectors[1:]
+
+    monkeypatch.setattr(module, "_quotient", drop_a_generator)
     with pytest.raises(RuntimeError) as caught:
         quotient_lattice(sl4)
     message = str(caught.value)
     assert emit_system(sl4).strip() in message
     assert any(f"D = {list(d.members)} of" in message for d in enumerate_distinguished(sl4))
+
+
+def test_lattice_reads_the_cone_of_its_source_only(monkeypatch):
+    # no node S/D runs a cone or a distinguished-subset search of its own
+    module = import_module("sphsys.quotient")
+    supports, distinguished = module._color_supports, module.enumerate_distinguished
+    seen = []
+
+    def record(fn):
+        def wrapper(sys):
+            seen.append(sys.key())
+            return fn(sys)
+        return wrapper
+
+    monkeypatch.setattr(module, "_color_supports", record(supports))
+    monkeypatch.setattr(module, "enumerate_distinguished", record(distinguished))
+    for spec in ("F4", "D4"):
+        for sys in census(spec).systems[::30]:
+            seen.clear()
+            lat = quotient_lattice(sys)
+            assert len(lat.nodes) > 1 and set(seen) == {sys.key()}
+
+
+def test_color_map_reads_what_the_quotient_was_built_with(sl4, monkeypatch):
+    # phi needs neither a kernel nor the generators' Sigma vectors again
+    module = import_module("sphsys.quotient")
+    builds = {d.members: module._quotient(sl4, d.members) for d in enumerate_distinguished(sl4)}
+
+    def forbidden(*args):
+        raise AssertionError("the color map recomputes what building the quotient gave")
+
+    monkeypatch.setattr(module, "kernel_generators", forbidden)
+    monkeypatch.setattr(module, "_on_generators", forbidden)
+    for members, built in builds.items():
+        phi = module._color_map(sl4, members, built)
+        assert sorted(phi) == sorted(set(range(len(colors(sl4)))) - set(members))
+
+
+def test_strongly_solvable_builds_every_step_from_its_source(f4_census, monkeypatch):
+    # each step S/D -> S/(D u {phi(k)}) is built from S, never from S/D
+    module = import_module("sphsys.quotient")
+    build = module._quotient
+    sources = set()
+
+    def recording(sys, members):
+        sources.add(sys.key())
+        return build(sys, members)
+
+    monkeypatch.setattr(module, "_quotient", recording)
+    walked = 0
+    for sys in f4_census.systems[::5]:
+        sources.clear()
+        is_strongly_solvable(sys)
+        assert sources <= {sys.key()}
+        walked += bool(sources)
+    assert walked
 
 
 # Frozen copy of the earlier quotient_lattice: a breadth-first search that
@@ -611,6 +683,73 @@ LATTICE_DIGESTS = {
 @pytest.mark.parametrize("specs", [("F4", "D4"), pytest.param(("D5",), marks=pytest.mark.slow)])
 def test_lattice_digest(specs):
     assert lattice_digest(specs) == LATTICE_DIGESTS[specs]
+
+
+def line_digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def emitted(sys):
+    return emit_system(sys).strip()
+
+
+def census_systems(specs):
+    return [sys for spec in specs for sys in census(spec).systems]
+
+
+# Regression values of this engine, over the censuses in census order: one
+# line per distinguished subset (the sweep: members, minimal flag and
+# quotient; the witnesses: `is_distinguished`), or one per system (the
+# strongly solvable chains). F4 + D4: 10,002 subsets, B3xA1 added for the
+# chains (248 solvable); D5: 48,362 subsets, 386 solvable.
+SWEEP_DIGESTS = {
+    ("F4", "D4"): "14b77c9fc3941220ee02265c6274f64420914fe42ca4960a1b38c9600feff178",
+    ("D5",): "9ac9372b05e4f0555ca99394e10705778cc376069ad2983f7f21d859ff18788c",
+}
+WITNESS_DIGESTS = {
+    ("F4", "D4"): "d210ce60e5e23fe220e5c1ec7cf985f0a4e91190e552f75fa67616a712f620f3",
+    ("D5",): "b448d4e4ede052548a6424db1256e5153769bd035c95a9a964ad4dd750bf4724",
+}
+CHAIN_DIGESTS = {
+    ("F4", "D4", "B3xA1"): "db48d437e045d81db405c234d6431c5cb22fd073a8ed28d7d35beff5b6e08aff",
+    ("D5",): "bf1e9375efc9fa8efa23e9ed4d7f1c1825b107571c385afb376aa2683b9b2aba",
+}
+
+
+@pytest.mark.parametrize("specs", [("F4", "D4"), pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_sweep_digest(specs):
+    lines = [f"{emitted(s)} {list(d.members)} {d.minimal} {emitted(quotient(s, d.members))}"
+             for s in census_systems(specs) for d in enumerate_distinguished(s)]
+    assert line_digest(lines) == SWEEP_DIGESTS[specs]
+
+
+@pytest.mark.parametrize("specs", [("F4", "D4"), pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_witness_digest(specs):
+    lines = [f"{emitted(s)} {list(d.members)} {list(is_distinguished(s, d.members))}"
+             for s in census_systems(specs) for d in enumerate_distinguished(s)]
+    assert line_digest(lines) == WITNESS_DIGESTS[specs]
+
+
+@pytest.mark.parametrize("specs", [("F4", "D4", "B3xA1"),
+                                   pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_strongly_solvable_chain_digest(specs):
+    lines = []
+    for sys in census_systems(specs):
+        ok, chain = is_strongly_solvable(sys)
+        lines.append(f"{emitted(sys)} {ok} " + " | ".join(map(emitted, chain or [])))
+    assert line_digest(lines) == CHAIN_DIGESTS[specs]
+
+
+# P/L/R/LR counts of `classify` over the minimal subsets of each census
+# member: this engine's regression values, not the paper's (classify still
+# reads "R" heuristically and answers "LR" when it cannot decide)
+@pytest.mark.parametrize("spec,counts", [("F4", (134, 354, 61, 21)), ("D4", (174, 375, 95, 0)),
+                                         ("B3xA1", (254, 538, 187, 33))])
+def test_minimal_edge_kind_counts(spec, counts):
+    kinds = [classify(s, d.members) for s in census(spec).systems
+             for d in enumerate_distinguished(s) if d.minimal]
+    assert tuple(kinds.count(k) for k in ("P", "L", "R", "LR")) == counts
+    assert len(kinds) == sum(counts)
 
 
 @pytest.mark.parametrize("spec", ["F4", "D4"])
@@ -813,6 +952,21 @@ def test_ray_supports_agree_with_fourier_motzkin(case):
                 feasible.append(members)
     brute_minimal = [m for m in feasible if not any(set(o) < set(m) for o in feasible)]
     assert _minimal(supports) == [sum(1 << i for i in m) for m in brute_minimal]
+
+
+@settings(max_examples=200, deadline=None)
+@given(color_rows())
+def test_witness_within_the_ray_sum(case):
+    rows, width = case
+    rays = [r for r, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows)
+                                                 for j in range(width)])]
+    total = [sum(col) for col in zip(*rays)] or [0] * len(rows)
+    if fm_feasible(rows, width):
+        witness = _integer_witness(rows, width)
+        assert all(total) and max(witness, default=0) <= max(total, default=0)
+    else:
+        with pytest.raises(ValueError):
+            _integer_witness(rows, width)
 
 
 # fraction_kernel_rays sweeps the supports by increasing size, one RREF per

@@ -211,11 +211,16 @@ def test_sub_root_system_does_not_list_its_automorphisms():
     assert "automorphisms" in vars(small)
 
 
+def rays(width, inequalities, equations=()):
+    """The rays of `_cone_rays`, without their zero sets."""
+    return [r for r, _ in _cone_rays(width, inequalities, equations)]
+
+
 def test_cone_rays_of_the_orthant():
-    assert _cone_rays(3, ()) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert _cone_rays(0, ()) == []
+    assert rays(3, ()) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert rays(0, ()) == []
     # an inequality every ray satisfies leaves the rays alone
-    assert sorted(_cone_rays(2, [(1, 2)])) == [(0, 1), (1, 0)]
+    assert sorted(rays(2, [(1, 2)])) == [(0, 1), (1, 0)]
 
 
 def test_cone_rays_skip_a_non_adjacent_pair():
@@ -224,25 +229,25 @@ def test_cone_rays_skip_a_non_adjacent_pair():
     # x0 >= x1 + x2 puts e0 on its positive side and e1, (0,1,1) on its
     # negative side: the pair (e0, (0,1,1)) would add (2,1,1), which is
     # (1,0,1) + (1,1,0) and not extreme
-    assert sorted(_cone_rays(3, [(1, 1, -1)])) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
-    assert sorted(_cone_rays(3, [(1, 1, -1), (1, -1, -1)])) == [(1, 0, 0), (1, 0, 1), (1, 1, 0)]
+    assert sorted(rays(3, [(1, 1, -1)])) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    assert sorted(rays(3, [(1, 1, -1), (1, -1, -1)])) == [(1, 0, 0), (1, 0, 1), (1, 1, 0)]
 
 
 def test_cone_rays_of_a_kernel_cone():
-    assert sorted(_cone_rays(3, (), [(2, -3, 0)])) == [(0, 0, 1), (3, 2, 0)]
+    assert sorted(rays(3, (), [(2, -3, 0)])) == [(0, 0, 1), (3, 2, 0)]
     # x0 + x1 = x2 + x3: a cone over a square, with four rays
-    assert sorted(_cone_rays(4, (), [(1, 1, -1, -1)])) == [
+    assert sorted(rays(4, (), [(1, 1, -1, -1)])) == [
         (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
     # x0 >= x1 on the plane x0 + x1 = 2 x2, whose rays are (2,0,1) and (0,2,1)
-    assert sorted(_cone_rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
-    assert _cone_rays(2, (), [(1, 0), (0, 1)]) == []
+    assert sorted(rays(3, [(1, -1, 0)], [(1, 1, -2)])) == [(1, 1, 1), (2, 0, 1)]
+    assert rays(2, (), [(1, 0), (0, 1)]) == []
 
 
 def test_cone_rays_of_a_lower_dimensional_cone():
     # x0 >= x1 and x1 >= x0: the half-line x0 = x1
-    assert _cone_rays(2, [(1, -1), (-1, 1)]) == [(1, 1)]
-    assert _cone_rays(3, [(1, -1, 0), (-1, 1, 0)]) == [(0, 0, 1), (1, 1, 0)]
-    assert _cone_rays(3, [(1, -1, 0), (-1, 1, 0), (0, -1, 1)]) == [(0, 0, 1), (1, 1, 1)]
+    assert rays(2, [(1, -1), (-1, 1)]) == [(1, 1)]
+    assert rays(3, [(1, -1, 0), (-1, 1, 0)]) == [(0, 0, 1), (1, 1, 0)]
+    assert rays(3, [(1, -1, 0), (-1, 1, 0), (0, -1, 1)]) == [(0, 0, 1), (1, 1, 1)]
 
 
 # Frozen copy of the double description before it split the rays by sign
@@ -292,5 +297,11 @@ def cones(draw):
 @given(cones())
 def test_cone_rays_match_the_reference(cone):
     width, inequalities, equations = cone
-    assert _cone_rays(width, inequalities, equations) == \
-        _reference_cone_rays(width, inequalities, equations)
+    got = _cone_rays(width, inequalities, equations)
+    assert [r for r, _ in got] == _reference_cone_rays(width, inequalities, equations)
+    # each zero set holds exactly the constraints its ray is tight on
+    constraints = [tuple(int(i == j) for i in range(width)) for j in range(width)]
+    constraints += list(inequalities) + list(equations)
+    for ray, z in got:
+        assert z == sum(1 << t for t, c in enumerate(constraints)
+                        if sum(a * x for a, x in zip(c, ray)) == 0)
