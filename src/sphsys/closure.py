@@ -186,7 +186,7 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
                     for i in range(k)], sys.rs.rank)
     return _Profile(split=split, gamma=_gamma(sys, loose),
-                    minimal=tuple(_minimal(_color_supports(sys))))
+                    minimal=tuple(_minimal(_color_supports(sys).supports)))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rootsys import _cone_rays
 from .serialize import emit_system
-from .system import (SphericalSystem, _on_generators, colors, defect, make_system,
+from .sphroots import SphericalRoot
+from .system import (SphericalSystem, _canonical, _on_generators, colors, defect,
                      negative_colors)
 
 Row = Tuple[int, ...]
@@ -41,23 +43,44 @@ def _members(mask: int) -> Tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _ray_supports(rows: Tuple[Row, ...], width: int) -> Tuple[int, ...]:
-    """The supports, as bitmasks over the rows, of the extreme rays of
-    {x >= 0 : sum_d x_d * row_d >= 0}, by size and then members.
+class _Cone(NamedTuple):
+    """The extreme rays of a colors' cone {x >= 0 : sum_d x_d * row_d >= 0},
+    grouped by support."""
+
+    supports: Tuple[int, ...]  # bitmasks over the rows, by size and then members
+    # per support, the columns j where one of its rays x has sum_d x_d * row_d[j] > 0
+    positive: Tuple[int, ...]
+    sums: Tuple[Row, ...]  # per support, the sum of its rays on its members, in order
+
+
+def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
+    """The extreme rays of {x >= 0 : sum_d x_d * row_d >= 0}, as their
+    supports (bitmasks over the rows, by size and then members), with the
+    bitmask of the columns where each support's rays pair positively and
+    each support's ray sum.
 
     A point of the cone is a positive combination of extreme rays, and its
     support is the union of theirs. So a subset carries a positive solution
     exactly when it is the union of the ray supports inside it, and the
     minimal such subsets are the minimal ray supports.
 
-    Each support is read off the ray's zero set. Of two of one size, the one
-    with the lowest member where they differ has the larger reversed mask.
+    The support and the columns are read off each ray's zero set z: the
+    support is the low k bits of ~z, and the columns where the ray pairs
+    positively are the bits of ~z above them. A ray is positive exactly on
+    its support, so the nonzero entries of a ray sum are those on the
+    support's members. Of two supports of one size, the one with the lowest
+    member where they differ has the larger reversed mask.
     """
     k = len(rows)
-    full = (1 << k) - 1
-    columns = [tuple(r[j] for r in rows) for j in range(width)]
-    masks = {full & ~z for _, z in _cone_rays(k, columns)}
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{k}b}"[::-1], 2))))
+    full, columns = (1 << k) - 1, (1 << width) - 1
+    by_support = {}
+    for ray, z in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)]):
+        positive, ray_sum = by_support.get(full & ~z, (0, (0,) * k))
+        by_support[full & ~z] = positive | ~z >> k & columns, tuple(map(add, ray_sum, ray))
+    supports = sorted(by_support, key=lambda m: (m.bit_count(), -int(f"{m:0{k}b}"[::-1], 2)))
+    return _Cone(supports=tuple(supports),
+                 positive=tuple(by_support[s][0] for s in supports),
+                 sums=tuple(tuple(filter(None, by_support[s][1])) for s in supports))
 
 
 def _is_union(supports: Sequence[int], mask: int) -> bool:
@@ -75,7 +98,7 @@ def _minimal(supports: Sequence[int]) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _color_supports(sys: SphericalSystem) -> Tuple[int, ...]:
+def _color_supports(sys: SphericalSystem) -> _Cone:
     return _ray_supports(tuple(c.row for c in colors(sys).colors), sys.rank)
 
 
@@ -83,42 +106,46 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
     """A positive integer witness x with sum x_d * row_d >= 0, or None.
 
     The subset is decided exactly by the extreme rays of the colors' cone
-    (`_ray_supports`); the witness of a distinguished subset is then found by
-    an integer search with a deepening coordinate bound (`_integer_witness`).
+    (`_ray_supports`). Its own cone is the face of that cone where the other
+    colors vanish, whose rays are the colors' rays with support inside the
+    subset. Their sum is a witness, so the integer search for the smallest
+    witness (`_integer_witness`) stops at its largest entry.
     """
     members = _color_indices(sys, members)
-    if not _is_union(_color_supports(sys), _mask(members)):
+    mask, cone = _mask(members), _color_supports(sys)
+    union, total = 0, [0] * len(colors(sys))
+    for s, ray_sum in zip(cone.supports, cone.sums):
+        if s | mask == mask:
+            union |= s
+            for i, x in zip(_members(s), ray_sum):
+                total[i] += x
+    if union != mask:
         return None
-    return tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank))
+    bound = max((total[i] for i in members), default=1)
+    return tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank, bound))
 
 
-def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
+def _integer_witness(rows: Tuple[Row, ...], width: int, bound: int) -> List[int]:
     """Smallest-bound integer witness x in {1..b}^k with sum x_d row_d >= 0,
-    by iterative deepening on b with optimistic pruning on the partial
-    column sums. The sum of the extreme rays of {x >= 0 : sum x_d row_d >= 0}
-    is a witness when its entries are >= 1, and has a 0 when there is none
-    (ValueError). So b stops at its largest entry (1 with no rows).
+    by iterative deepening on b up to `bound`, with optimistic pruning on
+    the partial column sums; ValueError when there is none within it.
     """
     k = len(rows)
-    rays = [r for r, _ in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)])]
-    total = [sum(col) for col in zip(*rays)] or [0] * k
-    if not all(total):
-        raise ValueError(f"rows {list(rows)} have no witness x >= 1")
-    for bound in range(1, max(total, default=1) + 1):
+    for b in range(1, bound + 1):
         # best[d][j]: largest contribution of colors d..k-1 to column j
         best = [[0] * width for _ in range(k + 1)]
         for d in range(k - 1, -1, -1):
             for j in range(width):
                 r = rows[d][j]
-                best[d][j] = best[d + 1][j] + (bound * r if r > 0 else r)
+                best[d][j] = best[d + 1][j] + (b * r if r > 0 else r)
         choice = [0] * k
 
         def rec(d: int, sums: Tuple[int, ...]) -> bool:
             if d == k:
                 return all(v >= 0 for v in sums)
-            if any(s + b < 0 for s, b in zip(sums, best[d])):
+            if any(s + c < 0 for s, c in zip(sums, best[d])):
                 return False
-            for x in range(1, bound + 1):
+            for x in range(1, b + 1):
                 choice[d] = x
                 if rec(d + 1, tuple(s + x * r for s, r in zip(sums, rows[d]))):
                     return True
@@ -126,25 +153,45 @@ def _integer_witness(rows: Tuple[Row, ...], width: int) -> List[int]:
 
         if rec(0, tuple([0] * width)):
             return choice
-    raise AssertionError(f"the ray sum {total} is a witness within the bound")
+    raise ValueError(f"rows {list(rows)} have no witness in {{1..{bound}}}^{k}")
 
 
 def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Free generators of {m in N^Sigma : all pairings with the members vanish}.
+    """Free generators of {m in N^Sigma : all pairings with the members vanish},
+    sorted; FreenessError when the monoid is not free.
 
-    The generators are the primitive extremal rays of the cone of nonnegative
-    kernel vectors, found in integer arithmetic; FreenessError is raised when
-    they do not generate the monoid freely.
+    Each ray x of the colors' cone with support inside the members gives
+    w = sum_d x_d * row_d >= 0 with w . m = sum_d x_d * (row_d . m) = 0 for
+    every kernel vector m >= 0, so m vanishes on the columns where w is
+    positive (`_ray_supports`). The generator matrix is then block
+    diagonal: the unit vectors of the columns that no member row touches,
+    and the primitive extreme rays of the kernel over the touched columns
+    left (`_kernel_rays`), whose maximal minors have the gcd of the whole.
     """
-    rows = _rows_of(sys, _color_indices(sys, members))
-    return list(_kernel_rays(tuple(rows), sys.rank))
+    members = _color_indices(sys, members)
+    rows, mask, cone = _rows_of(sys, members), _mask(members), _color_supports(sys)
+    vanish = 0
+    for s, positive in zip(cone.supports, cone.positive):
+        if s | mask == mask:
+            vanish |= positive
+    n = sys.rank
+    touched = [any(column) for column in zip(*rows)] if rows else [False] * n
+    gens = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched[j]]
+    rest = [j for j in range(n) if touched[j] and not vanish >> j & 1]
+    if rest:
+        for ray in _kernel_rays(tuple(tuple(r[j] for j in rest) for r in rows), len(rest)):
+            gen = [0] * n
+            for j, x in zip(rest, ray):
+                gen[j] = x
+            gens.append(tuple(gen))
+    return sorted(gens)
 
 
-@lru_cache(maxsize=None)
 def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ...]:
     """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row}
     (`_cone_rays`, with the rows as equations), checked to be a free basis of
-    the monoid of its integer points."""
+    the monoid of its integer points. `kernel_generators` runs it only on
+    the columns that the colors' cone leaves open, when there are any."""
     rays = sorted(r for r, _ in _cone_rays(width, (), rows))
     # free iff the g rays span a saturated rank-g sublattice of Z^width,
     # that is, iff their g x g minors have gcd 1
@@ -169,22 +216,22 @@ def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     return _quotient(sys, members)[0]
 
 
-# a quotient S/D with the kernel generators it was built from and their Sigma vectors
-Built = Tuple[SphericalSystem, List[Tuple[int, ...]], List[Tuple[int, ...]]]
+# a quotient S/D with the kernel generators it was built from and their spherical roots
+Built = Tuple[SphericalSystem, List[Tuple[int, ...]], List[SphericalRoot]]
 
 
 def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
-    """`quotient`, with what `_color_map` reads."""
+    """`quotient`, with what `_color_map` reads; S/D is built directly in
+    canonical order."""
     members = _color_indices(sys, members)
-    if not _is_union(_color_supports(sys), _mask(members)):
+    if not _is_union(_color_supports(sys).supports, _mask(members)):
         raise ValueError("subset of colors is not distinguished")
     mset = set(members)
-    delta_of = colors(sys).delta_of
     gens = kernel_generators(sys, members)
-    vectors, rows = _on_generators(sys, gens)
-    new_sp = sys.sp | {alpha for alpha, owned in enumerate(delta_of)
-                       if owned and set(owned) <= mset}
-    return make_system(sys.rs, vectors, new_sp, rows), gens, vectors
+    roots, rows = _on_generators(sys, gens)
+    new_sp = sys.sp.union(alpha for alpha, owned in enumerate(colors(sys).delta_of)
+                          if owned and mset.issuperset(owned))
+    return _canonical(sys.rs, roots, new_sp, rows), gens, roots
 
 
 @dataclass(frozen=True)
@@ -201,7 +248,7 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
     the minimal ones are the minimal ray supports (`_ray_supports`); no
     witness is searched for (`is_distinguished` gives one).
     """
-    supports = _color_supports(sys)
+    supports = _color_supports(sys).supports
     unions = {0}
     for s in supports:
         unions |= {u | s for u in unions}
@@ -306,7 +353,7 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
     the ray supports s of S. A color map that cannot be matched raises
     RuntimeError.
     """
-    supports = _color_supports(sys)
+    supports = _color_supports(sys).supports
     nodes, by_mask = {sys.key(): ((), (sys, [], []))}, {0: sys}
     for d in enumerate_distinguished(sys):
         q_built = _quotient(sys, d.members)
@@ -331,14 +378,14 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
 
 def _color_map(sys: SphericalSystem, members: Sequence[int], built: Built) -> List[int]:
     """phi: the colors of q = sys/members to those of sys outside members, by
-    owners and row r . g (g: the generators of `built`, found by their Sigma
-    vectors in q's column order); equal ones in order. The identity for no
-    members."""
+    owners and row r . g (g: the generators of `built`, found by their
+    spherical roots in q's column order); equal ones in order. The identity
+    for no members."""
     if not members:
         return list(range(len(colors(sys))))
-    q, gens, vectors = built
-    by_vector = dict(zip(vectors, gens))
-    columns = [by_vector[s.coeffs] for s in q.sigma]
+    q, gens, roots = built
+    by_root = dict(zip(roots, gens))
+    columns = [by_root[s] for s in q.sigma]
     free = {}
     for i, c in enumerate(colors(sys).colors):
         if i not in members:

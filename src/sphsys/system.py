@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import RootSystem, sub_root_system
@@ -77,11 +78,17 @@ def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],
     rows = [tuple(r) for r in a_rows]
     if any(len(r) != len(sigmas) for r in rows):
         raise ValueError("a_rows width must equal the number of spherical roots")
-    order = sorted(range(len(sigmas)), key=lambda i: sigmas[i].sort_key())
-    sigmas = [sigmas[i] for i in order]
-    rows = sorted(tuple(r[i] for i in order) for r in rows)
-    return SphericalSystem(rs=rs, sigma=tuple(sigmas), sp=sp,
-                           a_rows=tuple(rows))
+    return _canonical(rs, sigmas, sp, rows)
+
+
+def _canonical(rs: RootSystem, sigma: Sequence[SphericalRoot], sp: FrozenSet[int],
+               a_rows: Iterable[Row]) -> SphericalSystem:
+    """The system with Sigma sorted by (height, coefficient vector), the
+    columns of the rows following it and the rows sorted; the rows must be
+    as wide as Sigma and Sp must lie in rs."""
+    order = sorted(range(len(sigma)), key=lambda i: sigma[i].sort_key())
+    return SphericalSystem(rs=rs, sigma=tuple(sigma[i] for i in order), sp=sp,
+                           a_rows=tuple(sorted(tuple(r[i] for i in order) for r in a_rows)))
 
 
 def _proportional(s: SphericalRoot, t: SphericalRoot) -> bool:
@@ -268,17 +275,22 @@ def negative_colors(sys: SphericalSystem) -> List[Tuple[Color, str]]:
 
 
 def _on_generators(sys: SphericalSystem, gens: Sequence[Sequence[int]]
-                   ) -> Tuple[List[Tuple[int, ...]], List[Row]]:
-    """The Sigma vectors sum_i g_i sigma_i of the generators g, and the rows
-    of A(alpha) for every simple alpha still in Sigma, re-expressed as r . g."""
+                   ) -> Tuple[List[SphericalRoot], List[Row]]:
+    """The spherical roots sum_i g_i sigma_i of the nonnegative generators g,
+    and the rows of A(alpha) for every simple alpha still in Sigma,
+    re-expressed as r . g. The unit vector e_j gives sigma_j itself; only
+    the other sums are looked up in the catalog, which raises ValueError
+    for one that is not a spherical root."""
     n = sys.rs.rank
-    vectors = [tuple(sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
-                     for j in range(n)) for g in gens]
-    still_simple = {v.index(1) for v in vectors if sum(v) == 1}
+    roots = [sys.sigma[g.index(1)] if sum(g) == 1 else
+             spherical_root(sys.rs, [sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
+                                     for j in range(n)])
+             for g in gens]
+    still_simple = {r.support[0] for r in roots if r.shape == "a1"}
     cols = [c for a, c in sys.simple_sigma().items() if a in still_simple]
-    rows = [tuple(sum(gi * ri for gi, ri in zip(g, r)) for g in gens)
+    rows = [tuple(sum(map(mul, g, r)) for g in gens)
             for r in sys.a_rows if any(r[c] == 1 for c in cols)]
-    return vectors, rows
+    return roots, rows
 
 
 def _relabel(sys: SphericalSystem, rs: RootSystem, emb: Sequence[int]) -> SphericalSystem:
@@ -295,8 +307,8 @@ def localize_sigma(sys: SphericalSystem, keep_vectors: Iterable[Sequence[int]]) 
     if len(cols) != len(keep):
         raise ValueError("keep_vectors must be a subset of sigma")
     units = [tuple(int(i == c) for i in range(sys.rank)) for c in cols]
-    vectors, rows = _on_generators(sys, units)
-    return make_system(sys.rs, vectors, sys.sp, rows)
+    roots, rows = _on_generators(sys, units)
+    return _canonical(sys.rs, roots, sys.sp, rows)
 
 
 def localize_s(sys: SphericalSystem, s_keep: Iterable[int]) -> SphericalSystem:

@@ -141,7 +141,7 @@ def test_witnesses_are_positive_and_valid(sl4, s12):
 def test_lattice_searches_no_witness(sl4, monkeypatch):
     # distinguished subsets and their minimality come from the ray supports
     # alone; only is_distinguished searches for a witness
-    def no_witness(rows, width):
+    def no_witness(rows, width, bound):
         raise AssertionError("witness searched")
 
     # "sphsys.quotient" as a string names the re-exported function
@@ -398,6 +398,49 @@ def test_kernel_rays_match_fraction_reference_rank4(spec):
     assert assert_rays_match_fraction_reference([spec]) > 0
 
 
+def test_kernel_generators_match_the_full_width_kernel():
+    # the kernel from the colors' cone's zero sets, against the double
+    # description over every Sigma column, for every subset of at most three
+    # colors, the subsets that are not distinguished included
+    checked = 0
+    for sys in census_systems(("F4", "D4")):
+        rows = [c.row for c in colors(sys).colors]
+        for size in (1, 2, 3):
+            for members in combinations(range(len(rows)), size):
+                full_width = tuple(rows[i] for i in members)
+                want = generators_or_error(_kernel_rays, full_width, sys.rank)
+                got = generators_or_error(kernel_generators, sys, members)
+                assert got == (want if want == "FreenessError" else list(want)), \
+                    (emitted(sys), members)
+                checked += 1
+    assert checked == 15148
+
+
+def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
+    # of the 5,047 F4 quotients, 310 have a generator other than a unit
+    # vector, and only those run `_kernel_rays`; none goes through make_system
+    module = import_module("sphsys.quotient")
+    kernel = module._kernel_rays
+    cones = []
+
+    def counting(rows, width):
+        cones.append(rows)
+        return kernel(rows, width)
+
+    def forbidden(*args):
+        raise AssertionError("make_system called")
+
+    monkeypatch.setattr(module, "_kernel_rays", counting)
+    monkeypatch.setattr(import_module("sphsys.system"), "make_system", forbidden)
+    built = non_unit = 0
+    for sys in census("F4").systems:
+        for d in enumerate_distinguished(sys):
+            _, gens, _ = module._quotient(sys, d.members)
+            built += 1
+            non_unit += any(sum(g) > 1 for g in gens)
+    assert (built, len(cones), non_unit) == (5047, 310, 310)
+
+
 def test_kernel_generator_beyond_scan_bound():
     # the lattice scan stopped at coordinate 12 and returned no generator here
     assert _kernel_rays(((1, -13),), 2) == ((13, 1),)
@@ -438,15 +481,56 @@ def test_witness_beyond_entry_bound():
         assert validate(quotient(sys, d.members)) == []
 
 
+def ray_sum(rows, width):
+    """The sum of the extreme rays of {x >= 0 : sum x_d row_d >= 0}, from the
+    subset's own cone."""
+    rays = [r for r, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows)
+                                                 for j in range(width)])]
+    return [sum(col) for col in zip(*rays)] or [0] * len(rows)
+
+
 def test_witness_search_has_a_stated_bound():
     # the rays of {x >= 0 : x0 >= x1 + x2 + x3} are e0 and e0 + e_i, with
     # sum (4, 1, 1, 1): the search stops by bound 4, and (3, 1, 1, 1) is in it
-    assert _integer_witness(((1,), (-1,), (-1,), (-1,)), 1) == [3, 1, 1, 1]
-    assert _integer_witness((), 2) == []
+    rows = ((1,), (-1,), (-1,), (-1,))
+    assert ray_sum(rows, 1) == [4, 1, 1, 1]
+    assert _integer_witness(rows, 1, 4) == [3, 1, 1, 1]
+    with pytest.raises(ValueError, match="no witness"):
+        _integer_witness(rows, 1, 2)
+    assert _integer_witness((), 2, 1) == []
     # no witness: x0 >= x1 and -x0 >= 0 force x0 = x1 = 0
     for rows, width in ((((-1,),), 1), (((1, -1), (-1, 0)), 2), (((0, 0), (-1, 1)), 2)):
+        assert 0 in ray_sum(rows, width)
         with pytest.raises(ValueError, match="no witness"):
-            _integer_witness(rows, width)
+            _integer_witness(rows, width, 3)
+
+
+def test_witness_bound_from_the_colors_cone(monkeypatch):
+    # is_distinguished bounds its search by the rays of S's colors' cone with
+    # support inside D, which are those of D's own cone: it runs no cone of
+    # its own, and the bound is D's own ray sum
+    module = import_module("sphsys.quotient")
+    systems = census_systems(("F4", "D4"))[::7]
+    for sys in systems:
+        module._color_supports(sys)
+    bounds = []
+    witness = module._integer_witness
+
+    def recording(rows, width, bound):
+        bounds.append((rows, width, bound))
+        return witness(rows, width, bound)
+
+    def no_cone(*args):
+        raise AssertionError("a second cone")
+
+    monkeypatch.setattr(module, "_integer_witness", recording)
+    monkeypatch.setattr(module, "_cone_rays", no_cone)
+    for sys in systems:
+        for d in enumerate_distinguished(sys):
+            is_distinguished(sys, d.members)
+    assert len(bounds) > 1000
+    for rows, width, bound in bounds:
+        assert bound == max(ray_sum(rows, width), default=1)
 
 
 def test_classify_r_type(b3_doubled_pair):
@@ -697,6 +781,22 @@ def census_systems(specs):
     return [sys for spec in specs for sys in census(spec).systems]
 
 
+# S/D is built in canonical order without make_system: Sigma by (height,
+# coefficient vector), the rows sorted, and rebuilding it from its own data,
+# in reverse order, through make_system changes nothing
+@pytest.mark.parametrize("specs", [("F4", "D4"), pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_quotients_are_canonical(specs):
+    for sys in census_systems(specs):
+        for d in enumerate_distinguished(sys):
+            q = quotient(sys, d.members)
+            keys = [s.sort_key() for s in q.sigma]
+            assert keys == sorted(keys) and list(q.a_rows) == sorted(q.a_rows)
+            again = make_system(q.rs, [s.coeffs for s in reversed(q.sigma)], q.sp,
+                                [r[::-1] for r in reversed(q.a_rows)])
+            assert (again.sigma, again.sp, again.a_rows) == (q.sigma, q.sp, q.a_rows), \
+                (emitted(sys), d.members)
+
+
 # Regression values of this engine, over the censuses in census order: one
 # line per distinguished subset (the sweep: members, minimal flag and
 # quotient; the witnesses: `is_distinguished`), or one per system (the
@@ -926,7 +1026,8 @@ def fm_distinguished(rows, width, decided=None):
                 is_min = not any(set(m) <= set(members) for m in minimal)
                 if is_min:
                     minimal.append(members)
-                out.append((members, tuple(_integer_witness(sub, width)), is_min))
+                bound = max(ray_sum(sub, width))
+                out.append((members, tuple(_integer_witness(sub, width, bound)), is_min))
     return out
 
 
@@ -941,7 +1042,7 @@ def color_rows(draw):
 @given(color_rows())
 def test_ray_supports_agree_with_fourier_motzkin(case):
     rows, width = case
-    supports = _ray_supports(rows, width)
+    supports = _ray_supports(rows, width).supports
     feasible = []
     for size in range(1, len(rows) + 1):
         for members in combinations(range(len(rows)), size):
@@ -958,15 +1059,30 @@ def test_ray_supports_agree_with_fourier_motzkin(case):
 @given(color_rows())
 def test_witness_within_the_ray_sum(case):
     rows, width = case
-    rays = [r for r, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows)
-                                                 for j in range(width)])]
-    total = [sum(col) for col in zip(*rays)] or [0] * len(rows)
+    total = ray_sum(rows, width)
     if fm_feasible(rows, width):
-        witness = _integer_witness(rows, width)
-        assert all(total) and max(witness, default=0) <= max(total, default=0)
+        assert all(total)
+        assert len(_integer_witness(rows, width, max(total, default=1))) == len(rows)
     else:
-        with pytest.raises(ValueError):
-            _integer_witness(rows, width)
+        assert not all(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_rows())
+def test_ray_supports_keep_positive_columns_and_ray_sums(case):
+    # what the zero sets give, against the ray vectors themselves
+    rows, width = case
+    cone = _ray_supports(rows, width)
+    positive, sums = {}, {}
+    for ray, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows) for j in range(width)]):
+        s = sum(1 << d for d, x in enumerate(ray) if x)
+        pairing = [sum(x * r[j] for x, r in zip(ray, rows)) for j in range(width)]
+        positive[s] = positive.get(s, 0) | sum(1 << j for j, v in enumerate(pairing) if v > 0)
+        sums[s] = [a + b for a, b in zip(sums.get(s, [0] * len(rows)), ray)]
+    assert sorted(cone.supports) == sorted(positive)
+    assert [positive[s] for s in cone.supports] == list(cone.positive)
+    assert [[sums[s][d] for d in range(len(rows)) if s >> d & 1] for s in cone.supports] \
+        == [list(v) for v in cone.sums]
 
 
 # fraction_kernel_rays sweeps the supports by increasing size, one RREF per

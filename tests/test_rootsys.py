@@ -126,7 +126,8 @@ def test_dual_weight_f4_fixed(f4):
 
 def test_dual_weight_matches_longest_element_oracle():
     # -w0(weight) computed by repeatedly reflecting to the dominant chamber
-    for name in ("A3", "D5", "B3", "F4", "G2"):
+    for name in ("A3", "A5", "B3", "B5", "C4", "D4", "D5", "D6", "D7", "E6", "E7", "E8",
+                 "F4", "G2", "A2xA3", "D5xA1"):
         rs = build_root_system(name)
         n = len(rs.cartan)
         for k, w in enumerate(fundamental_weights(rs)):
