@@ -11,8 +11,8 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .rootsys import _cone_rays
 from .serialize import emit_system
 from .sphroots import SphericalRoot
-from .system import (SphericalSystem, _canonical, _on_generators, colors, defect,
-                     negative_colors)
+from .system import (SphericalSystem, _canonical, _on_columns, _on_generators, colors,
+                     defect, negative_colors)
 
 Row = Tuple[int, ...]
 
@@ -36,28 +36,43 @@ def _color_indices(sys: SphericalSystem, members: Sequence[int]) -> List[int]:
 
 
 def _mask(members: Iterable[int]) -> int:
-    return sum(1 << i for i in members)
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
 
 
 def _members(mask: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The set bits of mask, ascending; one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class _Cone(NamedTuple):
     """The extreme rays of a colors' cone {x >= 0 : sum_d x_d * row_d >= 0},
-    grouped by support."""
+    grouped by support, and the bitmasks that a quotient is built from."""
 
     supports: Tuple[int, ...]  # bitmasks over the rows, by size and then members
     # per support, the columns j where one of its rays x has sum_d x_d * row_d[j] > 0
     positive: Tuple[int, ...]
     sums: Tuple[Row, ...]  # per support, the sum of its rays on its members, in order
+    touched: Tuple[int, ...]  # per row, the columns where it is nonzero
+    # of the system (`_color_supports`): (alpha, bitmask of its colors) for
+    # each simple root alpha that owns colors, and (bit of alpha's column,
+    # bitmask of A(alpha)) for each simple root alpha in Sigma
+    owned: Tuple[Tuple[int, int], ...] = ()
+    simple: Tuple[Tuple[int, int], ...] = ()
 
 
 def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
     """The extreme rays of {x >= 0 : sum_d x_d * row_d >= 0}, as their
     supports (bitmasks over the rows, by size and then members), with the
     bitmask of the columns where each support's rays pair positively and
-    each support's ray sum.
+    each support's ray sum; and the bitmask of each row's nonzero columns.
 
     A point of the cone is a positive combination of extreme rays, and its
     support is the union of theirs. So a subset carries a positive solution
@@ -80,16 +95,8 @@ def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
     supports = sorted(by_support, key=lambda m: (m.bit_count(), -int(f"{m:0{k}b}"[::-1], 2)))
     return _Cone(supports=tuple(supports),
                  positive=tuple(by_support[s][0] for s in supports),
-                 sums=tuple(tuple(filter(None, by_support[s][1])) for s in supports))
-
-
-def _is_union(supports: Sequence[int], mask: int) -> bool:
-    """Whether mask is the union of the supports inside it."""
-    union = 0
-    for s in supports:
-        if s | mask == mask:
-            union |= s
-    return union == mask
+                 sums=tuple(tuple(filter(None, by_support[s][1])) for s in supports),
+                 touched=tuple(_mask(j for j, x in enumerate(r) if x) for r in rows))
 
 
 def _minimal(supports: Sequence[int]) -> List[int]:
@@ -99,7 +106,32 @@ def _minimal(supports: Sequence[int]) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _color_supports(sys: SphericalSystem) -> _Cone:
-    return _ray_supports(tuple(c.row for c in colors(sys).colors), sys.rank)
+    """The cone of sys's colors, with the colors each simple root owns and
+    the colors of A(alpha) at each simple root's column."""
+    cs = colors(sys)
+    return _ray_supports(tuple(c.row for c in cs.colors), sys.rank)._replace(
+        owned=tuple((alpha, _mask(owned)) for alpha, owned in enumerate(cs.delta_of) if owned),
+        simple=tuple((1 << col, _mask(cs.delta_of[alpha]))
+                     for alpha, col in sys.simple_sigma().items()))
+
+
+def _inside(cone: _Cone, mask: int) -> Tuple[int, int]:
+    """The union of the supports inside mask, and the columns where their
+    rays pair positively."""
+    union = vanish = 0
+    for s, positive in zip(cone.supports, cone.positive):
+        if s | mask == mask:
+            union |= s
+            vanish |= positive
+    return union, vanish
+
+
+def _touched(cone: _Cone, members: Iterable[int]) -> int:
+    """The columns where one of the members' rows is nonzero."""
+    touched = 0
+    for i in members:
+        touched |= cone.touched[i]
+    return touched
 
 
 def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -167,18 +199,17 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     diagonal: the unit vectors of the columns that no member row touches,
     and the primitive extreme rays of the kernel over the touched columns
     left (`_kernel_rays`), whose maximal minors have the gcd of the whole.
+    `quotient` calls it only when such columns are left: otherwise every
+    generator is a unit vector and S/D is a localization of S.
     """
     members = _color_indices(sys, members)
-    rows, mask, cone = _rows_of(sys, members), _mask(members), _color_supports(sys)
-    vanish = 0
-    for s, positive in zip(cone.supports, cone.positive):
-        if s | mask == mask:
-            vanish |= positive
-    n = sys.rank
-    touched = [any(column) for column in zip(*rows)] if rows else [False] * n
-    gens = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched[j]]
-    rest = [j for j in range(n) if touched[j] and not vanish >> j & 1]
+    cone, n = _color_supports(sys), sys.rank
+    _, vanish = _inside(cone, _mask(members))
+    touched = _touched(cone, members)
+    gens = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched >> j & 1]
+    rest = _members(touched & ~vanish)
     if rest:
+        rows = _rows_of(sys, members)
         for ray in _kernel_rays(tuple(tuple(r[j] for j in rest) for r in rows), len(rest)):
             gen = [0] * n
             for j, x in zip(rest, ray):
@@ -222,16 +253,34 @@ Built = Tuple[SphericalSystem, List[Tuple[int, ...]], List[SphericalRoot]]
 
 def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     """`quotient`, with what `_color_map` reads; S/D is built directly in
-    canonical order."""
+    canonical order, from the bitmasks of the colors' cone record.
+
+    D must be the union of the ray supports inside it. Every kernel vector
+    vanishes on the columns where those supports' rays pair positively
+    (`kernel_generators`); when these are all the columns D's rows touch,
+    the generators are the unit vectors of the untouched columns, and by
+    Luna's correspondence S/D is the localization of S at those columns,
+    with S^p enlarged by the simple roots whose colors all lie in D.
+    Otherwise the kernel cone is run and S/D is built on its generators.
+    """
     members = _color_indices(sys, members)
-    if not _is_union(_color_supports(sys).supports, _mask(members)):
+    mask, cone = _mask(members), _color_supports(sys)
+    union, vanish = _inside(cone, mask)
+    if union != mask:
         raise ValueError("subset of colors is not distinguished")
-    mset = set(members)
-    gens = kernel_generators(sys, members)
-    roots, rows = _on_generators(sys, gens)
-    new_sp = sys.sp.union(alpha for alpha, owned in enumerate(colors(sys).delta_of)
-                          if owned and mset.issuperset(owned))
-    return _canonical(sys.rs, roots, new_sp, rows), gens, roots
+    new_sp = sys.sp.union(alpha for alpha, owned in cone.owned if owned | mask == mask)
+    touched = _touched(cone, members)
+    if touched & ~vanish:
+        gens = kernel_generators(sys, members)
+        roots, rows = _on_generators(sys, gens)
+        return _canonical(sys.rs, roots, new_sp, rows), gens, roots
+    n = sys.rank
+    cols, a_rows = _members(((1 << n) - 1) & ~touched), 0
+    for bit, rows_mask in cone.simple:
+        if not touched & bit:
+            a_rows |= rows_mask
+    q = _on_columns(sys, cols, new_sp, [sys.a_rows[i] for i in _members(a_rows)])
+    return q, [(0,) * j + (1,) + (0,) * (n - j - 1) for j in cols], list(q.sigma)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,15 @@ from sphsys.closure import _profile
 from sphsys.enumeration import census
 from sphsys.rootsys import _cone_rays
 from sphsys.serialize import emit_system, render_dot
+from sphsys.system import _canonical, _on_generators, localize_sigma
 from sphsys.quotient import (
     FreenessError,
     _edge_kind,
+    _inside,
     _integer_witness,
-    _is_union,
     _kernel_rays,
+    _mask,
+    _members,
     _minimal,
     _ray_supports,
     classify,
@@ -418,27 +421,71 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays`; none goes through make_system
+    # vector, and only those run `_kernel_rays`, `kernel_generators`,
+    # `_on_generators` and `_canonical`; none goes through make_system
     module = import_module("sphsys.quotient")
-    kernel = module._kernel_rays
-    cones = []
+    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_on_generators": 0, "_canonical": 0}
 
-    def counting(rows, width):
-        cones.append(rows)
-        return kernel(rows, width)
+    def counting(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     def forbidden(*args):
         raise AssertionError("make_system called")
 
-    monkeypatch.setattr(module, "_kernel_rays", counting)
+    for name in calls:
+        monkeypatch.setattr(module, name, counting(name))
     monkeypatch.setattr(import_module("sphsys.system"), "make_system", forbidden)
     built = non_unit = 0
     for sys in census("F4").systems:
         for d in enumerate_distinguished(sys):
+            canonical = calls["_canonical"]
             _, gens, _ = module._quotient(sys, d.members)
             built += 1
-            non_unit += any(sum(g) > 1 for g in gens)
-    assert (built, len(cones), non_unit) == (5047, 310, 310)
+            unit_only = all(sum(g) == 1 for g in gens)
+            non_unit += not unit_only
+            assert calls["_canonical"] == canonical + (not unit_only), (emitted(sys), d.members)
+    assert built == 5047
+    assert non_unit == 310
+    assert calls == dict.fromkeys(calls, 310)
+
+
+# A kernel of unit vectors e_j: by Luna's correspondence S/D is the
+# localization of S at the Sigma columns j, with S^p enlarged by the simple
+# roots whose colors all lie in D. Both the general route (the generators'
+# spherical roots and rows, then the canonical order) and `localize_sigma`
+# are oracles for what `quotient` builds from the cone record's bitmasks.
+@pytest.mark.parametrize("spec,count", [("F4", 4737), ("D4", 4603)])
+def test_unit_kernel_quotients_are_localizations(spec, count):
+    checked = 0
+    for sys in census(spec).systems:
+        delta_of = colors(sys).delta_of
+        for d in enumerate_distinguished(sys):
+            gens = kernel_generators(sys, d.members)
+            if any(sum(g) > 1 for g in gens):
+                continue
+            new_sp = sys.sp.union(a for a, owned in enumerate(delta_of)
+                                  if owned and set(owned) <= set(d.members))
+            roots, rows = _on_generators(sys, gens)
+            q = quotient(sys, d.members)
+            assert q == _canonical(sys.rs, roots, new_sp, rows), (emitted(sys), d.members)
+            kept = [s.coeffs for g, s in zip(zip(*gens), sys.sigma) if any(g)]
+            local = localize_sigma(sys, kept)
+            assert (q.sigma, q.sp, q.a_rows) == (local.sigma, new_sp, local.a_rows), \
+                (emitted(sys), d.members)
+            checked += 1
+    assert checked == count
+
+
+def test_members_are_the_set_bits():
+    # one step per set bit, against the scan of every position
+    for mask in list(range(1 << 12)) + [1 << 70, (1 << 70) | 5]:
+        want = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        assert _members(mask) == want and _mask(want) == mask
 
 
 def test_kernel_generator_beyond_scan_bound():
@@ -1042,17 +1089,17 @@ def color_rows(draw):
 @given(color_rows())
 def test_ray_supports_agree_with_fourier_motzkin(case):
     rows, width = case
-    supports = _ray_supports(rows, width).supports
+    cone = _ray_supports(rows, width)
     feasible = []
     for size in range(1, len(rows) + 1):
         for members in combinations(range(len(rows)), size):
             mask = sum(1 << i for i in members)
             fm = fm_feasible([rows[i] for i in members], width)
-            assert _is_union(supports, mask) == fm, members
+            assert (_inside(cone, mask)[0] == mask) == fm, members
             if fm:
                 feasible.append(members)
     brute_minimal = [m for m in feasible if not any(set(o) < set(m) for o in feasible)]
-    assert _minimal(supports) == [sum(1 << i for i in m) for m in brute_minimal]
+    assert _minimal(cone.supports) == [sum(1 << i for i in m) for m in brute_minimal]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1070,7 +1117,8 @@ def test_witness_within_the_ray_sum(case):
 @settings(max_examples=300, deadline=None)
 @given(color_rows())
 def test_ray_supports_keep_positive_columns_and_ray_sums(case):
-    # what the zero sets give, against the ray vectors themselves
+    # what the zero sets give, against the ray vectors themselves, and the
+    # nonzero columns of each row
     rows, width = case
     cone = _ray_supports(rows, width)
     positive, sums = {}, {}
@@ -1083,6 +1131,7 @@ def test_ray_supports_keep_positive_columns_and_ray_sums(case):
     assert [positive[s] for s in cone.supports] == list(cone.positive)
     assert [[sums[s][d] for d in range(len(rows)) if s >> d & 1] for s in cone.supports] \
         == [list(v) for v in cone.sums]
+    assert list(cone.touched) == [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
 
 
 # fraction_kernel_rays sweeps the supports by increasing size, one RREF per
