@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
@@ -145,14 +145,55 @@ Split = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...],
               Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]]
 
 
+@dataclass(frozen=True, slots=True, eq=False)  # shared by identity: hashed by id
+class _Plan:
+    """What solving the multiplicities of one `_split` for a target needs,
+    whatever the target (see `_solve`)."""
+
+    shared: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]  # as in the split
+    # per shared color, the (j, w_j) it closes: j is reached by no lone color
+    # and by no later shared color
+    closes: Tuple[Tuple[Tuple[int, int], ...], ...]
+    lone: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (j, factors) where lone colors reach j
+    unreached: Tuple[int, ...]  # the coordinates no color reaches
+    # a solution is built as the shared colors' multiplicities, then each
+    # coordinate's composition, then `zeros`; `place` puts it in color order
+    zeros: Counts
+    place: Callable[[Counts], Counts]
+    bits: Tuple[int, ...]  # 1 << i per color i
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, split: Split) -> _Plan:
+    """The plan of a `_split` of n colors, one object per distinct split, so
+    that the systems with that split share it."""
+    lone, factors, shared = split
+    last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
+    order = [i for i, _ in shared] + [i for cs in lone for i in cs]
+    zeros = (0,) * (n - len(order))
+    if zeros:
+        order += sorted(set(range(n)).difference(order))
+    return _Plan(
+        shared=shared,
+        closes=tuple(tuple((j, wj) for j, wj in w if last.get(j) == s)
+                     for s, (_, w) in enumerate(shared)),
+        lone=tuple((j, fs) for j, fs in enumerate(factors) if fs),
+        unreached=tuple(j for j, cs in enumerate(lone) if not cs and j not in last),
+        zeros=zeros,
+        # itemgetter of one index returns an item, not a tuple
+        place=itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple,
+        bits=tuple(1 << i for i in range(n)))
+
+
 @dataclass(frozen=True, slots=True)  # one per closed system: no __dict__
 class _Profile:
     """What the faithful-couple search needs of a closed system, whatever
     the weight."""
 
-    # per simple root, the colors it owns alone and their factors (2 for a
-    # 2a color, else 1); then each color owned by two or more, with its weight
-    split: Split
+    # the plan of the colors' split: per simple root, the colors it owns
+    # alone and their factors (2 for a 2a color, else 1); then each color
+    # owned by two or more, with its weight
+    plan: _Plan
     gamma: GammaGroup
     minimal: Tuple[int, ...]  # minimal distinguished subsets as color bitmasks
 
@@ -185,7 +226,7 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     k = len(colors(sys))
     split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
                     for i in range(k)], sys.rs.rank)
-    return _Profile(split=split, gamma=_gamma(sys, loose),
+    return _Profile(plan=_plan(k, split), gamma=_gamma(sys, loose),
                     minimal=tuple(_minimal(_color_supports(sys).supports)))
 
 
@@ -209,30 +250,31 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     solutions, and its lexicographically least member is the one with
     counts[i] < counts[j] for every swap: only that member is kept.
 
-    The multiplicities of a given weight depend only on the color weights,
-    so within one call they are solved once per distinct split of the colors
-    (`_Profile.split`), with each solution's support bitmask, and shared by
-    every system with that split; so are the compositions of a value over
-    the factors of one coordinate. Nothing is cached across calls.
+    The multiplicities of a given weight depend only on the color weights.
+    Every system with the same split of its colors (see `_split`) shares one
+    plan for the life of the process (`_plan`), so within one call the
+    multiplicities are solved once per plan, with each solution's support
+    bitmask, and shared by every system with that plan; so are the
+    compositions of a value over the factors of one coordinate. The solutions
+    and compositions are kept only for the call.
     """
     target = dual_weight(rs, pi_coords)
     if not _naturals(target):
         raise ValueError(f"{list(pi_coords)} is not a dominant weight")
     out: List[Tuple[FaithfulCouple, int]] = []
-    solved: Dict[Split, List[Tuple[Counts, int]]] = {}
+    solved: Dict[_Plan, List[Tuple[Counts, int]]] = {}
     compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]] = {}
     for sys in systems:
         profile = _profile(sys)
         if profile is None:
             continue
-        sols = solved.get(profile.split)
+        sols = solved.get(profile.plan)
         if sols is None:
-            sols = solved[profile.split] = _solve(len(colors(sys)), profile.split, target,
-                                                  compositions)
+            sols = solved[profile.plan] = _solve(profile.plan, target, compositions)
         swaps, minimal = profile.gamma.swaps, profile.minimal
         for counts, supp in sols:
-            if (all(counts[i] < counts[j] for i, j in swaps)
-                    and all(map(supp.__and__, minimal))):
+            if (all(map(supp.__and__, minimal))
+                    and (not swaps or all(counts[i] < counts[j] for i, j in swaps))):
                 out.append((FaithfulCouple(system=sys, counts=counts), len(out)))
     return out
 
@@ -242,28 +284,28 @@ def _multiplicities_with_weight(weights: Sequence[Sequence[Tuple[int, int]]],
     """All multiplicity vectors m, in lexicographic order, with
     sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
     w_j > 0; a color of weight zero only takes multiplicity 0."""
-    return [counts for counts, _ in _solve(len(weights), _split(weights, len(target)),
-                                           target, {})]
+    plan = _plan(len(weights), _split(weights, len(target)))
+    return [counts for counts, _ in _solve(plan, target, {})]
 
 
-def _solve(n: int, split: Split, target: Sequence[int],
+def _solve(plan: _Plan, target: Sequence[int],
            compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]]
            ) -> List[Tuple[Counts, int]]:
-    """Every multiplicity of the n colors of a `_split` with weight
-    `target`, in lexicographic order, with its support bitmask.
+    """Every multiplicity of the colors of `plan` with weight `target`, in
+    lexicographic order, with its support bitmask.
 
-    The shared colors are enumerated depth first: the last one that reaches
-    a coordinate no lone color reaches is forced to close it, or the branch
-    is dead. What is left at each coordinate j is then split over the lone
-    colors of j, as its compositions over their factors from the table
-    `compositions`, which is filled on demand; what is left at a coordinate
-    that no color reaches must be zero.
+    There is none when the target is nonzero at a coordinate no color
+    reaches. Otherwise the shared colors are enumerated depth first: the one
+    that closes a coordinate is forced to, or the branch is dead. What is
+    left at each coordinate j is then split over the lone colors of j, as
+    its compositions over their factors from the table `compositions`,
+    which is filled on demand.
     """
-    lone, factors, shared = split
+    if any(target[j] for j in plan.unreached):
+        return []
+    shared, closes = plan.shared, plan.closes
     leaves = [((), tuple(target))]
     if shared:
-        last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
-        closes = [[(j, wj) for j, wj in w if last.get(j) == s] for s, (_, w) in enumerate(shared)]
         rem = list(target)
         acc = [0] * len(shared)
         leaves = []
@@ -291,32 +333,20 @@ def _solve(n: int, split: Split, target: Sequence[int],
                     rem[j] += m * wj
 
         rec(0)
-    # a solution is built as the shared colors' multiplicities, then each
-    # coordinate's composition, then zeros; `place` puts it in color order
     found: List[Counts] = []
     for head, rem_ in leaves:
         part = [head]
-        for fs, r in zip(factors, rem_):
-            if fs:
-                comps = compositions.get((fs, r))
-                if comps is None:
-                    comps = compositions[fs, r] = _compositions(fs, r)
-                part = [v + c for v in part for c in comps]
-            elif r:  # reached by no color
-                break
-        else:
-            found += part
+        for j, fs in plan.lone:
+            comps = compositions.get((fs, rem_[j]))
+            if comps is None:
+                comps = compositions[fs, rem_[j]] = _compositions(fs, rem_[j])
+            part = [v + c for v in part for c in comps]
+        found += part
     if not found:
         return []
-    order = [i for i, _ in shared] + [i for cs in lone for i in cs]
-    zeros = (0,) * (n - len(order))
-    if zeros:
-        order += sorted(set(range(n)).difference(order))
-    # itemgetter of one index returns an item, not a tuple
-    place = itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple
-    found = sorted([place(v + zeros) for v in found])
-    bits = [1 << i for i in range(n)]
-    return [(counts, sum(compress(bits, counts))) for counts in found]
+    zeros, place, bits = plan.zeros, plan.place, plan.bits
+    return [(counts, sum(compress(bits, counts)))
+            for counts in sorted([place(v + zeros) for v in found])]
 
 
 def _compositions(factors: Tuple[int, ...], value: int) -> List[Counts]:

@@ -22,6 +22,7 @@ from sphsys.closure import (
 )
 from sphsys.enumeration import census
 from sphsys.quotient import enumerate_distinguished, is_distinguished
+from sphsys.system import _relabel
 
 
 @pytest.fixture(scope="module")
@@ -361,3 +362,104 @@ def test_faithful_couples_of_systems_sharing_color_weights(f4_census, differ):
         assert _couple_ids(faithful_couples([a, b], rs, w)) == _couple_ids(want[w]), w
         assert _couple_ids(faithful_couples([b, a], rs, w)) == \
             _couple_ids(_reference_faithful_couples([b, a], rs, w)), w
+
+
+def test_faithful_couples_solve_once_per_plan(f4_census, a3_census, monkeypatch):
+    # systems with the same split of their colors share one plan for the
+    # life of the process, and one call solves each plan once
+    module = import_module("sphsys.closure")
+    solve = module._solve
+    calls = []
+
+    def counting(plan, target, compositions):
+        calls.append(plan)
+        return solve(plan, target, compositions)
+
+    monkeypatch.setattr(module, "_solve", counting)
+    plans = {}
+    for report, closed, distinct in ((f4_census, 263, 137), (a3_census, 50, 39)):
+        profiles = [module._profile(s) for s in report.systems]
+        profiles = [p for p in profiles if p is not None]
+        assert len(profiles) == closed
+        plans[report.rs.name] = {id(p.plan) for p in profiles}
+        assert len(plans[report.rs.name]) == distinct
+        for sys in report.systems[:20]:
+            fresh = module._profile.__wrapped__(sys)
+            assert fresh is None or fresh.plan is module._profile(sys).plan
+    size = module._plan.cache_info().currsize
+    for report in (f4_census, a3_census):
+        for w in list(product(range(3), repeat=report.rs.rank))[1:6]:
+            calls.clear()
+            faithful_couples(report.systems, report.rs, w)
+            assert len(calls) == len(set(map(id, calls))) == len(plans[report.rs.name])
+            assert set(map(id, calls)) == plans[report.rs.name]
+    assert module._plan.cache_info().currsize == size
+
+
+# A diagram automorphism p maps the faithful couples of a weight onto those
+# of its image: relabeling S by p (simple root k of the image is simple root
+# p[k] of S) and moving each count to the image's color order gives a couple
+# of the image at the weight lam o p. The orbit representative is chosen by
+# color index, which the relabeling permutes, so the couples are compared as
+# Gamma-orbits.
+
+def _moved_counts(sys, image, p, counts):
+    """counts of sys's colors, moved to the color order of image =
+    `_relabel(sys, sys.rs, p)`: a color keeps its kind, its owners go to
+    their preimages under p, and its row pairs the same with each relabeled
+    root of Sigma. Equal colors are taken in order."""
+    inv = {j: k for k, j in enumerate(p)}
+
+    def key(s, c, owners, coeffs):
+        return c.kind, owners, tuple(sorted(zip(map(coeffs, s.sigma), c.row)))
+
+    free = {}
+    for idx, c in enumerate(colors(image).colors):
+        free.setdefault(key(image, c, c.owners, lambda r: r.coeffs), []).append(idx)
+    out = [0] * len(counts)
+    for c, m in zip(colors(sys).colors, counts):
+        owners = tuple(sorted(inv[a] for a in c.owners))
+        image_key = key(sys, c, owners, lambda r: tuple(r.coeffs[j] for j in p))
+        out[free[image_key].pop(0)] = m
+    return tuple(out)
+
+
+def _orbits(pairs):
+    return sorted((sys.key(), tuple(sorted(gamma_group(sys).orbit(counts))))
+                  for sys, counts in pairs)
+
+
+EQUIVARIANCE_CASES = [
+    # D4: w1/w3/w4 and w1+w2, w2+w3, w2+w4
+    pytest.param("D4", [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                        (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)], id="D4"),
+    # A4: w1, w4 and w2, w3
+    pytest.param("A4", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)], id="A4"),
+    # D5: w4/w5 and w1+w4/w1+w5
+    pytest.param("D5", [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+                        (1, 0, 0, 1, 0), (1, 0, 0, 0, 1)], id="D5", marks=pytest.mark.slow),
+    # E6: w1/w6 and w3/w5
+    pytest.param("E6", [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+                        (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)], id="E6", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("spec, weights", EQUIVARIANCE_CASES)
+def test_faithful_couples_are_equivariant(spec, weights):
+    report = census(spec)
+    rs = report.rs
+    members = {s.key(): s for s in report.systems}
+    couples = {w: faithful_couples(report.systems, rs, w) for w in weights}
+    assert len(rs.automorphisms) > 1 and all(couples.values())
+    for p in rs.automorphisms:
+        for w, found in couples.items():
+            image_weight = tuple(w[j] for j in p)
+            assert image_weight in couples, (p, w)
+            moved = []
+            for c, _ in found:
+                image = members[_relabel(c.system, rs, p).key()]
+                counts = _moved_counts(c.system, image, p, c.counts)
+                assert omega_of(image, counts) == dual_weight(rs, image_weight)
+                moved.append((image, counts))
+            want = [(c.system, c.counts) for c, _ in couples[image_weight]]
+            assert _orbits(moved) == _orbits(want), (p, w)

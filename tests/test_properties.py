@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphsys import colors, localize_sigma, make_system, validate
-from sphsys.closure import _multiplicities_with_weight, gamma_group, omega_of
+from sphsys.closure import (_multiplicities_with_weight, _plan, _solve, _split,
+                            gamma_group, omega_of)
 from sphsys.enumeration import census
 from sphsys.quotient import is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
@@ -142,6 +143,22 @@ def test_multiplicity_solver_matches_brute_force(case):
         _brute_force_multiplicities(weights, target)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_weights(), st.data())
+def test_one_plan_solves_targets_in_turn(case, data):
+    # the plan is shared by every solve of its split, so a solve must leave
+    # it as it found it; so must the compositions table within one call
+    weights, target = case
+    plan = _plan(len(weights), _split(weights, len(target)))
+    compositions = {}
+    targets = [target] + data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=len(target), max_size=len(target)),
+        min_size=1, max_size=4))
+    for t in targets:
+        assert [m for m, _ in _solve(plan, t, compositions)] == \
+            _brute_force_multiplicities(weights, t)
+
+
 def test_multiplicity_solver_edge_targets():
     weights = [((0, 1),), ((0, 2), (1, 1)), ((1, 3),)]
     # coordinate 2 is reached by no color
@@ -150,3 +167,10 @@ def test_multiplicity_solver_edge_targets():
     assert _multiplicities_with_weight(weights, (0, 0, 0)) == [(0, 0, 0)]
     assert _multiplicities_with_weight(weights, (4, 3, 0)) == \
         _brute_force_multiplicities(weights, (4, 3, 0))
+    # the shared color 0 alone reaches coordinate 1, and closes it; no color
+    # reaches coordinate 2
+    weights = [((0, 1), (1, 2)), ((0, 1),)]
+    for target, want in [((3, 2, 0), [(1, 2)]), ((3, 3, 0), []), ((3, 2, 1), []),
+                         ((0, 0, 0), [(0, 0)]), ((0, 0, 2), [])]:
+        assert _multiplicities_with_weight(weights, target) == want
+        assert _brute_force_multiplicities(weights, target) == want
