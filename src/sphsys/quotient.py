@@ -5,8 +5,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import add
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootsys import _cone_rays
 from .serialize import emit_system
@@ -24,15 +24,6 @@ class FreenessError(RuntimeError):
 def _rows_of(sys: SphericalSystem, members: Sequence[int]) -> List[Row]:
     cs = colors(sys).colors
     return [cs[i].row for i in members]
-
-
-def _color_indices(sys: SphericalSystem, members: Sequence[int]) -> List[int]:
-    """The sorted distinct members; ValueError for one that is not a color index."""
-    members = sorted(set(members))
-    k = len(colors(sys))
-    if members and not 0 <= members[0] <= members[-1] < k:
-        raise ValueError(f"color indices {members} outside 0..{k - 1}")
-    return members
 
 
 def _mask(members: Iterable[int]) -> int:
@@ -83,20 +74,23 @@ def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
     support is the low k bits of ~z, and the columns where the ray pairs
     positively are the bits of ~z above them. A ray is positive exactly on
     its support, so the nonzero entries of a ray sum are those on the
-    support's members. Of two supports of one size, the one with the lowest
-    member where they differ has the larger reversed mask.
+    support's members.
     """
     k = len(rows)
     full, columns = (1 << k) - 1, (1 << width) - 1
-    by_support = {}
+    positive, sums = {}, {}
     for ray, z in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)]):
-        positive, ray_sum = by_support.get(full & ~z, (0, (0,) * k))
-        by_support[full & ~z] = positive | ~z >> k & columns, tuple(map(add, ray_sum, ray))
-    supports = sorted(by_support, key=lambda m: (m.bit_count(), -int(f"{m:0{k}b}"[::-1], 2)))
+        s = full & ~z
+        if s in sums:
+            positive[s] |= ~z >> k & columns
+            sums[s] = tuple(map(add, sums[s], ray))
+        else:
+            positive[s], sums[s] = ~z >> k & columns, ray
+    supports = [s for _, _, s in sorted((s.bit_count(), _members(s), s) for s in sums)]
     return _Cone(supports=tuple(supports),
-                 positive=tuple(by_support[s][0] for s in supports),
-                 sums=tuple(tuple(filter(None, by_support[s][1])) for s in supports),
-                 touched=tuple(_mask(j for j, x in enumerate(r) if x) for r in rows))
+                 positive=tuple([positive[s] for s in supports]),
+                 sums=tuple([tuple(filter(None, sums[s])) for s in supports]),
+                 touched=tuple([_mask(j for j, x in enumerate(r) if x) for r in rows]))
 
 
 def _minimal(supports: Sequence[int]) -> List[int]:
@@ -126,12 +120,29 @@ def _inside(cone: _Cone, mask: int) -> Tuple[int, int]:
     return union, vanish
 
 
-def _touched(cone: _Cone, members: Iterable[int]) -> int:
-    """The columns where one of the members' rows is nonzero."""
-    touched = 0
+def _subset(cone: _Cone, members: Sequence[int]) -> Tuple[List[int], int, int, int, int]:
+    """D's sorted distinct members and bitmask, the union of the ray supports
+    inside D, the columns D's rows touch, and the columns where those
+    supports' rays pair positively, on which every kernel vector vanishes;
+    ValueError for a member that is not a color index."""
+    members, k = sorted(set(members)), len(cone.touched)
+    if members and not 0 <= members[0] <= members[-1] < k:
+        raise ValueError(f"color indices {members} outside 0..{k - 1}")
+    mask = touched = 0
     for i in members:
+        mask |= 1 << i
         touched |= cone.touched[i]
-    return touched
+    union, vanish = _inside(cone, mask)
+    return members, mask, union, touched, vanish
+
+
+def _distinguished(cone: _Cone, members: Sequence[int]) -> Tuple[List[int], int, int, int]:
+    """`_subset` of a distinguished D, without the union, which is D itself;
+    ValueError when D is not the union of the ray supports inside it."""
+    members, mask, union, touched, vanish = _subset(cone, members)
+    if union != mask:
+        raise ValueError("subset of colors is not distinguished")
+    return members, mask, touched, vanish
 
 
 def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -143,16 +154,15 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
     subset. Their sum is a witness, so the integer search for the smallest
     witness (`_integer_witness`) stops at its largest entry.
     """
-    members = _color_indices(sys, members)
-    mask, cone = _mask(members), _color_supports(sys)
-    union, total = 0, [0] * len(colors(sys))
-    for s, ray_sum in zip(cone.supports, cone.sums):
-        if s | mask == mask:
-            union |= s
-            for i, x in zip(_members(s), ray_sum):
-                total[i] += x
+    cone = _color_supports(sys)
+    members, mask, union, _, _ = _subset(cone, members)
     if union != mask:
         return None
+    total = [0] * len(cone.touched)
+    for s, ray_sum in zip(cone.supports, cone.sums):
+        if s | mask == mask:
+            for i, x in zip(_members(s), ray_sum):
+                total[i] += x
     bound = max((total[i] for i in members), default=1)
     return tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank, bound))
 
@@ -199,23 +209,31 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     diagonal: the unit vectors of the columns that no member row touches,
     and the primitive extreme rays of the kernel over the touched columns
     left (`_kernel_rays`), whose maximal minors have the gcd of the whole.
-    `quotient` calls it only when such columns are left: otherwise every
-    generator is a unit vector and S/D is a localization of S.
     """
-    members = _color_indices(sys, members)
-    cone, n = _color_supports(sys), sys.rank
-    _, vanish = _inside(cone, _mask(members))
-    touched = _touched(cone, members)
-    gens = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched >> j & 1]
+    members, _, _, touched, vanish = _subset(_color_supports(sys), members)
+    return _generators(sys, members, touched, vanish)
+
+
+def _generators(sys: SphericalSystem, members: Sequence[int], touched: int,
+                vanish: int) -> List[Tuple[int, ...]]:
+    """`kernel_generators` of the checked members, from their `_subset`
+    columns. The kernel cone runs only when touched columns are left open:
+    otherwise every generator is a unit vector and S/D is a localization of S."""
+    gens = _units(sys.rank, touched)
     rest = _members(touched & ~vanish)
     if rest:
         rows = _rows_of(sys, members)
         for ray in _kernel_rays(tuple(tuple(r[j] for j in rest) for r in rows), len(rest)):
-            gen = [0] * n
+            gen = [0] * sys.rank
             for j, x in zip(rest, ray):
                 gen[j] = x
             gens.append(tuple(gen))
     return sorted(gens)
+
+
+def _units(n: int, touched: int) -> List[Tuple[int, ...]]:
+    """The unit vectors of N^n at the columns outside touched, in column order."""
+    return [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched >> j & 1]
 
 
 def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ...]:
@@ -243,8 +261,12 @@ def _det(m: List[List[int]]) -> int:
 
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
-    """The quotient system by a distinguished subset of colors."""
-    return _quotient(sys, members)[0]
+    """The quotient system by a distinguished subset of colors (`_quotient`)."""
+    cone = _color_supports(sys)
+    members, mask, touched, vanish = _distinguished(cone, members)
+    if touched & ~vanish:
+        return _on_kernel(sys, members, mask, touched, vanish)[0]
+    return _localization(sys, cone, mask, touched)
 
 
 # a quotient S/D with the kernel generators it was built from and their spherical roots
@@ -259,28 +281,41 @@ def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     vanishes on the columns where those supports' rays pair positively
     (`kernel_generators`); when these are all the columns D's rows touch,
     the generators are the unit vectors of the untouched columns, and by
-    Luna's correspondence S/D is the localization of S at those columns,
-    with S^p enlarged by the simple roots whose colors all lie in D.
-    Otherwise the kernel cone is run and S/D is built on its generators.
+    Luna's correspondence S/D is the localization of S at those columns
+    (`_localization`). Otherwise the kernel cone is run and S/D is built on
+    its generators (`_on_kernel`).
     """
-    members = _color_indices(sys, members)
-    mask, cone = _mask(members), _color_supports(sys)
-    union, vanish = _inside(cone, mask)
-    if union != mask:
-        raise ValueError("subset of colors is not distinguished")
-    new_sp = sys.sp.union(alpha for alpha, owned in cone.owned if owned | mask == mask)
-    touched = _touched(cone, members)
+    cone = _color_supports(sys)
+    members, mask, touched, vanish = _distinguished(cone, members)
     if touched & ~vanish:
-        gens = kernel_generators(sys, members)
-        roots, rows = _on_generators(sys, gens)
-        return _canonical(sys.rs, roots, new_sp, rows), gens, roots
-    n = sys.rank
-    cols, a_rows = _members(((1 << n) - 1) & ~touched), 0
+        return _on_kernel(sys, members, mask, touched, vanish)
+    q = _localization(sys, cone, mask, touched)
+    return q, _units(sys.rank, touched), list(q.sigma)
+
+
+def _on_kernel(sys: SphericalSystem, members: Sequence[int], mask: int, touched: int,
+               vanish: int) -> Built:
+    """S/D on the generators of a kernel that leaves touched columns open."""
+    gens = _generators(sys, members, touched, vanish)
+    roots, rows = _on_generators(sys, gens)
+    return _canonical(sys.rs, roots, _new_sp(sys, _color_supports(sys), mask), rows), gens, roots
+
+
+def _localization(sys: SphericalSystem, cone: _Cone, mask: int, touched: int) -> SphericalSystem:
+    """S/D for a kernel of unit vectors: S at the columns that D's rows leave
+    untouched, with the rows of A(alpha) for the simple roots alpha there."""
+    a_rows = 0
     for bit, rows_mask in cone.simple:
         if not touched & bit:
             a_rows |= rows_mask
-    q = _on_columns(sys, cols, new_sp, [sys.a_rows[i] for i in _members(a_rows)])
-    return q, [(0,) * j + (1,) + (0,) * (n - j - 1) for j in cols], list(q.sigma)
+    return _on_columns(sys, _members(((1 << sys.rank) - 1) & ~touched), _new_sp(sys, cone, mask),
+                       [sys.a_rows[i] for i in _members(a_rows)])
+
+
+def _new_sp(sys: SphericalSystem, cone: _Cone, mask: int) -> FrozenSet[int]:
+    """S^p of S/D: S^p of S and the simple roots whose colors all lie in D."""
+    new = [alpha for alpha, owned in cone.owned if owned | mask == mask]
+    return sys.sp.union(new) if new else sys.sp
 
 
 @dataclass(frozen=True)
@@ -302,36 +337,51 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
     for s in supports:
         unions |= {u | s for u in unions}
     minimal = set(_minimal(supports))
-    return [DistinguishedSubset(members=members, minimal=_mask(members) in minimal)
-            for members in sorted(map(_members, unions - {0}), key=lambda m: (len(m), m))]
+    return [DistinguishedSubset(members=members, minimal=u in minimal)
+            for _, members, u in sorted((u.bit_count(), _members(u), u) for u in unions if u)]
 
 
 def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
-    """Type of the quotient edge by a minimal distinguished subset.
+    """Type of the quotient edge by a minimal distinguished subset (`_kind`).
+
+    S/D is not built. By Luna's correspondence its colors are those c of S
+    outside D, with their owners and the row (c.row . g) over the kernel
+    generators g, one spherical root sum_j g_j sigma_j per generator. So
+    its defect is |colors| - |D| - #generators, its negative colors are the
+    c outside D with every c.row . g <= 0, and its support is the union of
+    the supports of the sigma_j with some g_j > 0.
+    """
+    members, mask, touched, vanish = _distinguished(_color_supports(sys), members)
+    gens = kernel_generators(sys, members) if touched & ~vanish else _units(sys.rank, touched)
+    cs = colors(sys).colors
+    supp = {a for j, s in enumerate(sys.sigma) if any(g[j] for g in gens) for a in s.support}
+    negative = {(c.owners, "interior" if supp.intersection(c.owners) else "exterior")
+                for i, c in enumerate(cs) if not mask >> i & 1
+                and all(sum(map(mul, c.row, g)) <= 0 for g in gens)}
+    return _kind(_side(sys), (len(cs) - len(members) - len(gens), negative))
+
+
+def _side(sys: SphericalSystem) -> Tuple[int, Set[Tuple[Tuple[int, ...], str]]]:
+    """One end of an edge, as `_kind` reads it: the defect and the negative
+    colors as (owners, interior or exterior)."""
+    return defect(sys), {(c.owners, where) for c, where in negative_colors(sys)}
+
+
+def _kind(source: Tuple[int, Set], target: Tuple[int, Set]) -> str:
+    """The type of a minimal quotient edge from its two `_side`s.
 
     "P" if the defect drops; "L" if it rises or a new exterior negative color
     appears; "R" if no new negative color appears (a heuristic reading,
     consistent with every worked case); "LR" when only a new interior
     negative color appears and the type is not determined.
     """
-    return _edge_kind(sys, quotient(sys, members))
-
-
-def _edge_kind(sys: SphericalSystem, target: SphericalSystem) -> str:
-    """`classify` of the edge from sys to its quotient target."""
-    d0, d1 = defect(sys), defect(target)
-    if d1 < d0:
-        return "P"
-    if d1 > d0:
-        return "L"
-    src = {(c.owners, where) for c, where in negative_colors(sys)}
-    tgt = {(c.owners, where) for c, where in negative_colors(target)}
-    new = tgt - src
+    (d0, negative0), (d1, negative1) = source, target
+    if d1 != d0:
+        return "P" if d1 < d0 else "L"
+    new = negative1 - negative0
     if any(where == "exterior" for _, where in new):
         return "L"
-    if not new:
-        return "R"
-    return "LR"
+    return "LR" if new else "R"
 
 
 def projective_colors(sys: SphericalSystem) -> List[Tuple[int, int]]:
@@ -418,9 +468,9 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
         except (KeyError, IndexError):
             raise RuntimeError(f"Luna's correspondence fails at D = {list(members)} of S = "
                                + emit_system(sys).strip())
-        minimal = set(_minimal([s & ~base for s in supports if s & ~base]))
+        minimal, side = set(_minimal([s & ~base for s in supports if s & ~base])), _side(node)
         edges += [QuotientEdge(source=node, target=t, members=e, minimal=rest in minimal,
-                               kind=_edge_kind(node, t) if rest in minimal else None)
+                               kind=_kind(side, _side(t)) if rest in minimal else None)
                   for e, rest, t in above]
     return QuotientLattice(nodes=tuple(b[0] for _, b in nodes.values()), edges=tuple(edges))
 

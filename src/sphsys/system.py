@@ -282,15 +282,21 @@ def _on_generators(sys: SphericalSystem, gens: Sequence[Sequence[int]]
     the other sums are looked up in the catalog, which raises ValueError
     for one that is not a spherical root. For unit vectors alone,
     `_on_columns` builds the system directly."""
-    n = sys.rs.rank
-    roots = [sys.sigma[g.index(1)] if sum(g) == 1 else
-             spherical_root(sys.rs, [sum(gi * s.coeffs[j] for gi, s in zip(g, sys.sigma))
-                                     for j in range(n)])
+    roots = [sys.sigma[g.index(1)] if sum(g) == 1 else spherical_root(sys.rs, _vector_of(sys, g))
              for g in gens]
     still_simple = {r.support[0] for r in roots if r.shape == "a1"}
     cols = [c for a, c in sys.simple_sigma().items() if a in still_simple]
     rows = [tuple(sum(map(mul, g, r)) for g in gens) for r in _a_rows_at(sys, cols)]
     return roots, rows
+
+
+def _vector_of(sys: SphericalSystem, g: Sequence[int]) -> List[int]:
+    """The coefficient vector of sum_i g_i sigma_i, one sigma_i at a time."""
+    vector = [0] * sys.rs.rank
+    for gi, s in zip(g, sys.sigma):
+        if gi:
+            vector = [v + gi * x for v, x in zip(vector, s.coeffs)]
+    return vector
 
 
 def _a_rows_at(sys: SphericalSystem, cols: Sequence[int]) -> List[Row]:

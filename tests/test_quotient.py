@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphsys import build_root_system, colors, defect, make_system, validate
+from sphsys import build_root_system, colors, defect, make_system, negative_colors, validate
 from sphsys.closure import _profile
 from sphsys.enumeration import census
 from sphsys.rootsys import _cone_rays
@@ -18,7 +18,6 @@ from sphsys.serialize import emit_system, render_dot
 from sphsys.system import _canonical, _on_generators, localize_sigma
 from sphsys.quotient import (
     FreenessError,
-    _edge_kind,
     _inside,
     _integer_witness,
     _kernel_rays,
@@ -421,10 +420,11 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays`, `kernel_generators`,
-    # `_on_generators` and `_canonical`; none goes through make_system
+    # vector, and only those run `_kernel_rays`, `_generators` (the body of
+    # `kernel_generators`), `_on_generators` and `_canonical`; none goes
+    # through make_system
     module = import_module("sphsys.quotient")
-    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_on_generators": 0, "_canonical": 0}
+    calls = {"_kernel_rays": 0, "_generators": 0, "_on_generators": 0, "_canonical": 0}
 
     def counting(name):
         fn = getattr(module, name)
@@ -788,7 +788,7 @@ def bfs_lattice(sys):
                 if q.key() not in nodes:
                     nodes[q.key()] = q
                     nxt.append(q)
-                kind = _edge_kind(cur, q) if d.minimal else None
+                kind = edge_kind(cur, q) if d.minimal else None
                 edges.append((cur.key(), q.key(), d.members, d.minimal, kind))
         frontier = nxt
     return list(nodes), edges
@@ -891,12 +891,47 @@ def test_strongly_solvable_chain_digest(specs):
 # member: this engine's regression values, not the paper's (classify still
 # reads "R" heuristically and answers "LR" when it cannot decide)
 @pytest.mark.parametrize("spec,counts", [("F4", (134, 354, 61, 21)), ("D4", (174, 375, 95, 0)),
-                                         ("B3xA1", (254, 538, 187, 33))])
+                                         ("B3xA1", (254, 538, 187, 33)),
+                                         pytest.param("D5", (630, 1934, 307, 0),
+                                                      marks=pytest.mark.slow)])
 def test_minimal_edge_kind_counts(spec, counts):
     kinds = [classify(s, d.members) for s in census(spec).systems
              for d in enumerate_distinguished(s) if d.minimal]
     assert tuple(kinds.count(k) for k in ("P", "L", "R", "LR")) == counts
     assert len(kinds) == sum(counts)
+
+
+# Frozen copy of the earlier classification, which built the target S/D and
+# read its defect and negative colors: the reference for `classify`, which
+# reads them off S's own colors, and for the kinds of the BFS lattice.
+def edge_kind(sys, target):
+    d0, d1 = defect(sys), defect(target)
+    if d1 < d0:
+        return "P"
+    if d1 > d0:
+        return "L"
+    src = {(c.owners, where) for c, where in negative_colors(sys)}
+    tgt = {(c.owners, where) for c, where in negative_colors(target)}
+    new = tgt - src
+    if any(where == "exterior" for _, where in new):
+        return "L"
+    if not new:
+        return "R"
+    return "LR"
+
+
+@pytest.mark.parametrize("specs", [("F4", "D4", "B3xA1"),
+                                   pytest.param(("D5",), marks=pytest.mark.slow)])
+def test_classify_matches_the_built_target(specs):
+    # both routes to S/D occur: localizations and kernel quotients
+    routes = set()
+    for sys in census_systems(specs):
+        for d in enumerate_distinguished(sys):
+            if d.minimal:
+                q = quotient(sys, d.members)
+                assert classify(sys, d.members) == edge_kind(sys, q), (emitted(sys), d.members)
+                routes.add(any(sum(g) > 1 for g in kernel_generators(sys, d.members)))
+    assert routes == {False, True}
 
 
 @pytest.mark.parametrize("spec", ["F4", "D4"])
@@ -1004,6 +1039,14 @@ def test_color_indices_are_checked(sl4):
             kernel_generators(sl4, bad)
         with pytest.raises(ValueError, match="color indices"):
             quotient(sl4, bad)
+        with pytest.raises(ValueError, match="color indices"):
+            classify(sl4, bad)
+    dist = {d.members for d in enumerate_distinguished(sl4)}
+    other = next(m for size in (1, 2) for m in combinations(range(len(colors(sl4))), size)
+                 if m not in dist)
+    for fn in (quotient, classify):
+        with pytest.raises(ValueError, match="not distinguished"):
+            fn(sl4, other)
     last = len(colors(sl4)) - 1
     assert is_distinguished(sl4, [last, last]) == is_distinguished(sl4, [last])
 
@@ -1128,6 +1171,9 @@ def test_ray_supports_keep_positive_columns_and_ray_sums(case):
         positive[s] = positive.get(s, 0) | sum(1 << j for j, v in enumerate(pairing) if v > 0)
         sums[s] = [a + b for a, b in zip(sums.get(s, [0] * len(rows)), ray)]
     assert sorted(cone.supports) == sorted(positive)
+    order = [(s.bit_count(), tuple(d for d in range(len(rows)) if s >> d & 1))
+             for s in cone.supports]
+    assert order == sorted(order)
     assert [positive[s] for s in cone.supports] == list(cone.positive)
     assert [[sums[s][d] for d in range(len(rows)) if s >> d & 1] for s in cone.supports] \
         == [list(v) for v in cone.sums]
