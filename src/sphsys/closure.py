@@ -279,15 +279,6 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     return out
 
 
-def _multiplicities_with_weight(weights: Sequence[Sequence[Tuple[int, int]]],
-                                target: Sequence[int]) -> List[Counts]:
-    """All multiplicity vectors m, in lexicographic order, with
-    sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
-    w_j > 0; a color of weight zero only takes multiplicity 0."""
-    plan = _plan(len(weights), _split(weights, len(target)))
-    return [counts for counts, _ in _solve(plan, target, {})]
-
-
 def _solve(plan: _Plan, target: Sequence[int],
            compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]]
            ) -> List[Tuple[Counts, int]]:

@@ -6,11 +6,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import add, mul
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootsys import _cone_rays
 from .serialize import emit_system
-from .sphroots import SphericalRoot
 from .system import (SphericalSystem, _canonical, _on_columns, _on_generators, colors,
                      defect, negative_colors)
 
@@ -209,16 +208,9 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     diagonal: the unit vectors of the columns that no member row touches,
     and the primitive extreme rays of the kernel over the touched columns
     left (`_kernel_rays`), whose maximal minors have the gcd of the whole.
+    The kernel cone runs only when touched columns are left open.
     """
     members, _, _, touched, vanish = _subset(_color_supports(sys), members)
-    return _generators(sys, members, touched, vanish)
-
-
-def _generators(sys: SphericalSystem, members: Sequence[int], touched: int,
-                vanish: int) -> List[Tuple[int, ...]]:
-    """`kernel_generators` of the checked members, from their `_subset`
-    columns. The kernel cone runs only when touched columns are left open:
-    otherwise every generator is a unit vector and S/D is a localization of S."""
     gens = _units(sys.rank, touched)
     rest = _members(touched & ~vanish)
     if rest:
@@ -262,60 +254,43 @@ def _det(m: List[List[int]]) -> int:
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
     """The quotient system by a distinguished subset of colors (`_quotient`)."""
-    cone = _color_supports(sys)
-    members, mask, touched, vanish = _distinguished(cone, members)
-    if touched & ~vanish:
-        return _on_kernel(sys, members, mask, touched, vanish)[0]
-    return _localization(sys, cone, mask, touched)
+    return _quotient(sys, members)[0]
 
 
-# a quotient S/D with the kernel generators it was built from and their spherical roots
-Built = Tuple[SphericalSystem, List[Tuple[int, ...]], List[SphericalRoot]]
+# a quotient S/D with the kernel generator of each of its Sigma columns, or
+# None when S/D is a localization, whose columns are columns of S
+Built = Tuple[SphericalSystem, Optional[List[Tuple[int, ...]]]]
 
 
 def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     """`quotient`, with what `_color_map` reads; S/D is built directly in
     canonical order, from the bitmasks of the colors' cone record.
 
-    D must be the union of the ray supports inside it. Every kernel vector
+    D must be the union of the ray supports inside it. S^p of S/D is S^p of
+    S and the simple roots whose colors all lie in D. Every kernel vector
     vanishes on the columns where those supports' rays pair positively
-    (`kernel_generators`); when these are all the columns D's rows touch,
+    (`kernel_generators`). When these are all the columns D's rows touch,
     the generators are the unit vectors of the untouched columns, and by
-    Luna's correspondence S/D is the localization of S at those columns
-    (`_localization`). Otherwise the kernel cone is run and S/D is built on
-    its generators (`_on_kernel`).
+    Luna's correspondence S/D is the localization of S there, with the rows
+    of A(alpha) for the simple roots alpha at those columns. Otherwise the
+    kernel cone is run and S/D is built on its generators.
     """
     cone = _color_supports(sys)
     members, mask, touched, vanish = _distinguished(cone, members)
+    new = [alpha for alpha, owned in cone.owned if owned | mask == mask]
+    sp = sys.sp.union(new) if new else sys.sp
     if touched & ~vanish:
-        return _on_kernel(sys, members, mask, touched, vanish)
-    q = _localization(sys, cone, mask, touched)
-    return q, _units(sys.rank, touched), list(q.sigma)
-
-
-def _on_kernel(sys: SphericalSystem, members: Sequence[int], mask: int, touched: int,
-               vanish: int) -> Built:
-    """S/D on the generators of a kernel that leaves touched columns open."""
-    gens = _generators(sys, members, touched, vanish)
-    roots, rows = _on_generators(sys, gens)
-    return _canonical(sys.rs, roots, _new_sp(sys, _color_supports(sys), mask), rows), gens, roots
-
-
-def _localization(sys: SphericalSystem, cone: _Cone, mask: int, touched: int) -> SphericalSystem:
-    """S/D for a kernel of unit vectors: S at the columns that D's rows leave
-    untouched, with the rows of A(alpha) for the simple roots alpha there."""
+        gens = kernel_generators(sys, members)
+        roots, rows = _on_generators(sys, gens)
+        q = _canonical(sys.rs, roots, sp, rows)
+        by_root = {r.coeffs: g for r, g in zip(roots, gens)}
+        return q, [by_root[s.coeffs] for s in q.sigma]
     a_rows = 0
     for bit, rows_mask in cone.simple:
         if not touched & bit:
             a_rows |= rows_mask
-    return _on_columns(sys, _members(((1 << sys.rank) - 1) & ~touched), _new_sp(sys, cone, mask),
-                       [sys.a_rows[i] for i in _members(a_rows)])
-
-
-def _new_sp(sys: SphericalSystem, cone: _Cone, mask: int) -> FrozenSet[int]:
-    """S^p of S/D: S^p of S and the simple roots whose colors all lie in D."""
-    new = [alpha for alpha, owned in cone.owned if owned | mask == mask]
-    return sys.sp.union(new) if new else sys.sp
+    return _on_columns(sys, _members(((1 << sys.rank) - 1) & ~touched), sp,
+                       [sys.a_rows[i] for i in _members(a_rows)]), None
 
 
 @dataclass(frozen=True)
@@ -404,7 +379,7 @@ def is_strongly_solvable(sys: SphericalSystem) -> Tuple[bool, Optional[List[Sphe
     if not sys.sigma and not sys.sp:
         return True, []
     seen, tried = {sys.key()}, set()
-    frontier = [((), (sys, [], []), [])]
+    frontier = [((), (sys, None), [])]
     while frontier:
         nxt = []
         for members, built, chain in frontier:
@@ -453,7 +428,7 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
     RuntimeError.
     """
     supports = _color_supports(sys).supports
-    nodes, by_mask = {sys.key(): ((), (sys, [], []))}, {0: sys}
+    nodes, by_mask = {sys.key(): ((), (sys, None))}, {0: sys}
     for d in enumerate_distinguished(sys):
         q_built = _quotient(sys, d.members)
         by_mask[_mask(d.members)] = nodes.setdefault(q_built[0].key(), (d.members, q_built))[1][0]
@@ -477,14 +452,14 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
 
 def _color_map(sys: SphericalSystem, members: Sequence[int], built: Built) -> List[int]:
     """phi: the colors of q = sys/members to those of sys outside members, by
-    owners and row r . g (g: the generators of `built`, found by their
-    spherical roots in q's column order); equal ones in order. The identity
-    for no members."""
+    owners and row r . g (g: the kernel generators of q's columns, from
+    `built`; the unit vectors of sys's columns for a localization); equal
+    ones in order. The identity for no members."""
     if not members:
         return list(range(len(colors(sys))))
-    q, gens, roots = built
-    by_root = dict(zip(roots, gens))
-    columns = [by_root[s] for s in q.sigma]
+    q, columns = built
+    if columns is None:
+        columns = [tuple(int(s.coeffs == t.coeffs) for t in sys.sigma) for s in q.sigma]
     free = {}
     for i, c in enumerate(colors(sys).colors):
         if i not in members:

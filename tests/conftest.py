@@ -1,9 +1,19 @@
-"""Shared fixtures: root systems and the F4 census, computed once per session."""
+"""Shared fixtures: root systems and the F4 census, computed once per
+session; and the multiplicity solver on a single target."""
 
 import pytest
 
 from sphsys import build_root_system, make_system
+from sphsys.closure import _plan, _solve, _split
 from sphsys.enumeration import census
+
+
+def multiplicities_with_weight(weights, target):
+    """All multiplicity vectors m, in lexicographic order, with
+    sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
+    w_j > 0; a color of weight zero only takes multiplicity 0."""
+    plan = _plan(len(weights), _split(weights, len(target)))
+    return [counts for counts, _ in _solve(plan, target, {})]
 
 
 @pytest.fixture(scope="session")

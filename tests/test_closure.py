@@ -10,7 +10,6 @@ import pytest
 from sphsys import build_root_system, colors, dual_weight, emit_system, make_system, validate
 from sphsys.closure import (
     FaithfulCouple,
-    _multiplicities_with_weight,
     faithful_couples,
     gamma_group,
     is_faithful,
@@ -23,6 +22,8 @@ from sphsys.closure import (
 from sphsys.enumeration import census
 from sphsys.quotient import enumerate_distinguished, is_distinguished
 from sphsys.system import _relabel
+
+from conftest import multiplicities_with_weight
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +159,11 @@ def test_weight_that_is_not_dominant_is_rejected(f4, f4_census, weight):
 
 def test_multiplicities_leave_a_color_of_weight_zero_at_zero():
     # no color of a system has weight zero, but the solver takes such weights
-    assert _multiplicities_with_weight([((0, 1),), (), ((0, 1),)], (2,)) == \
+    assert multiplicities_with_weight([((0, 1),), (), ((0, 1),)], (2,)) == \
         [(0, 0, 2), (1, 0, 1), (2, 0, 0)]
-    assert _multiplicities_with_weight([(), ((0, 2), (1, 1)), ((1, 1),), ()], (2, 3)) == \
+    assert multiplicities_with_weight([(), ((0, 2), (1, 1)), ((1, 1),), ()], (2, 3)) == \
         [(0, 1, 2, 0)]
-    assert _multiplicities_with_weight([()], (1,)) == []
+    assert multiplicities_with_weight([()], (1,)) == []
 
 
 def test_adjoint_weight_couples_count(a3_census):

@@ -1,10 +1,12 @@
 """Every name a `sphsys` module imports is used in that module, every
-import sits at module level, the process-lifetime caches are the expected
-ones, no module computes with floats, and every parameter is read.
+import sits at module level, every private function and class is used, the
+process-lifetime caches are the expected ones, no module computes with
+floats, and every parameter is read.
 
 No linter ships with the project, so this test is the guard against dead
-and function-local imports and unread parameters. `__init__.py` is left out of the unused-import
-check: its imports are the package's exports.
+and function-local imports, dead private code and unread parameters.
+`__init__.py` is left out of the unused-import check: its imports are the
+package's exports.
 """
 import ast
 from pathlib import Path
@@ -38,6 +40,40 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources):
+    """(module, name) of every private top-level function or class of the
+    sources (module name to source) that no code outside its own definition
+    refers to, by name or as an attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and owner.startswith("_") and not owner.startswith("__"):
+                defined.append((module, owner))
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {owner}
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_guard_sees_an_unreferenced_private_function():
+    sources = {"a.py": ("def _helper(): return 1\n"
+                        "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+                        "class _Unused: pass\n"
+                        "class _Record: pass\n"
+                        "def public(): return _helper()\n"
+                        "def _public_only(): pass\n"),
+               "b.py": ("from . import a\n"
+                        "x = a._Record()\n")}
+    assert unreferenced_private(sources) == [
+        ("a.py", "_recursive"), ("a.py", "_Unused"), ("a.py", "_public_only")]
+
+
+def test_no_unreferenced_private_functions():
+    assert unreferenced_private({p.name: p.read_text() for p in ALL_MODULES}) == []
 
 
 def local_imports(source: str):

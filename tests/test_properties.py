@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphsys import colors, localize_sigma, make_system, validate
-from sphsys.closure import (_multiplicities_with_weight, _plan, _solve, _split,
-                            gamma_group, omega_of)
+from sphsys.closure import _plan, _solve, _split, gamma_group, omega_of
 from sphsys.enumeration import census
 from sphsys.quotient import is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
+
+from conftest import multiplicities_with_weight
 
 SYSTEMS = census("F4").systems
 
@@ -139,7 +140,7 @@ def sparse_weights(draw):
 @given(sparse_weights())
 def test_multiplicity_solver_matches_brute_force(case):
     weights, target = case
-    assert _multiplicities_with_weight(weights, target) == \
+    assert multiplicities_with_weight(weights, target) == \
         _brute_force_multiplicities(weights, target)
 
 
@@ -162,15 +163,15 @@ def test_one_plan_solves_targets_in_turn(case, data):
 def test_multiplicity_solver_edge_targets():
     weights = [((0, 1),), ((0, 2), (1, 1)), ((1, 3),)]
     # coordinate 2 is reached by no color
-    assert _multiplicities_with_weight(weights, (1, 1, 1)) == []
+    assert multiplicities_with_weight(weights, (1, 1, 1)) == []
     assert _brute_force_multiplicities(weights, (1, 1, 1)) == []
-    assert _multiplicities_with_weight(weights, (0, 0, 0)) == [(0, 0, 0)]
-    assert _multiplicities_with_weight(weights, (4, 3, 0)) == \
+    assert multiplicities_with_weight(weights, (0, 0, 0)) == [(0, 0, 0)]
+    assert multiplicities_with_weight(weights, (4, 3, 0)) == \
         _brute_force_multiplicities(weights, (4, 3, 0))
     # the shared color 0 alone reaches coordinate 1, and closes it; no color
     # reaches coordinate 2
     weights = [((0, 1), (1, 2)), ((0, 1),)]
     for target, want in [((3, 2, 0), [(1, 2)]), ((3, 3, 0), []), ((3, 2, 1), []),
                          ((0, 0, 0), [(0, 0)]), ((0, 0, 2), [])]:
-        assert _multiplicities_with_weight(weights, target) == want
+        assert multiplicities_with_weight(weights, target) == want
         assert _brute_force_multiplicities(weights, target) == want

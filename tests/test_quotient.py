@@ -420,11 +420,13 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays`, `_generators` (the body of
-    # `kernel_generators`), `_on_generators` and `_canonical`; none goes
-    # through make_system
+    # vector, and only those run `_kernel_rays`, `kernel_generators`,
+    # `_on_generators` and `_canonical`, and record their generators; none
+    # goes through make_system
     module = import_module("sphsys.quotient")
-    calls = {"_kernel_rays": 0, "_generators": 0, "_on_generators": 0, "_canonical": 0}
+    subsets = [(sys, d.members, kernel_generators(sys, d.members))
+               for sys in census("F4").systems for d in enumerate_distinguished(sys)]
+    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_on_generators": 0, "_canonical": 0}
 
     def counting(name):
         fn = getattr(module, name)
@@ -441,14 +443,15 @@ def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
         monkeypatch.setattr(module, name, counting(name))
     monkeypatch.setattr(import_module("sphsys.system"), "make_system", forbidden)
     built = non_unit = 0
-    for sys in census("F4").systems:
-        for d in enumerate_distinguished(sys):
-            canonical = calls["_canonical"]
-            _, gens, _ = module._quotient(sys, d.members)
-            built += 1
-            unit_only = all(sum(g) == 1 for g in gens)
-            non_unit += not unit_only
-            assert calls["_canonical"] == canonical + (not unit_only), (emitted(sys), d.members)
+    for sys, members, gens in subsets:
+        canonical = calls["_canonical"]
+        _, columns = module._quotient(sys, members)
+        built += 1
+        unit_only = all(sum(g) == 1 for g in gens)
+        non_unit += not unit_only
+        assert calls["_canonical"] == canonical + (not unit_only), (emitted(sys), members)
+        assert (columns is None) == unit_only, (emitted(sys), members)
+        assert columns is None or sorted(columns) == gens, (emitted(sys), members)
     assert built == 5047
     assert non_unit == 310
     assert calls == dict.fromkeys(calls, 310)
@@ -699,17 +702,15 @@ def test_lattice_edges_reuse_their_quotient(monkeypatch):
 
 
 def test_lattice_lookup_miss_is_reported(sl4, monkeypatch):
-    # with a generator dropped from each quotient's build, the colors of
-    # sl4/D cannot be matched with those of sl4: Luna's correspondence seems
-    # to fail
+    # with no columns in each quotient's build, the colors of sl4/D cannot
+    # be matched with those of sl4: Luna's correspondence seems to fail
     module = import_module("sphsys.quotient")
     build = module._quotient
 
-    def drop_a_generator(sys, members):
-        q, gens, vectors = build(sys, members)
-        return q, gens[1:], vectors[1:]
+    def drop_the_columns(sys, members):
+        return build(sys, members)[0], []
 
-    monkeypatch.setattr(module, "_quotient", drop_a_generator)
+    monkeypatch.setattr(module, "_quotient", drop_the_columns)
     with pytest.raises(RuntimeError) as caught:
         quotient_lattice(sl4)
     message = str(caught.value)
@@ -995,6 +996,22 @@ def assert_luna_correspondence(systems):
                                        ("F4", 10), ("D4", 10)])
 def test_luna_correspondence(spec, step):
     assert assert_luna_correspondence(census(spec).systems[::step]) > 0
+
+
+def test_color_map_matches_luna_on_both_routes():
+    # `_color_map` reads the build record: the kernel generators of S/D's
+    # columns after a kernel cone, nothing for a localization
+    module = import_module("sphsys.quotient")
+    routes = {"localization": 0, "kernel": 0}
+    for sys in census_systems(("F4", "D4")):
+        for d in enumerate_distinguished(sys):
+            built = module._quotient(sys, d.members)
+            phi = luna_color_map(sys, d.members, built[0])
+            assert phi is not None, (emitted(sys), d.members)
+            assert module._color_map(sys, d.members, built) == [phi[k] for k in range(len(phi))], \
+                (emitted(sys), d.members)
+            routes["localization" if built[1] is None else "kernel"] += 1
+    assert routes == {"localization": 9340, "kernel": 662}
 
 
 @pytest.mark.slow
