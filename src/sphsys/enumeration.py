@@ -77,14 +77,12 @@ def _sigma_candidates(rs: RootSystem) -> List[Tuple[Tuple[SphericalRoot, ...], i
 
 
 def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
-    """Every parabolic subset in the interval [low, high] of bitmasks."""
+    """Every parabolic subset in the interval [low, high] of bitmasks, in the
+    order of their sorted index tuples, which is the order of keys."""
     base = frozenset(i for i in range(rank) if low >> i & 1)
     free = [i for i in range(rank) if (high & ~low) >> i & 1]
-    out = []
-    for size in range(len(free) + 1):
-        for extra in combinations(free, size):
-            out.append(base | frozenset(extra))
-    return out
+    return sorted((base | frozenset(extra) for size in range(len(free) + 1)
+                   for extra in combinations(free, size)), key=sorted)
 
 
 def _a_signature(sigma: Sequence[SphericalRoot]) -> Tuple[int, Tuple[Tuple[int, Row], ...]]:
@@ -145,7 +143,12 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
     the rows just placed; every other owner with one row is tested only
     against the column the step closed.
     """
-    _, owners = _a_signature(sigma)
+    return _a_matrices(_a_signature(sigma))
+
+
+def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> List[Tuple[Row, ...]]:
+    """`enumerate_a_matrices` of every sigma with this `_a_signature`."""
+    _, owners = signature
     m = len(owners)
     cols = [c for c, _ in owners]
     wants = [w for _, w in owners]
@@ -218,7 +221,7 @@ def _report(rs: RootSystem, systems: Iterable[SphericalSystem]) -> CensusReport:
 
 
 def enumerate_systems(rs: RootSystem) -> CensusReport:
-    """All spherical systems of rs, grouped by rank.
+    """All spherical systems of rs, grouped by rank, in key order.
 
     The search only builds triples that satisfy the axioms: the pairwise
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
@@ -226,27 +229,31 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     afterwards, and no triple is built twice.
 
     The A-matrices depend on sigma only through its signature (see
-    `enumerate_a_matrices`), so they are enumerated once per signature and
-    shared by every sigma with it and by their S^p choices. That table
-    lives only as long as the call.
+    `enumerate_a_matrices`), so they are enumerated and sorted once per
+    signature and shared by every sigma with it and by their S^p choices.
+    That table lives only as long as the call.
     Sigma comes from `_sigma_candidates` in catalog order, which is the
     canonical (height, coefficients) order, and the rows are sorted tuples
     over it, so each triple is built as a `SphericalSystem` directly,
     already in the canonical form `make_system` would give it.
+
+    A key is (name, sigma's coefficient vectors, sorted S^p, rows), and no
+    two sigmas have the same coefficient vectors. So taking the sigmas by
+    their coefficient vectors, then each one's S^p choices and A-matrices
+    in order, lists the members in key order without sorting them.
     """
     by_signature: Dict[tuple, List[Tuple[Row, ...]]] = {}
-
-    def a_matrices(sigma: Tuple[SphericalRoot, ...]) -> List[Tuple[Row, ...]]:
+    systems: List[SphericalSystem] = []
+    for sigma, low, high in sorted(_sigma_candidates(rs),
+                                   key=lambda c: [s.coeffs for s in c[0]]):
         signature = _a_signature(sigma)
-        if signature not in by_signature:
-            by_signature[signature] = enumerate_a_matrices(sigma)
-        return by_signature[signature]
-
-    return _report(rs, (
-        SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
-        for sigma, low, high in _sigma_candidates(rs)
-        for rows in a_matrices(sigma)
-        for sp in _sp_choices(rs.rank, low, high)))
+        rows_of = by_signature.get(signature)
+        if rows_of is None:
+            rows_of = by_signature[signature] = sorted(_a_matrices(signature))
+        systems += [SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
+                    for sp in _sp_choices(rs.rank, low, high) for rows in rows_of]
+    return CensusReport(rs=rs, systems=tuple(systems),
+                        by_rank=dict(Counter(s.rank for s in systems)))
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ fundamental weights, whose coordinates are `Fraction`s.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
@@ -106,6 +107,12 @@ class RootSystem:
     def automorphisms(self) -> Tuple[Tuple[int, ...], ...]:
         """Every p with cartan[p[i]][p[j]] == cartan[i][j], lexicographic, identity first."""
         return tuple(tuple(p) for p in _orders(self.cartan, range(self.rank), self.cartan))
+
+    # its document in the JSON interchange (`serialize`), compact with sorted keys
+    @cached_property
+    def json_text(self) -> str:
+        return json.dumps({"components": [{"type": l, "rank": r} for l, r, _ in self.components]},
+                          sort_keys=True, separators=(",", ":"))
 
     def __hash__(self) -> int:
         return hash(self.name)

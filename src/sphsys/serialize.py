@@ -36,10 +36,6 @@ class InvalidSystemError(ValueError):
         self.violations = violations
 
 
-def spec_to_json(rs: RootSystem) -> dict:
-    return {"components": [{"type": l, "rank": r} for l, r, _ in rs.components]}
-
-
 def _int(x: object, what: str) -> int:
     """x itself if it is a JSON integer; ValueError for a float, a string or
     a bool (a subclass of int)."""
@@ -63,18 +59,18 @@ def spec_from_json(doc: dict) -> RootSystem:
         raise SchemaError(f"bad root_system spec: {e}")
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+# a document as `json.dumps(doc, sort_keys=True, separators=(",", ":"))` writes
+# it, keys in sorted order: root system, then the system's a_rows, sigma and sp
+_DOCUMENT = ('{"root_system":%s,"system":{"a_rows":%s,"sigma":[%s],"sp":%s},"version":'
+             + _encode(FORMAT_VERSION) + '}\n')
+
+
 def emit_system(sys: SphericalSystem) -> str:
-    """Canonical JSON document for a system; byte-deterministic."""
-    doc = {
-        "version": FORMAT_VERSION,
-        "root_system": spec_to_json(sys.rs),
-        "system": {
-            "sigma": [list(s.coeffs) for s in sys.sigma],
-            "sp": sorted(sys.sp),
-            "a_rows": [list(r) for r in sys.a_rows],
-        },
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON document for a system; byte-deterministic. The root
+    system's and each spherical root's text is built once (`json_text`)."""
+    return _DOCUMENT % (sys.rs.json_text, _encode(sys.a_rows),
+                        ",".join([s.json_text for s in sys.sigma]), _encode(sorted(sys.sp)))
 
 
 def parse_system(text: str, allow_invalid: bool = False) -> SphericalSystem:

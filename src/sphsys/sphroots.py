@@ -7,7 +7,7 @@ shape under an automorphism of the support's diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, FrozenSet, Sequence, Tuple
 
@@ -26,6 +26,11 @@ class SphericalRoot:
     # <alpha_i^vee, sigma> for every simple index i; derived from coeffs,
     # so it takes no part in equality, hashing or keys
     pairings: Tuple[int, ...] = field(compare=False, repr=False)
+
+    # its coefficient vector in the JSON interchange (`serialize`)
+    @cached_property
+    def json_text(self) -> str:
+        return "[" + ",".join(map(str, self.coeffs)) + "]"
 
     @property
     def height(self) -> int:

@@ -1,5 +1,8 @@
 """Shared fixtures: root systems and the F4 census, computed once per
-session; and the multiplicity solver on a single target."""
+session; the multiplicity solver on a single target; and the JSON document
+of a system, dumped whole."""
+
+import json
 
 import pytest
 
@@ -14,6 +17,21 @@ def multiplicities_with_weight(weights, target):
     w_j > 0; a color of weight zero only takes multiplicity 0."""
     plan = _plan(len(weights), _split(weights, len(target)))
     return [counts for counts, _ in _solve(plan, target, {})]
+
+
+def reference_emit(sys):
+    """The document `emit_system` writes, built as a dict and dumped whole
+    with sorted keys: the reference for the text it assembles from parts."""
+    doc = {
+        "version": "1",
+        "root_system": {"components": [{"type": l, "rank": r} for l, r, _ in sys.rs.components]},
+        "system": {
+            "sigma": [list(s.coeffs) for s in sys.sigma],
+            "sp": sorted(sys.sp),
+            "a_rows": [list(r) for r in sys.a_rows],
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -330,6 +330,18 @@ def test_census_digest(name):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[name]
 
 
+# The census lists its members in key order without sorting them
+# (`enumerate_systems`). The digests above hash sorted lines, so they cannot
+# see the order; strictly increasing keys also rule out duplicates.
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "A1xA1",
+    "A2xA1", "A2xA2", "A3xA1", "B2xA1", "B3xA1", "A1xG2", "A2xA3", "A4xA1", "F4xA1",
+    "D5", "E6", pytest.param("E7", marks=pytest.mark.slow)])
+def test_census_members_in_strict_key_order(name):
+    keys = [s.key() for s in census(name).systems]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 # The same digest for each census modulo diagram automorphisms.
 MOD_AUT_DIGESTS = {
     "D4": "1128abe981a3246463ab3f652a7d56f809e08a346988fc199ee900f5fae0dd27",

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from conftest import reference_emit
 from sphsys import build_root_system, localize_s, make_system
-from sphsys.quotient import quotient_lattice
+from sphsys.enumeration import census
+from sphsys.quotient import enumerate_distinguished, quotient, quotient_lattice
 from sphsys.serialize import (
     InvalidSystemError,
     SchemaError,
@@ -37,6 +39,34 @@ def test_emit_parse_round_trip(f4_example):
 def test_emit_round_trip_census_sample(f4_census):
     for sys in f4_census.systems[:: max(1, len(f4_census.systems) // 30)]:
         assert parse_system(emit_system(sys)) == sys
+
+
+# `emit_system` assembles its text from parts built once per root system and
+# per spherical root; it must be the document dumped whole, byte for byte.
+def _emits_reference(sys):
+    text = emit_system(sys)
+    assert text == reference_emit(sys)
+    assert parse_system(text) == sys
+
+
+@pytest.mark.parametrize("name", ["F4", "D4", "G2", "B3", "F4xA1"])
+def test_emit_matches_reference_on_census(name):
+    for sys in census(name).systems:
+        _emits_reference(sys)
+
+
+def test_emit_matches_reference_at_rank_zero():
+    sys = make_system(build_root_system(""), [], [], [])
+    _emits_reference(sys)
+    assert emit_system(sys) == ('{"root_system":{"components":[]},'
+                                '"system":{"a_rows":[],"sigma":[],"sp":[]},"version":"1"}\n')
+
+
+def test_emit_matches_reference_on_f4_quotients(f4_census):
+    quotients = {quotient(sys, d.members) for sys in f4_census.systems
+                 for d in enumerate_distinguished(sys)}
+    for q in quotients:
+        _emits_reference(q)
 
 
 def test_emit_is_sorted_compact_json(f4_example):
