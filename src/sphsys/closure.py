@@ -11,7 +11,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
 from .system import SphericalSystem, colors
-from .quotient import _color_supports, _mask, _minimal
+from .quotient import _mask, _minimal, _ray_supports
 
 Counts = Tuple[int, ...]  # multiplicity per color index
 
@@ -161,6 +161,18 @@ class _Plan:
     zeros: Counts
     place: Callable[[Counts], Counts]
     bits: Tuple[int, ...]  # 1 << i per color i
+    reached: int  # the colors of nonzero weight
+    # per coordinate j, per t below the largest w_j, the colors with w_j > t
+    above: Tuple[Tuple[int, ...], ...]
+
+    def usable(self, target: Sequence[int]) -> int:
+        """The colors that a multiplicity of weight target can use: those of
+        nonzero weight with w_j <= target_j at every j."""
+        out = self.reached
+        for over, t in zip(self.above, target):
+            if t < len(over):
+                out &= ~over[t]
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +182,8 @@ def _plan(n: int, split: Split) -> _Plan:
     lone, factors, shared = split
     last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
     order = [i for i, _ in shared] + [i for cs in lone for i in cs]
+    reach = [list(zip(cs, fs)) + [(i, wj) for i, w in shared for k, wj in w if k == j]
+             for j, (cs, fs) in enumerate(zip(lone, factors))]  # (color, w_j) per j
     zeros = (0,) * (n - len(order))
     if zeros:
         order += sorted(set(range(n)).difference(order))
@@ -182,7 +196,11 @@ def _plan(n: int, split: Split) -> _Plan:
         zeros=zeros,
         # itemgetter of one index returns an item, not a tuple
         place=itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple,
-        bits=tuple(1 << i for i in range(n)))
+        bits=tuple(1 << i for i in range(n)),
+        reached=_mask(i for r in reach for i, _ in r),
+        above=tuple(tuple(_mask(i for i, wj in r if wj > t)
+                          for t in range(max((wj for _, wj in r), default=0)))
+                    for r in reach))
 
 
 @dataclass(frozen=True, slots=True)  # one per closed system: no __dict__
@@ -219,15 +237,16 @@ def _split(weights: Sequence[Sequence[Tuple[int, int]]], rank: int) -> Split:
 def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     """The profile of a spherically closed system, or None if it is not
     closed. The minimal distinguished subsets are the minimal ray supports
-    of the colors' cone (`quotient._color_supports`), by size and then members."""
+    of the colors' cone (`quotient._ray_supports`), by size and then members;
+    only their bitmasks are kept, not the cone (`quotient._color_supports`)."""
     loose = loose_roots(sys)
     if not _closed(loose):
         return None
-    k = len(colors(sys))
+    cs = colors(sys).colors
     split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
-                    for i in range(k)], sys.rs.rank)
-    return _Profile(plan=_plan(k, split), gamma=_gamma(sys, loose),
-                    minimal=tuple(_minimal(_color_supports(sys).supports)))
+                    for i in range(len(cs))], sys.rs.rank)
+    return _Profile(plan=_plan(len(cs), split), gamma=_gamma(sys, loose), minimal=tuple(
+        _minimal(_ray_supports(tuple(c.row for c in cs), sys.rank).supports)))
 
 
 @dataclass(frozen=True)
@@ -252,26 +271,36 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
 
     The multiplicities of a given weight depend only on the color weights.
     Every system with the same split of its colors (see `_split`) shares one
-    plan for the life of the process (`_plan`), so within one call the
-    multiplicities are solved once per plan, with each solution's support
-    bitmask, and shared by every system with that plan; so are the
-    compositions of a value over the factors of one coordinate. The solutions
-    and compositions are kept only for the call.
+    plan for the life of the process (`_plan`). No solution uses a color
+    outside the plan's usable mask (`_Plan.usable`), taken once per plan in
+    a call, so a system with a minimal distinguished subset outside it has
+    no faithful multiplicity and is skipped; a plan none of whose systems
+    pass is never solved. The others are solved once per plan, with each
+    solution's support bitmask, and shared by every system with that plan;
+    so are the compositions of a value over the factors of one coordinate.
+    The masks, solutions and compositions are kept only for the call.
     """
     target = dual_weight(rs, pi_coords)
     if not _naturals(target):
         raise ValueError(f"{list(pi_coords)} is not a dominant weight")
     out: List[Tuple[FaithfulCouple, int]] = []
+    usable: Dict[_Plan, int] = {}
     solved: Dict[_Plan, List[Tuple[Counts, int]]] = {}
     compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]] = {}
     for sys in systems:
         profile = _profile(sys)
         if profile is None:
             continue
-        sols = solved.get(profile.plan)
+        plan, minimal = profile.plan, profile.minimal
+        mask = usable.get(plan)
+        if mask is None:
+            mask = usable[plan] = plan.usable(target)
+        if not all(map(mask.__and__, minimal)):
+            continue
+        sols = solved.get(plan)
         if sols is None:
-            sols = solved[profile.plan] = _solve(profile.plan, target, compositions)
-        swaps, minimal = profile.gamma.swaps, profile.minimal
+            sols = solved[plan] = _solve(plan, target, compositions)
+        swaps = profile.gamma.swaps
         for counts, supp in sols:
             if (all(map(supp.__and__, minimal))
                     and (not swaps or all(counts[i] < counts[j] for i, j in swaps))):

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from importlib import import_module
 from itertools import combinations, product
 
@@ -365,9 +366,19 @@ def test_faithful_couples_of_systems_sharing_color_weights(f4_census, differ):
             _couple_ids(_reference_faithful_couples([b, a], rs, w)), w
 
 
+def _usable_colors(sys, target):
+    """The colors of nonzero weight with w_j <= target_j at every j, as a
+    bitmask: the only colors a multiplicity of weight target can use."""
+    weights = _color_weights(sys)
+    return sum(1 << i for i, w in enumerate(weights)
+               if any(w) and all(x <= t for x, t in zip(w, target)))
+
+
 def test_faithful_couples_solve_once_per_plan(f4_census, a3_census, monkeypatch):
     # systems with the same split of their colors share one plan for the
-    # life of the process, and one call solves each plan once
+    # life of the process, and one call solves each plan at most once: only
+    # the plans with a system whose usable colors meet every minimal
+    # distinguished subset
     module = import_module("sphsys.closure")
     solve = module._solve
     calls = []
@@ -388,13 +399,45 @@ def test_faithful_couples_solve_once_per_plan(f4_census, a3_census, monkeypatch)
             fresh = module._profile.__wrapped__(sys)
             assert fresh is None or fresh.plan is module._profile(sys).plan
     size = module._plan.cache_info().currsize
+    solved = {"F4": [4, 10, 12, 21, 27], "A3": [3, 6, 4, 11, 14]}
     for report in (f4_census, a3_census):
-        for w in list(product(range(3), repeat=report.rs.rank))[1:6]:
+        rs, counts = report.rs, []
+        for w in list(product(range(3), repeat=rs.rank))[1:6]:
+            target = dual_weight(rs, w)
+            want = set()
+            for sys in report.systems:
+                profile = module._profile(sys)
+                if profile is not None:
+                    usable = _usable_colors(sys, target)
+                    if all(m & usable for m in profile.minimal):
+                        want.add(id(profile.plan))
             calls.clear()
-            faithful_couples(report.systems, report.rs, w)
-            assert len(calls) == len(set(map(id, calls))) == len(plans[report.rs.name])
-            assert set(map(id, calls)) == plans[report.rs.name]
+            faithful_couples(report.systems, rs, w)
+            assert len(calls) == len(set(map(id, calls)))
+            assert set(map(id, calls)) == want <= plans[rs.name], w
+            counts.append(len(want))
+        assert counts == solved[rs.name]
     assert module._plan.cache_info().currsize == size
+
+
+def test_faithful_search_keeps_no_cone(f4_census, monkeypatch):
+    # the profiles keep only the minimal supports' bitmasks: the cone records
+    # are filled by the quotient engine alone. Every profile is built afresh,
+    # with no cone record kept from an earlier test.
+    quotient, closure = import_module("sphsys.quotient"), import_module("sphsys.closure")
+    monkeypatch.setattr(closure, "_profile", lru_cache(maxsize=None)(closure._profile.__wrapped__))
+    quotient._color_supports.cache_clear()
+    rs = f4_census.rs
+    for w in list(product(range(3), repeat=rs.rank))[1:]:
+        faithful_couples(f4_census.systems, rs, w)
+    for sys in f4_census.systems:
+        is_faithful(sys, (1,) * len(colors(sys)))
+    assert quotient._color_supports.cache_info().currsize == 0
+    for sys in f4_census.systems + census("D4").systems:
+        profile = closure._profile(sys)
+        if profile is not None:
+            assert list(profile.minimal) == \
+                quotient._minimal(quotient._color_supports(sys).supports)
 
 
 # A diagram automorphism p maps the faithful couples of a weight onto those

@@ -160,6 +160,23 @@ def test_one_plan_solves_targets_in_turn(case, data):
             _brute_force_multiplicities(weights, t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_weights(), st.data())
+def test_usable_mask_bounds_every_solution(case, data):
+    # the usable colors of a target are those of nonzero weight with
+    # w_j <= target_j at every j; no solution uses another color
+    weights, target = case
+    for at in data.draw(st.lists(st.integers(0, len(weights)), max_size=2)):
+        weights.insert(at, ())  # a color of weight zero
+    plan = _plan(len(weights), _split(weights, len(target)))
+    usable = plan.usable(target)
+    assert usable == sum(1 << i for i, w in enumerate(weights)
+                         if w and all(wj <= target[j] for j, wj in w))
+    for counts, supp in _solve(plan, target, {}):
+        assert supp == sum(1 << i for i, m in enumerate(counts) if m)
+        assert supp & ~usable == 0
+
+
 def test_multiplicity_solver_edge_targets():
     weights = [((0, 1),), ((0, 2), (1, 1)), ((1, 3),)]
     # coordinate 2 is reached by no color
