@@ -138,19 +138,13 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
             and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
 
-# The colors split by their weights (see `_split`): per coordinate j, the
-# colors that reach j alone; per coordinate j, their w_j; and (color, weight)
-# for each color that reaches two or more coordinates.
-Split = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...],
-              Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]]
-
-
 @dataclass(frozen=True, slots=True, eq=False)  # shared by identity: hashed by id
 class _Plan:
-    """What solving the multiplicities of one `_split` for a target needs,
-    whatever the target (see `_solve`)."""
+    """What solving the multiplicities of colors of given weights for a
+    target needs, whatever the target (see `_solve`)."""
 
-    shared: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]  # as in the split
+    # (color, weight) for each color that reaches two or more coordinates
+    shared: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
     # per shared color, the (j, w_j) it closes: j is reached by no lone color
     # and by no later shared color
     closes: Tuple[Tuple[Tuple[int, int], ...], ...]
@@ -176,10 +170,26 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, split: Split) -> _Plan:
-    """The plan of a `_split` of n colors, one object per distinct split, so
-    that the systems with that split share it."""
-    lone, factors, shared = split
+def _plan(weights: Tuple[Tuple[Tuple[int, int], ...], ...], rank: int) -> _Plan:
+    """The plan of colors given by their weights, each as (j, w_j) with
+    w_j > 0, one object per distinct tuple of weights, so that the systems
+    with those weights share it.
+
+    The colors are split into those that reach one coordinate, listed under
+    it with their w_j, and those that reach two or more. A color of weight
+    zero is in neither.
+    """
+    n = len(weights)
+    lone: List[List[int]] = [[] for _ in range(rank)]
+    factors: List[List[int]] = [[] for _ in range(rank)]
+    shared = []
+    for i, w in enumerate(weights):
+        if len(w) == 1:
+            (j, wj), = w
+            lone[j].append(i)
+            factors[j].append(wj)
+        elif w:
+            shared.append((i, w))
     last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
     order = [i for i, _ in shared] + [i for cs in lone for i in cs]
     reach = [list(zip(cs, fs)) + [(i, wj) for i, w in shared for k, wj in w if k == j]
@@ -188,10 +198,10 @@ def _plan(n: int, split: Split) -> _Plan:
     if zeros:
         order += sorted(set(range(n)).difference(order))
     return _Plan(
-        shared=shared,
+        shared=tuple(shared),
         closes=tuple(tuple((j, wj) for j, wj in w if last.get(j) == s)
                      for s, (_, w) in enumerate(shared)),
-        lone=tuple((j, fs) for j, fs in enumerate(factors) if fs),
+        lone=tuple((j, tuple(fs)) for j, fs in enumerate(factors) if fs),
         unreached=tuple(j for j, cs in enumerate(lone) if not cs and j not in last),
         zeros=zeros,
         # itemgetter of one index returns an item, not a tuple
@@ -208,29 +218,12 @@ class _Profile:
     """What the faithful-couple search needs of a closed system, whatever
     the weight."""
 
-    # the plan of the colors' split: per simple root, the colors it owns
+    # the plan of the colors' weights: per simple root, the colors it owns
     # alone and their factors (2 for a 2a color, else 1); then each color
     # owned by two or more, with its weight
     plan: _Plan
     gamma: GammaGroup
     minimal: Tuple[int, ...]  # minimal distinguished subsets as color bitmasks
-
-
-def _split(weights: Sequence[Sequence[Tuple[int, int]]], rank: int) -> Split:
-    """The colors, given by their weights as (j, w_j) with w_j > 0, split
-    into those that reach one coordinate, listed under it with their w_j,
-    and those that reach two or more. A color of weight zero is in neither."""
-    lone: List[List[int]] = [[] for _ in range(rank)]
-    factors: List[List[int]] = [[] for _ in range(rank)]
-    shared = []
-    for i, w in enumerate(weights):
-        if len(w) == 1:
-            (j, wj), = w
-            lone[j].append(i)
-            factors[j].append(wj)
-        elif w:
-            shared.append((i, tuple(w)))
-    return tuple(map(tuple, lone)), tuple(map(tuple, factors)), tuple(shared)
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +236,9 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     if not _closed(loose):
         return None
     cs = colors(sys).colors
-    split = _split([[(j, w) for j, w in enumerate(omega_of_color(sys, i)) if w]
-                    for i in range(len(cs))], sys.rs.rank)
-    return _Profile(plan=_plan(len(cs), split), gamma=_gamma(sys, loose), minimal=tuple(
+    weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
+                    for i in range(len(cs)))
+    return _Profile(plan=_plan(weights, sys.rs.rank), gamma=_gamma(sys, loose), minimal=tuple(
         _minimal(_ray_supports(tuple(c.row for c in cs), sys.rank).supports)))
 
 
@@ -270,12 +263,12 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     counts[i] < counts[j] for every swap: only that member is kept.
 
     The multiplicities of a given weight depend only on the color weights.
-    Every system with the same split of its colors (see `_split`) shares one
-    plan for the life of the process (`_plan`). No solution uses a color
-    outside the plan's usable mask (`_Plan.usable`), taken once per plan in
-    a call, so a system with a minimal distinguished subset outside it has
-    no faithful multiplicity and is skipped; a plan none of whose systems
-    pass is never solved. The others are solved once per plan, with each
+    Every system with the same color weights shares one plan for the life
+    of the process (`_plan`). No solution uses a color outside the plan's
+    usable mask (`_Plan.usable`), taken once per plan in a call, so a
+    system with a minimal distinguished subset outside it has no faithful
+    multiplicity and is skipped; a plan none of whose systems pass is never
+    solved. The others are solved once per plan, with each
     solution's support bitmask, and shared by every system with that plan;
     so are the compositions of a value over the factors of one coordinate.
     The masks, solutions and compositions are kept only for the call.

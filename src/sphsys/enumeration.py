@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
@@ -22,7 +22,10 @@ Forced = Tuple[Row, Optional[int]]
 class CensusReport:
     rs: RootSystem
     systems: Tuple[SphericalSystem, ...]
-    by_rank: Dict[int, int]
+
+    @cached_property
+    def by_rank(self) -> Dict[int, int]:
+        return dict(Counter(s.rank for s in self.systems))
 
     @property
     def total(self) -> int:
@@ -214,12 +217,6 @@ def canonical_form(sys: SphericalSystem) -> SphericalSystem:
                key=SphericalSystem.key)
 
 
-def _report(rs: RootSystem, systems: Iterable[SphericalSystem]) -> CensusReport:
-    """The census report of the given systems of rs, sorted by key."""
-    ordered = tuple(sorted(systems, key=SphericalSystem.key))
-    return CensusReport(rs=rs, systems=ordered, by_rank=dict(Counter(s.rank for s in ordered)))
-
-
 def enumerate_systems(rs: RootSystem) -> CensusReport:
     """All spherical systems of rs, grouped by rank, in key order.
 
@@ -252,17 +249,17 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
             rows_of = by_signature[signature] = sorted(_a_matrices(signature))
         systems += [SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
                     for sp in _sp_choices(rs.rank, low, high) for rows in rows_of]
-    return CensusReport(rs=rs, systems=tuple(systems),
-                        by_rank=dict(Counter(s.rank for s in systems)))
+    return CensusReport(rs=rs, systems=tuple(systems))
 
 
 @lru_cache(maxsize=None)
 def census(spec: str, mod_diagram_auts: bool = False) -> CensusReport:
     """Cached full census for a root system spec string; mod_diagram_auts keeps
-    the canonical forms of its members (built in canonical order)."""
+    the canonical forms of its members, sorted by key."""
     if not mod_diagram_auts:
         return enumerate_systems(build_root_system(spec))
     full = census(spec)
     if len(full.rs.automorphisms) == 1:
         return full
-    return _report(full.rs, {canonical_form(s) for s in full.systems})
+    forms = {canonical_form(s) for s in full.systems}
+    return CensusReport(rs=full.rs, systems=tuple(sorted(forms, key=SphericalSystem.key)))

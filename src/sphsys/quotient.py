@@ -10,8 +10,9 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootsys import _cone_rays
 from .serialize import emit_system
-from .system import (SphericalSystem, _canonical, _on_columns, _on_generators, colors,
-                     defect, negative_colors)
+from .sphroots import spherical_root
+from .system import (SphericalSystem, _canonical, _on_columns, _vector_of, colors, defect,
+                     negative_colors)
 
 Row = Tuple[int, ...]
 
@@ -267,30 +268,32 @@ def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     canonical order, from the bitmasks of the colors' cone record.
 
     D must be the union of the ray supports inside it. S^p of S/D is S^p of
-    S and the simple roots whose colors all lie in D. Every kernel vector
-    vanishes on the columns where those supports' rays pair positively
-    (`kernel_generators`). When these are all the columns D's rows touch,
-    the generators are the unit vectors of the untouched columns, and by
-    Luna's correspondence S/D is the localization of S there, with the rows
-    of A(alpha) for the simple roots alpha at those columns. Otherwise the
-    kernel cone is run and S/D is built on its generators.
+    S and the simple roots whose colors all lie in D. By Luna's
+    correspondence Sigma of S/D is sum_j g_j sigma_j over the kernel
+    generators g (`kernel_generators`): the unit vectors of the columns D's
+    rows leave untouched, and the kernel cone's rays on the touched columns
+    left open. So S/D is the localization of S at the untouched columns
+    plus one catalog root per non-unit g, where each row r takes r . g.
     """
     cone = _color_supports(sys)
     members, mask, touched, vanish = _distinguished(cone, members)
     new = [alpha for alpha, owned in cone.owned if owned | mask == mask]
     sp = sys.sp.union(new) if new else sys.sp
-    if touched & ~vanish:
-        gens = kernel_generators(sys, members)
-        roots, rows = _on_generators(sys, gens)
-        q = _canonical(sys.rs, roots, sp, rows)
-        by_root = {r.coeffs: g for r, g in zip(roots, gens)}
-        return q, [by_root[s.coeffs] for s in q.sigma]
     a_rows = 0
     for bit, rows_mask in cone.simple:
         if not touched & bit:
             a_rows |= rows_mask
-    return _on_columns(sys, _members(((1 << sys.rank) - 1) & ~touched), sp,
-                       [sys.a_rows[i] for i in _members(a_rows)]), None
+    cols = _members(((1 << sys.rank) - 1) & ~touched)
+    rows = [sys.a_rows[i] for i in _members(a_rows)]
+    if not touched & ~vanish:
+        return _on_columns(sys, cols, sp, rows), None
+    extra = [g for g in kernel_generators(sys, members) if sum(g) > 1]
+    roots = [sys.sigma[j] for j in cols] + [spherical_root(sys.rs, _vector_of(sys, g))
+                                            for g in extra]
+    q = _canonical(sys.rs, roots, sp, [tuple(r[j] for j in cols)
+                                       + tuple(sum(map(mul, r, g)) for g in extra) for r in rows])
+    by_root = {r.coeffs: g for r, g in zip(roots, _units(sys.rank, touched) + extra)}
+    return q, [by_root[s.coeffs] for s in q.sigma]
 
 
 @dataclass(frozen=True)

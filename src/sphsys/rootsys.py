@@ -20,8 +20,16 @@ Vector = Tuple[int, ...]
 QVector = Tuple[Q, ...]
 
 
+def _admits(letter: str, n: int) -> bool:
+    """Whether the letter and the rank n name an irreducible type."""
+    return {"A": n >= 1, "B": n >= 2, "C": n >= 3, "D": n >= 4,
+            "E": n in (6, 7, 8), "F": n == 4, "G": n == 2}.get(letter, False)
+
+
 def _cartan_irreducible(letter: str, rank: int) -> List[List[int]]:
     """Cartan matrix of an irreducible type in Bourbaki numbering."""
+    if not _admits(letter, rank):
+        raise ValueError(f"no irreducible type {letter}{rank}")
     n = rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -30,49 +38,33 @@ def _cartan_irreducible(letter: str, rank: int) -> List[List[int]]:
         a[j][i] = aji
 
     if letter == "A":
-        if n < 1:
-            raise ValueError("A requires rank >= 1")
         for i in range(n - 1):
             link(i, i + 1)
     elif letter == "B":
-        if n < 2:
-            raise ValueError("B requires rank >= 2")
         for i in range(n - 2):
             link(i, i + 1)
         link(n - 2, n - 1, -1, -2)  # alpha_n short
     elif letter == "C":
-        if n < 3:
-            raise ValueError("C requires rank >= 3")
         for i in range(n - 2):
             link(i, i + 1)
         link(n - 2, n - 1, -2, -1)  # alpha_n long
     elif letter == "D":
-        if n < 4:
-            raise ValueError("D requires rank >= 4")
         for i in range(n - 3):
             link(i, i + 1)
         link(n - 3, n - 2)
         link(n - 3, n - 1)
     elif letter == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E requires rank 6, 7 or 8")
         # chain 1-3-4-5-...-n with 2 attached to 4 (Bourbaki)
         chain = [0] + list(range(2, n))
         for u, v in zip(chain, chain[1:]):
             link(u, v)
         link(1, 3)
     elif letter == "F":
-        if n != 4:
-            raise ValueError("F requires rank 4")
         link(0, 1)
         link(1, 2, -1, -2)  # alpha_3, alpha_4 short
         link(2, 3)
-    elif letter == "G":
-        if n != 2:
-            raise ValueError("G requires rank 2")
-        link(0, 1, -3, -1)  # alpha_1 short
     else:
-        raise ValueError(f"unknown type letter {letter!r}")
+        link(0, 1, -3, -1)  # G2: alpha_1 short
     return a
 
 
@@ -273,12 +265,6 @@ def _orders(block: Sequence[Sequence[int]], local: Sequence[int],
     return rec()
 
 
-def _candidate_types(k: int) -> List[str]:
-    fits = {"A": True, "B": k >= 2, "C": k >= 3, "D": k >= 4,
-            "E": k in (6, 7, 8), "F": k == 4, "G": k == 2}
-    return [f"{letter}{k}" for letter, ok in fits.items() if ok]
-
-
 def recognize(cartan: Sequence[Sequence[int]],
               indices: Sequence[int]) -> List[Tuple[str, Tuple[int, ...]]]:
     """Split `indices` into irreducible components and identify each.
@@ -302,7 +288,7 @@ def recognize(cartan: Sequence[Sequence[int]],
     out = []
     for comp in comps:
         k = len(comp)
-        for cand in _candidate_types(k):
+        for cand in (f"{letter}{k}" for letter in "ABCDEFG" if _admits(letter, k)):
             target = build_root_system(cand).cartan
             order = next(_orders(cartan, comp, target), None)
             if order is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import RootSystem, sub_root_system
@@ -274,22 +273,6 @@ def negative_colors(sys: SphericalSystem) -> List[Tuple[Color, str]]:
     return out
 
 
-def _on_generators(sys: SphericalSystem, gens: Sequence[Sequence[int]]
-                   ) -> Tuple[List[SphericalRoot], List[Row]]:
-    """The spherical roots sum_i g_i sigma_i of the nonnegative generators g,
-    and the rows of A(alpha) for every simple alpha still in Sigma,
-    re-expressed as r . g. The unit vector e_j gives sigma_j itself; only
-    the other sums are looked up in the catalog, which raises ValueError
-    for one that is not a spherical root. For unit vectors alone,
-    `_on_columns` builds the system directly."""
-    roots = [sys.sigma[g.index(1)] if sum(g) == 1 else spherical_root(sys.rs, _vector_of(sys, g))
-             for g in gens]
-    still_simple = {r.support[0] for r in roots if r.shape == "a1"}
-    cols = [c for a, c in sys.simple_sigma().items() if a in still_simple]
-    rows = [tuple(sum(map(mul, g, r)) for g in gens) for r in _a_rows_at(sys, cols)]
-    return roots, rows
-
-
 def _vector_of(sys: SphericalSystem, g: Sequence[int]) -> List[int]:
     """The coefficient vector of sum_i g_i sigma_i, one sigma_i at a time."""
     vector = [0] * sys.rs.rank
@@ -299,18 +282,12 @@ def _vector_of(sys: SphericalSystem, g: Sequence[int]) -> List[int]:
     return vector
 
 
-def _a_rows_at(sys: SphericalSystem, cols: Sequence[int]) -> List[Row]:
-    """The rows of A(alpha) for the simple roots alpha at the Sigma columns
-    cols, in their stored order."""
-    return [r for r in sys.a_rows if any(r[c] == 1 for c in cols)]
-
-
 def _on_columns(sys: SphericalSystem, cols: Sequence[int], sp: FrozenSet[int],
                 rows: Iterable[Row]) -> SphericalSystem:
     """The system on the ascending Sigma columns cols of sys, with S^p = sp
     and the given rows of sys projected onto cols: Sigma keeps its order,
-    so only the rows are sorted. The localization at those columns, and the
-    quotient whose kernel generators are their unit vectors."""
+    so only the rows are sorted. The localization at those columns, which is
+    S/D when D's kernel generators are their unit vectors (`quotient._quotient`)."""
     return SphericalSystem(rs=sys.rs, sigma=tuple(sys.sigma[c] for c in cols), sp=sp,
                            a_rows=tuple(sorted(tuple(r[c] for c in cols) for r in rows)))
 
@@ -324,15 +301,15 @@ def _relabel(sys: SphericalSystem, rs: RootSystem, emb: Sequence[int]) -> Spheri
 
 def localize_sigma(sys: SphericalSystem, keep_vectors: Iterable[Sequence[int]]) -> SphericalSystem:
     """Localization at a subset of Sigma: keep Sp, and the rows of A(alpha)
-    for each simple alpha kept, restricted to the kept columns
-    (`_on_columns`, which also builds a quotient whose kernel generators
-    are unit vectors)."""
+    for each simple alpha kept, those with a 1 in its column, restricted to
+    the kept columns (`_on_columns`)."""
     keep = {tuple(v) for v in keep_vectors}
     cols = [i for i, s in enumerate(sys.sigma) if s.coeffs in keep]
     if len(cols) != len(keep):
         raise ValueError("keep_vectors must be a subset of sigma")
     simple = [c for c in sys.simple_sigma().values() if sys.sigma[c].coeffs in keep]
-    return _on_columns(sys, cols, sys.sp, _a_rows_at(sys, simple))
+    return _on_columns(sys, cols, sys.sp,
+                       [r for r in sys.a_rows if any(r[c] == 1 for c in simple)])
 
 
 def localize_s(sys: SphericalSystem, s_keep: Iterable[int]) -> SphericalSystem:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from sphsys import build_root_system, make_system
-from sphsys.closure import _plan, _solve, _split
+from sphsys.closure import _plan, _solve
 from sphsys.enumeration import census
 
 
@@ -15,7 +15,7 @@ def multiplicities_with_weight(weights, target):
     """All multiplicity vectors m, in lexicographic order, with
     sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
     w_j > 0; a color of weight zero only takes multiplicity 0."""
-    plan = _plan(len(weights), _split(weights, len(target)))
+    plan = _plan(tuple(map(tuple, weights)), len(target))
     return [counts for counts, _ in _solve(plan, target, {})]
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphsys import colors, localize_sigma, make_system, validate
-from sphsys.closure import _plan, _solve, _split, gamma_group, omega_of
+from sphsys.closure import _plan, _solve, gamma_group, omega_of
 from sphsys.enumeration import census
 from sphsys.quotient import is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
@@ -147,10 +147,10 @@ def test_multiplicity_solver_matches_brute_force(case):
 @settings(max_examples=100, deadline=None)
 @given(sparse_weights(), st.data())
 def test_one_plan_solves_targets_in_turn(case, data):
-    # the plan is shared by every solve of its split, so a solve must leave
+    # the plan is shared by every solve of its weights, so a solve must leave
     # it as it found it; so must the compositions table within one call
     weights, target = case
-    plan = _plan(len(weights), _split(weights, len(target)))
+    plan = _plan(tuple(weights), len(target))
     compositions = {}
     targets = [target] + data.draw(st.lists(
         st.lists(st.integers(0, 4), min_size=len(target), max_size=len(target)),
@@ -168,7 +168,7 @@ def test_usable_mask_bounds_every_solution(case, data):
     weights, target = case
     for at in data.draw(st.lists(st.integers(0, len(weights)), max_size=2)):
         weights.insert(at, ())  # a color of weight zero
-    plan = _plan(len(weights), _split(weights, len(target)))
+    plan = _plan(tuple(weights), len(target))
     usable = plan.usable(target)
     assert usable == sum(1 << i for i, w in enumerate(weights)
                          if w and all(wj <= target[j] for j, wj in w))

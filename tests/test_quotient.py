@@ -15,7 +15,7 @@ from sphsys.closure import _profile
 from sphsys.enumeration import census
 from sphsys.rootsys import _cone_rays
 from sphsys.serialize import emit_system, render_dot
-from sphsys.system import _canonical, _on_generators, localize_sigma
+from sphsys.system import localize_sigma
 from sphsys.quotient import (
     FreenessError,
     _inside,
@@ -420,13 +420,13 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays`, `kernel_generators`,
-    # `_on_generators` and `_canonical`, and record their generators; none
-    # goes through make_system
+    # vector, and only those run `_kernel_rays`, `kernel_generators` and
+    # `_canonical`, and record their generators; none goes through
+    # make_system
     module = import_module("sphsys.quotient")
     subsets = [(sys, d.members, kernel_generators(sys, d.members))
                for sys in census("F4").systems for d in enumerate_distinguished(sys)]
-    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_on_generators": 0, "_canonical": 0}
+    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_canonical": 0}
 
     def counting(name):
         fn = getattr(module, name)
@@ -457,6 +457,20 @@ def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     assert calls == dict.fromkeys(calls, 310)
 
 
+def generator_route(sys, gens, sp):
+    """S/D from Luna's correspondence, for the kernel generators gens of D
+    and S^p sp of S/D: one spherical root sum_i g_i sigma_i per generator g,
+    and, for each simple alpha still in Sigma, the rows r of A(alpha), those
+    with a 1 in alpha's column, each taking r . g at the root of g."""
+    vectors = [tuple(sum(gi * s.coeffs[k] for gi, s in zip(g, sys.sigma))
+                     for k in range(sys.rs.rank)) for g in gens]
+    column = sys.simple_sigma()
+    simple = [column[v.index(1)] for v in vectors if sum(v) == 1]
+    rows = [r for r in sys.a_rows if any(r[c] == 1 for c in simple)]
+    return make_system(sys.rs, vectors, sp,
+                       [[sum(x * gi for x, gi in zip(r, g)) for g in gens] for r in rows])
+
+
 # A kernel of unit vectors e_j: by Luna's correspondence S/D is the
 # localization of S at the Sigma columns j, with S^p enlarged by the simple
 # roots whose colors all lie in D. Both the general route (the generators'
@@ -473,15 +487,38 @@ def test_unit_kernel_quotients_are_localizations(spec, count):
                 continue
             new_sp = sys.sp.union(a for a, owned in enumerate(delta_of)
                                   if owned and set(owned) <= set(d.members))
-            roots, rows = _on_generators(sys, gens)
             q = quotient(sys, d.members)
-            assert q == _canonical(sys.rs, roots, new_sp, rows), (emitted(sys), d.members)
+            assert q == generator_route(sys, gens, new_sp), (emitted(sys), d.members)
             kept = [s.coeffs for g, s in zip(zip(*gens), sys.sigma) if any(g)]
             local = localize_sigma(sys, kept)
             assert (q.sigma, q.sp, q.a_rows) == (local.sigma, new_sp, local.a_rows), \
                 (emitted(sys), d.members)
             checked += 1
     assert checked == count
+
+
+# By Luna's correspondence the spherical roots of S/D are sum_j g_j sigma_j
+# over the kernel generators g of D. So S/D keeps sigma_j at every column j
+# that no row of D touches, its rows there are those of the localization of
+# S at those columns, and each generator other than a unit vector adds one
+# spherical root.
+def test_quotients_are_localizations_plus_one_root_per_non_unit_generator():
+    checked = extra = 0
+    for sys in census_systems(("F4", "D4")):
+        cs = colors(sys).colors
+        for d in enumerate_distinguished(sys):
+            kept = [s.coeffs for j, s in enumerate(sys.sigma)
+                    if all(cs[i].row[j] == 0 for i in d.members)]
+            q = quotient(sys, d.members)
+            at = {s.coeffs: k for k, s in enumerate(q.sigma)}
+            assert set(kept) <= set(at), (emitted(sys), d.members)
+            assert sorted(tuple(r[at[v]] for v in kept) for r in q.a_rows) == \
+                list(localize_sigma(sys, kept).a_rows), (emitted(sys), d.members)
+            non_unit = sum(sum(g) > 1 for g in kernel_generators(sys, d.members))
+            assert q.rank == len(kept) + non_unit, (emitted(sys), d.members)
+            checked += 1
+            extra += non_unit > 0
+    assert (checked, extra) == (10002, 662)
 
 
 def test_members_are_the_set_bits():
@@ -748,7 +785,6 @@ def test_color_map_reads_what_the_quotient_was_built_with(sl4, monkeypatch):
         raise AssertionError("the color map recomputes what building the quotient gave")
 
     monkeypatch.setattr(module, "kernel_generators", forbidden)
-    monkeypatch.setattr(module, "_on_generators", forbidden)
     for members, built in builds.items():
         phi = module._color_map(sl4, members, built)
         assert sorted(phi) == sorted(set(range(len(colors(sl4)))) - set(members))

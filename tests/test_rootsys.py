@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sphsys.rootsys import (
     ParabolicGrading,
+    _admits,
     _cone_rays,
     build_root_system,
     cartan_eval,
@@ -66,6 +67,24 @@ def test_cartan_eval_rows(f4):
 def test_recognize_components():
     rs = build_root_system("A1xA2")
     assert recognize(rs.cartan, (0, 1, 2)) == [("A1", (0,)), ("A2", (1, 2))]
+
+
+def test_rank_rules_are_stated_once():
+    # a letter and a rank build a root system exactly when `_admits` the
+    # pair, and `recognize` names each admitted type from its own Cartan matrix
+    admitted = []
+    for letter in "ABCDEFG":
+        for n in range(10):
+            spec = f"{letter}{n}"
+            if not _admits(letter, n):
+                with pytest.raises(ValueError, match=f"no irreducible type {spec}"):
+                    build_root_system(spec)
+                continue
+            rs = build_root_system(spec)
+            assert rs.name == spec and rs.rank == n
+            assert recognize(rs.cartan, range(n)) == [(spec, tuple(range(n)))]
+            admitted.append(spec)
+    assert len(admitted) == 9 + 8 + 7 + 6 + 3 + 1 + 1
 
 
 def test_empty_spec_is_rank_zero(f4):
