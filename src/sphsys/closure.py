@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
@@ -58,15 +58,6 @@ class GammaGroup:
 
     def order(self) -> int:
         return 2 ** len(self.swaps)
-
-    def orbit(self, counts: Counts) -> Set[Counts]:
-        """Every product of a subset of the swaps applied to counts (the swaps
-        are disjoint, so they commute)."""
-        out = {tuple(counts)}
-        for i, j in self.swaps:
-            out |= {tuple(c[j] if k == i else c[i] if k == j else x
-                          for k, x in enumerate(c)) for c in out}
-        return out
 
 
 def gamma_group(sys: SphericalSystem) -> GammaGroup:

@@ -157,15 +157,6 @@ def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> List[Tupl
     wants = [w for _, w in owners]
     # open_mask[i]: the columns that may hold a 1 in a row placed at owner i or later
     open_mask = [_mask(cols[i:]) for i in range(m + 1)]
-    partners: Dict[Tuple[int, Row], Forced] = {}
-
-    def partner(b: int, row: Row) -> Forced:
-        got = partners.get((b, row))
-        if got is None:
-            p = tuple(w - v for w, v in zip(wants[b], row))
-            got = partners[b, row] = (p, _needs_open(p))
-        return got
-
     results: List[Tuple[Row, ...]] = []
 
     def rec(i: int, placed: Tuple[Row, ...], mine: List[Tuple[Row, ...]],
@@ -190,8 +181,9 @@ def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> List[Tupl
                         next_mine, next_forced = list(mine), list(forced)
                     rows = next_mine[b] = mine[b] + hit
                     if len(rows) == 1:
-                        next_forced[b] = partner(b, rows[0])
-                        need = next_forced[b][1]
+                        p = tuple(w - v for w, v in zip(wants[b], rows[0]))
+                        need = _needs_open(p)
+                        next_forced[b] = p, need
                         ok = need is not None and not need & ~still_open
                     else:
                         next_forced[b] = None

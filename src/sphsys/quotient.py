@@ -109,30 +109,23 @@ def _color_supports(sys: SphericalSystem) -> _Cone:
                      for alpha, col in sys.simple_sigma().items()))
 
 
-def _inside(cone: _Cone, mask: int) -> Tuple[int, int]:
-    """The union of the supports inside mask, and the columns where their
-    rays pair positively."""
-    union = vanish = 0
-    for s, positive in zip(cone.supports, cone.positive):
-        if s | mask == mask:
-            union |= s
-            vanish |= positive
-    return union, vanish
-
-
 def _subset(cone: _Cone, members: Sequence[int]) -> Tuple[List[int], int, int, int, int]:
     """D's sorted distinct members and bitmask, the union of the ray supports
     inside D, the columns D's rows touch, and the columns where those
     supports' rays pair positively, on which every kernel vector vanishes;
-    ValueError for a member that is not a color index."""
+    ValueError for a member that is not a color index. Each caller reads
+    its subset here once."""
     members, k = sorted(set(members)), len(cone.touched)
     if members and not 0 <= members[0] <= members[-1] < k:
         raise ValueError(f"color indices {members} outside 0..{k - 1}")
-    mask = touched = 0
+    mask = touched = union = vanish = 0
     for i in members:
         mask |= 1 << i
         touched |= cone.touched[i]
-    union, vanish = _inside(cone, mask)
+    for s, positive in zip(cone.supports, cone.positive):
+        if s | mask == mask:
+            union |= s
+            vanish |= positive
     return members, mask, union, touched, vanish
 
 
@@ -205,23 +198,15 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     Each ray x of the colors' cone with support inside the members gives
     w = sum_d x_d * row_d >= 0 with w . m = sum_d x_d * (row_d . m) = 0 for
     every kernel vector m >= 0, so m vanishes on the columns where w is
-    positive (`_ray_supports`). The generator matrix is then block
-    diagonal: the unit vectors of the columns that no member row touches,
-    and the primitive extreme rays of the kernel over the touched columns
-    left (`_kernel_rays`), whose maximal minors have the gcd of the whole.
-    The kernel cone runs only when touched columns are left open.
+    positive (`_subset`). The generator matrix is then block diagonal: the
+    unit vectors of the columns that no member row touches, and the kernel
+    cone's rays on the touched columns left open (`_kernel_rays`). Within a
+    sweep only `classify` calls it; `_quotient` reads the same two blocks
+    from its own check of D.
     """
     members, _, _, touched, vanish = _subset(_color_supports(sys), members)
-    gens = _units(sys.rank, touched)
-    rest = _members(touched & ~vanish)
-    if rest:
-        rows = _rows_of(sys, members)
-        for ray in _kernel_rays(tuple(tuple(r[j] for j in rest) for r in rows), len(rest)):
-            gen = [0] * sys.rank
-            for j, x in zip(rest, ray):
-                gen[j] = x
-            gens.append(tuple(gen))
-    return sorted(gens)
+    return sorted(_units(sys.rank, touched)
+                  + list(_kernel_rays(_rows_of(sys, members), touched & ~vanish, sys.rank)))
 
 
 def _units(n: int, touched: int) -> List[Tuple[int, ...]]:
@@ -229,17 +214,28 @@ def _units(n: int, touched: int) -> List[Tuple[int, ...]]:
     return [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n) if not touched >> j & 1]
 
 
-def _kernel_rays(rows: Tuple[Row, ...], width: int) -> Tuple[Tuple[int, ...], ...]:
-    """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row}
-    (`_cone_rays`, with the rows as equations), checked to be a free basis of
-    the monoid of its integer points. `kernel_generators` runs it only on
-    the columns that the colors' cone leaves open, when there are any."""
-    rays = sorted(r for r, _ in _cone_rays(width, (), rows))
-    # free iff the g rays span a saturated rank-g sublattice of Z^width,
-    # that is, iff their g x g minors have gcd 1
+def _kernel_rays(rows: Sequence[Row], columns: int, width: int) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted primitive extremal rays of {m >= 0 : row . m = 0 for every row,
+    m_j = 0 at every column j outside the bitmask columns}, at full width;
+    FreenessError unless they are a free basis of the monoid of its integer
+    points. This owns the kernel cone: it projects the rows onto the
+    columns, runs `_cone_rays` with them as equations, embeds the rays back
+    and checks freeness. No column open, no ray."""
+    if not columns:
+        return ()
+    cols = _members(columns)
+    rays = []
+    for ray, _ in _cone_rays(len(cols), (), [tuple(r[j] for j in cols) for r in rows]):
+        gen = [0] * width
+        for j, x in zip(cols, ray):
+            gen[j] = x
+        rays.append(tuple(gen))
+    rays.sort()
+    # free iff the g rays span a saturated rank-g sublattice of Z^cols, that
+    # is, iff their g x g minors have gcd 1
     minors_gcd = 0
-    for cols in combinations(range(width), len(rays)):
-        minors_gcd = gcd(minors_gcd, _det([[ray[j] for ray in rays] for j in cols]))
+    for picked in combinations(cols, len(rays)):
+        minors_gcd = gcd(minors_gcd, _det([[ray[j] for ray in rays] for j in picked]))
         if minors_gcd == 1:
             return tuple(rays)
     raise FreenessError(f"kernel rays {rays} do not generate the kernel monoid freely")
@@ -267,13 +263,15 @@ def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     """`quotient`, with what `_color_map` reads; S/D is built directly in
     canonical order, from the bitmasks of the colors' cone record.
 
-    D must be the union of the ray supports inside it. S^p of S/D is S^p of
-    S and the simple roots whose colors all lie in D. By Luna's
-    correspondence Sigma of S/D is sum_j g_j sigma_j over the kernel
-    generators g (`kernel_generators`): the unit vectors of the columns D's
-    rows leave untouched, and the kernel cone's rays on the touched columns
-    left open. So S/D is the localization of S at the untouched columns
-    plus one catalog root per non-unit g, where each row r takes r . g.
+    D must be the union of the ray supports inside it, and is read once
+    (`_distinguished`). S^p of S/D is S^p of S and the simple roots whose
+    colors all lie in D. By Luna's correspondence Sigma of S/D is
+    sum_j g_j sigma_j over the kernel generators g: the unit vectors of the
+    columns D's rows leave untouched, and the kernel cone's rays on the
+    touched columns left open (`_kernel_rays`), each with two or more
+    nonzero entries, since a unit vector there pairs nonzero with a row of
+    D. So S/D is the localization of S at the untouched columns plus one
+    catalog root per ray, where each row r takes r . g.
     """
     cone = _color_supports(sys)
     members, mask, touched, vanish = _distinguished(cone, members)
@@ -287,12 +285,12 @@ def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     rows = [sys.a_rows[i] for i in _members(a_rows)]
     if not touched & ~vanish:
         return _on_columns(sys, cols, sp, rows), None
-    extra = [g for g in kernel_generators(sys, members) if sum(g) > 1]
+    extra = _kernel_rays(_rows_of(sys, members), touched & ~vanish, sys.rank)
     roots = [sys.sigma[j] for j in cols] + [spherical_root(sys.rs, _vector_of(sys, g))
                                             for g in extra]
     q = _canonical(sys.rs, roots, sp, [tuple(r[j] for j in cols)
                                        + tuple(sum(map(mul, r, g)) for g in extra) for r in rows])
-    by_root = {r.coeffs: g for r, g in zip(roots, _units(sys.rank, touched) + extra)}
+    by_root = {r.coeffs: g for r, g in zip(roots, _units(sys.rank, touched) + list(extra))}
     return q, [by_root[s.coeffs] for s in q.sigma]
 
 

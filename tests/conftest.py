@@ -1,6 +1,7 @@
 """Shared fixtures: root systems and the F4 census, computed once per
-session; the multiplicity solver on a single target; and the JSON document
-of a system, dumped whole."""
+session; the multiplicity solver on a single target; the orbit of a count
+vector under the color-swap group; and the JSON document of a system,
+dumped whole."""
 
 import json
 
@@ -17,6 +18,16 @@ def multiplicities_with_weight(weights, target):
     w_j > 0; a color of weight zero only takes multiplicity 0."""
     plan = _plan(tuple(map(tuple, weights)), len(target))
     return [counts for counts, _ in _solve(plan, target, {})]
+
+
+def gamma_orbit(group, counts):
+    """Every product of a subset of the swaps of a `GammaGroup` applied to
+    counts (the swaps are disjoint, so they commute)."""
+    out = {tuple(counts)}
+    for i, j in group.swaps:
+        out |= {tuple(c[j] if k == i else c[i] if k == j else x
+                      for k, x in enumerate(c)) for c in out}
+    return out
 
 
 def reference_emit(sys):

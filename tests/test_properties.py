@@ -12,7 +12,7 @@ from sphsys.enumeration import census
 from sphsys.quotient import is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
 
-from conftest import multiplicities_with_weight
+from conftest import gamma_orbit, multiplicities_with_weight
 
 SYSTEMS = census("F4").systems
 
@@ -101,7 +101,7 @@ def test_omega_gamma_invariance(sys, data):
         data.draw(st.integers(0, 3), label=f"count{i}") for i in range(n)
     )
     g = gamma_group(sys)
-    for other in g.orbit(counts):
+    for other in gamma_orbit(g, counts):
         assert omega_of(sys, other) == omega_of(sys, counts)
 
 

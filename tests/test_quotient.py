@@ -18,13 +18,13 @@ from sphsys.serialize import emit_system, render_dot
 from sphsys.system import localize_sigma
 from sphsys.quotient import (
     FreenessError,
-    _inside,
     _integer_witness,
     _kernel_rays,
     _mask,
     _members,
     _minimal,
     _ray_supports,
+    _subset,
     classify,
     enumerate_distinguished,
     is_distinguished,
@@ -384,7 +384,7 @@ def assert_rays_match_fraction_reference(specs):
     checked = 0
     for sys, members, rows in distinguished_rows(specs):
         want = generators_or_error(fraction_kernel_rays, rows, sys.rank)
-        got = generators_or_error(_kernel_rays, rows, sys.rank)
+        got = generators_or_error(_kernel_rays, rows, (1 << sys.rank) - 1, sys.rank)
         assert got == want, (sys.key(), members)
         checked += 1
     return checked
@@ -410,7 +410,8 @@ def test_kernel_generators_match_the_full_width_kernel():
         for size in (1, 2, 3):
             for members in combinations(range(len(rows)), size):
                 full_width = tuple(rows[i] for i in members)
-                want = generators_or_error(_kernel_rays, full_width, sys.rank)
+                want = generators_or_error(_kernel_rays, full_width, (1 << sys.rank) - 1,
+                                           sys.rank)
                 got = generators_or_error(kernel_generators, sys, members)
                 assert got == (want if want == "FreenessError" else list(want)), \
                     (emitted(sys), members)
@@ -420,13 +421,14 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays`, `kernel_generators` and
-    # `_canonical`, and record their generators; none goes through
+    # vector, and only those run `_kernel_rays` and `_canonical`, and record
+    # their generators; each quotient reads its subset once (`_subset`), the
+    # builder never calls `kernel_generators`, and none goes through
     # make_system
     module = import_module("sphsys.quotient")
     subsets = [(sys, d.members, kernel_generators(sys, d.members))
                for sys in census("F4").systems for d in enumerate_distinguished(sys)]
-    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_canonical": 0}
+    calls = {"_kernel_rays": 0, "kernel_generators": 0, "_canonical": 0, "_subset": 0}
 
     def counting(name):
         fn = getattr(module, name)
@@ -454,7 +456,8 @@ def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
         assert columns is None or sorted(columns) == gens, (emitted(sys), members)
     assert built == 5047
     assert non_unit == 310
-    assert calls == dict.fromkeys(calls, 310)
+    assert calls == {"_kernel_rays": 310, "kernel_generators": 0, "_canonical": 310,
+                     "_subset": 5047}
 
 
 def generator_route(sys, gens, sp):
@@ -530,28 +533,28 @@ def test_members_are_the_set_bits():
 
 def test_kernel_generator_beyond_scan_bound():
     # the lattice scan stopped at coordinate 12 and returned no generator here
-    assert _kernel_rays(((1, -13),), 2) == ((13, 1),)
+    assert _kernel_rays(((1, -13),), 0b11, 2) == ((13, 1),)
     assert scanned_kernel_generators([(1, -13)], 2) == []
 
 
 def test_kernel_rays_not_free():
     # the rays (2,0,1) and (0,2,1) miss the kernel point (1,1,1)
     with pytest.raises(FreenessError):
-        _kernel_rays(((1, 1, -2),), 3)
+        _kernel_rays(((1, 1, -2),), 0b111, 3)
     # the rays (2,3,0,5) and (0,3,2,15) miss (1,3,1,10); the lattice scan
     # never saw the second ray and returned two vectors that generate neither
     rows = ((-2, 3, 3, -1), (-3, 2, -3, 0))
     with pytest.raises(FreenessError):
-        _kernel_rays(rows, 4)
+        _kernel_rays(rows, 0b1111, 4)
     assert scanned_kernel_generators(rows, 4) == [(1, 3, 1, 10), (2, 3, 0, 5)]
 
 
 def test_kernel_rays_small_cases():
-    assert _kernel_rays(((1, 0), (0, 1)), 2) == ()
-    assert _kernel_rays(((1, 1),), 2) == ()
-    assert _kernel_rays(((), ()), 0) == ()
-    assert _kernel_rays((), 2) == ((0, 1), (1, 0))
-    assert _kernel_rays(((2, -3, 0),), 3) == ((0, 0, 1), (3, 2, 0))
+    assert _kernel_rays(((1, 0), (0, 1)), 0b11, 2) == ()
+    assert _kernel_rays(((1, 1),), 0b11, 2) == ()
+    assert _kernel_rays(((), ()), 0, 0) == ()
+    assert _kernel_rays((), 0b11, 2) == ((0, 1), (1, 0))
+    assert _kernel_rays(((2, -3, 0),), 0b111, 3) == ((0, 0, 1), (3, 2, 0))
 
 
 def test_witness_beyond_entry_bound():
@@ -1191,7 +1194,7 @@ def test_ray_supports_agree_with_fourier_motzkin(case):
         for members in combinations(range(len(rows)), size):
             mask = sum(1 << i for i in members)
             fm = fm_feasible([rows[i] for i in members], width)
-            assert (_inside(cone, mask)[0] == mask) == fm, members
+            assert (_subset(cone, members)[2] == mask) == fm, members
             if fm:
                 feasible.append(members)
     brute_minimal = [m for m in feasible if not any(set(o) < set(m) for o in feasible)]
@@ -1234,13 +1237,16 @@ def test_ray_supports_keep_positive_columns_and_ray_sums(case):
 
 
 # fraction_kernel_rays sweeps the supports by increasing size, one RREF per
-# support
+# support; a column outside the bitmask is closed by its unit equation e_j
 @settings(max_examples=300, deadline=None)
-@given(color_rows())
-def test_kernel_rays_match_support_sweep(case):
+@given(color_rows(), st.data())
+def test_kernel_rays_match_support_sweep(case, data):
     rows, width = case
-    assert (generators_or_error(_kernel_rays, rows, width)
-            == generators_or_error(fraction_kernel_rays, rows, width))
+    columns = data.draw(st.integers(0, (1 << width) - 1), label="columns")
+    closed = tuple(tuple(int(k == j) for k in range(width))
+                   for j in range(width) if not columns >> j & 1)
+    assert (generators_or_error(_kernel_rays, rows, columns, width)
+            == generators_or_error(fraction_kernel_rays, rows + closed, width))
 
 
 def assert_sweep_matches_references(spec):
@@ -1253,7 +1259,7 @@ def assert_sweep_matches_references(spec):
         assert got == fm_distinguished(rows, sys.rank, decided), sys.key()
         for members, _, _ in got:
             sub = tuple(rows[i] for i in members)
-            assert (generators_or_error(_kernel_rays, sub, sys.rank)
+            assert (generators_or_error(_kernel_rays, sub, (1 << sys.rank) - 1, sys.rank)
                     == generators_or_error(fraction_kernel_rays, sub, sys.rank))
             checked += 1
     return checked
