@@ -10,10 +10,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, dual_weight
 from .sphroots import SphericalRoot, is_compatible, _by_vector
-from .system import SphericalSystem, colors
-from .quotient import _mask, _minimal, _ray_supports
+from .system import Color, ColorSet, Row, SphericalSystem, colors
+from .quotient import _mask, _members, _minimal, _ray_supports
 
 Counts = Tuple[int, ...]  # multiplicity per color index
+# the colors of a system without the process-lifetime cache, bound here so
+# that a wrapper put over `colors` later does not hide it
+_colors = colors.__wrapped__
 
 
 def loose_roots(sys: SphericalSystem) -> List[SphericalRoot]:
@@ -61,11 +64,10 @@ class GammaGroup:
 
 
 def gamma_group(sys: SphericalSystem) -> GammaGroup:
-    return _gamma(sys, loose_roots(sys))
+    return _gamma(colors(sys), loose_roots(sys))
 
 
-def _gamma(sys: SphericalSystem, loose: Sequence[SphericalRoot]) -> GammaGroup:
-    cset = colors(sys)
+def _gamma(cset: ColorSet, loose: Sequence[SphericalRoot]) -> GammaGroup:
     swaps = []
     for s in loose:
         if s.height != 1:
@@ -79,8 +81,12 @@ def _gamma(sys: SphericalSystem, loose: Sequence[SphericalRoot]) -> GammaGroup:
 
 def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:
     """Weight of one color, in fundamental-weight coordinates over S."""
-    c = colors(sys).colors[idx]
-    out = [0] * sys.rs.rank
+    return _weight(colors(sys).colors[idx], sys.rs.rank)
+
+
+def _weight(c: Color, rank: int) -> Counts:
+    """Weight of a color: 2 at its owner for a 2a color, else 1 at each owner."""
+    out = [0] * rank
     mult = 2 if c.kind == "2a" else 1
     for a in c.owners:
         out[a] += mult
@@ -120,12 +126,16 @@ def is_faithful(sys: SphericalSystem, counts: Sequence[int]) -> bool:
     different multiplicities.
 
     Every distinguished subset contains a minimal one, so the support only
-    has to meet each minimal distinguished subset (see `_profile`).
+    has to meet each minimal distinguished subset: it holds every
+    projective color and meets every subset of the face cone (see
+    `_Profile`).
     """
     counts = _counts(sys, counts)
     profile = _profile(sys)
-    supp = _mask(i for i, m in enumerate(counts) if m)
-    return (profile is not None and all(m & supp for m in profile.minimal)
+    if profile is None:
+        return False
+    supp, projective = _mask(i for i, m in enumerate(counts) if m), profile.projective
+    return (supp & projective == projective and all(m & supp for m in profile.faces())
             and all(counts[i] != counts[j] for i, j in profile.gamma.swaps))
 
 
@@ -204,33 +214,75 @@ def _plan(weights: Tuple[Tuple[Tuple[int, int], ...], ...], rank: int) -> _Plan:
                     for r in reach))
 
 
-@dataclass(frozen=True, slots=True)  # one per closed system: no __dict__
+@dataclass(slots=True, eq=False)  # one per closed system: no __dict__
 class _Profile:
     """What the faithful-couple search needs of a closed system, whatever
-    the weight."""
+    the weight.
+
+    The minimal distinguished subsets are the minimal ray supports of the
+    colors' cone. A projective color, one whose row is nonnegative, is one
+    of them on its own: its unit vector is an extreme ray. The others miss
+    every projective color, so they are the minimal ray supports of the
+    face on which the projective colors vanish: the cone of the other
+    colors' rows, the face cone. Its subsets are found on first use
+    (`faces`) and kept, so a system that no weight lets use all of its
+    projective colors never builds it.
+    """
 
     # the plan of the colors' weights: per simple root, the colors it owns
     # alone and their factors (2 for a 2a color, else 1); then each color
     # owned by two or more, with its weight
     plan: _Plan
     gamma: GammaGroup
-    minimal: Tuple[int, ...]  # minimal distinguished subsets as color bitmasks
+    projective: int  # bitmask of the projective colors
+    rows: Tuple[Row, ...]  # the other colors' rows (the bits outside projective), in order
+    # the face cone's minimal ray supports as color bitmasks, by size and
+    # then members; None until first read
+    face: Optional[Tuple[int, ...]] = None
+
+    def faces(self) -> Tuple[int, ...]:
+        """The face cone's minimal ray supports as color bitmasks, each of
+        two or more colors: a non-projective row has a negative entry."""
+        face = self.face
+        if face is None:
+            others = _members(((1 << len(self.plan.bits)) - 1) & ~self.projective)
+            face = self.face = _face(self.rows, others)
+        return face
+
+    @property
+    def minimal(self) -> Tuple[int, ...]:
+        """Every minimal distinguished subset as a color bitmask, by size
+        and then members: the projective singletons, then the face's."""
+        return tuple(1 << i for i in _members(self.projective)) + self.faces()
+
+
+def _face(rows: Tuple[Row, ...], indices: Sequence[int]) -> Tuple[int, ...]:
+    """The minimal ray supports of the cone of rows (`quotient._ray_supports`),
+    by size and then members, each as a bitmask of indices[d] over its
+    members d; none without rows."""
+    if not rows:
+        return ()
+    return tuple(_mask(indices[d] for d in _members(s))
+                 for s in _minimal(_ray_supports(rows, len(rows[0])).supports))
 
 
 @lru_cache(maxsize=None)
 def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     """The profile of a spherically closed system, or None if it is not
-    closed. The minimal distinguished subsets are the minimal ray supports
-    of the colors' cone (`quotient._ray_supports`), by size and then members;
-    only their bitmasks are kept, not the cone (`quotient._color_supports`)."""
+    closed. The colors are computed afresh (`_colors`) and handed to the
+    swap group, so the profile leaves no `ColorSet` in the `colors` cache;
+    it keeps the projective mask and the other colors' rows, but no cone
+    (`quotient._color_supports`)."""
     loose = loose_roots(sys)
     if not _closed(loose):
         return None
-    cs = colors(sys).colors
-    weights = tuple(tuple((j, w) for j, w in enumerate(omega_of_color(sys, i)) if w)
-                    for i in range(len(cs)))
-    return _Profile(plan=_plan(weights, sys.rs.rank), gamma=_gamma(sys, loose), minimal=tuple(
-        _minimal(_ray_supports(tuple(c.row for c in cs), sys.rank).supports)))
+    cset, rank = _colors(sys), sys.rs.rank
+    weights = tuple(tuple((j, w) for j, w in enumerate(_weight(c, rank)) if w)
+                    for c in cset.colors)
+    negative = [min(c.row, default=0) < 0 for c in cset.colors]
+    return _Profile(plan=_plan(weights, rank), gamma=_gamma(cset, loose),
+                    projective=_mask(i for i, n in enumerate(negative) if not n),
+                    rows=tuple(compress((c.row for c in cset.colors), negative)))
 
 
 @dataclass(frozen=True)
@@ -243,11 +295,14 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
                      pi_coords: Sequence[int]) -> List[Tuple[FaithfulCouple, int]]:
     """Faithful couples with color weight equal to the dual of pi, one per
     Gamma-orbit, over the given systems. Returns (couple, orbit id).
-    ValueError unless pi is a dominant weight of rs.
+    ValueError unless pi is a dominant weight of rs and every system is of
+    type rs.
 
     A multiplicity is faithful when its support meets every minimal
     distinguished subset and it separates the colors of every swap; the
     weight-independent part of that test is each system's cached profile.
+    So the support holds every projective color and meets every subset of
+    the face cone (`_Profile`).
     The swaps are disjoint pairs (i, j) with i < j of colors with equal
     weights, so each Gamma-orbit of a faithful multiplicity lies among the
     solutions, and its lexicographically least member is the one with
@@ -258,8 +313,10 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     of the process (`_plan`). No solution uses a color outside the plan's
     usable mask (`_Plan.usable`), taken once per plan in a call, so a
     system with a minimal distinguished subset outside it has no faithful
-    multiplicity and is skipped; a plan none of whose systems pass is never
-    solved. The others are solved once per plan, with each
+    multiplicity and is skipped. The projective colors are tested first,
+    with no cone; only a system that passes reads its face subsets, which
+    its profile builds the first time. A plan none of whose systems pass is
+    never solved. The others are solved once per plan, with each
     solution's support bitmask, and shared by every system with that plan;
     so are the compositions of a value over the factors of one coordinate.
     The masks, solutions and compositions are kept only for the call.
@@ -272,21 +329,26 @@ def faithful_couples(systems: Sequence[SphericalSystem], rs: RootSystem,
     solved: Dict[_Plan, List[Tuple[Counts, int]]] = {}
     compositions: Dict[Tuple[Tuple[int, ...], int], List[Counts]] = {}
     for sys in systems:
+        if sys.rs is not rs and sys.rs != rs:
+            raise ValueError(f"a system of type {sys.rs.name} for a weight of {rs.name}")
         profile = _profile(sys)
         if profile is None:
             continue
-        plan, minimal = profile.plan, profile.minimal
+        plan, projective = profile.plan, profile.projective
         mask = usable.get(plan)
         if mask is None:
             mask = usable[plan] = plan.usable(target)
-        if not all(map(mask.__and__, minimal)):
+        if mask & projective != projective:
+            continue
+        face = profile.faces()
+        if not all(map(mask.__and__, face)):
             continue
         sols = solved.get(plan)
         if sols is None:
             sols = solved[plan] = _solve(plan, target, compositions)
         swaps = profile.gamma.swaps
         for counts, supp in sols:
-            if (all(map(supp.__and__, minimal))
+            if (supp & projective == projective and all(map(supp.__and__, face))
                     and (not swaps or all(counts[i] < counts[j] for i, j in swaps))):
                 out.append((FaithfulCouple(system=sys, counts=counts), len(out)))
     return out

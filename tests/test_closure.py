@@ -1,6 +1,7 @@
 """Loose roots, spherical closure, color swaps and faithful couples."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import import_module
@@ -255,6 +256,16 @@ def _reference_faithful_couples(systems, rs, pi_coords):
     return out
 
 
+@pytest.mark.parametrize("spec, values", [("A3", range(3)), ("F4", range(2))])
+def test_is_faithful_matches_reference(spec, values):
+    # every multiplicity with entries in values, faithful or not, of every
+    # member: closed or not, with and without projective colors
+    for sys in census(spec).systems:
+        for counts in product(values, repeat=len(colors(sys))):
+            assert is_faithful(sys, counts) == _reference_is_faithful(sys, counts), \
+                (emit_system(sys), counts)
+
+
 def _couple_ids(couples):
     return [(c.system.key(), c.counts, o) for c, o in couples]
 
@@ -438,6 +449,66 @@ def test_faithful_search_keeps_no_cone(f4_census, monkeypatch):
         if profile is not None:
             assert list(profile.minimal) == \
                 quotient._minimal(quotient._color_supports(sys).supports)
+
+
+def test_face_cone_is_built_once_past_the_projective_test(f4_census, monkeypatch):
+    # with fresh profiles, a call builds the face cone (the cone of the
+    # colors whose rows have a negative entry) once for each closed system
+    # whose projective colors are all usable and that has another color, and
+    # for no other; a second call builds none. Neither call reads or fills
+    # the `colors` cache.
+    closure = import_module("sphsys.closure")
+    monkeypatch.setattr(closure, "_profile", lru_cache(maxsize=None)(closure._profile.__wrapped__))
+    supports, calls = closure._ray_supports, []
+
+    def counting(rows, width):
+        calls.append(rows)
+        return supports(rows, width)
+
+    monkeypatch.setattr(closure, "_ray_supports", counting)
+    rs, weight = f4_census.rs, (0, 1, 0, 0)
+    target = dual_weight(rs, weight)
+    want, ruled_out = [], 0
+    for sys in f4_census.systems:
+        if not is_spherically_closed(sys):
+            continue
+        rows = [c.row for c in colors(sys).colors]
+        projective = [i for i, r in enumerate(rows) if min(r, default=0) >= 0]
+        if any(not _usable_colors(sys, target) >> i & 1 for i in projective):
+            ruled_out += 1
+        elif len(projective) < len(rows):
+            want.append(tuple(r for i, r in enumerate(rows) if i not in projective))
+    assert (len(want), ruled_out) == (40, 221)
+    info = colors.cache_info()
+    got = faithful_couples(f4_census.systems, rs, weight)
+    assert sorted(calls) == sorted(want)
+    assert _couple_ids(faithful_couples(f4_census.systems, rs, weight)) == _couple_ids(got)
+    assert len(calls) == len(want)
+    assert colors.cache_info()[:2] == info[:2]  # hits, misses
+    assert _couple_ids(got) == _couple_ids(_reference_faithful_couples(f4_census.systems, rs,
+                                                                       weight))
+
+
+def test_faithful_couples_reject_systems_of_another_type(f4, f4_census, a3_census):
+    with pytest.raises(ValueError, match="A3"):
+        faithful_couples(a3_census.systems, f4, (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="A3"):
+        faithful_couples(f4_census.systems + a3_census.systems[:1], f4, (0, 1, 0, 0))
+    # an equal root system that is another object is the same type
+    assert _couple_ids(faithful_couples(f4_census.systems, replace(f4), (0, 1, 0, 0))) == \
+        _couple_ids(faithful_couples(f4_census.systems, f4, (0, 1, 0, 0)))
+
+
+@pytest.mark.slow
+def test_faithful_couples_digest_e7_w7():
+    # every couple of E7 at w7 in output order, one line each (orbit id,
+    # counts, system): a regression value of this engine
+    report = census("E7")
+    lines = [f"{orbit} {list(c.counts)} {emit_system(c.system).strip()}"
+             for c, orbit in faithful_couples(report.systems, report.rs, (0,) * 6 + (1,))]
+    assert len(lines) == 3
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "fab3374ee55759c9295294b88d1e65f979d5735a83d4a37197bd4671e923726c"
 
 
 # A diagram automorphism p maps the faithful couples of a weight onto those

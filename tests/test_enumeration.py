@@ -277,10 +277,14 @@ def _reference_census(rs):
     return [seen[k] for k in sorted(seen)]
 
 
+# The rank-5 types run under `slow`: A5 and C5 take about 12 s each against
+# the reference, B5 about a minute. D5 (several minutes, over 1 GB) stays a
+# regression value in CENSUS_DIGESTS below.
 @pytest.mark.parametrize(
     "name",
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
-     "A1xA1", "A2xA1", "A3xA1", "A2xA2", "B2xA1", "B3xA1", "A1xG2"],
+     "A1xA1", "A2xA1", "A3xA1", "A2xA2", "B2xA1", "B3xA1", "A1xG2"]
+    + [pytest.param(t, marks=pytest.mark.slow) for t in ["A5", "C5", "B5"]],
 )
 def test_pruned_search_matches_reference(name):
     rs = build_root_system(name)
@@ -311,8 +315,10 @@ def test_members_are_built_canonical(name):
 
 
 # sha256 of the sorted emit_system lines of each census: regression values of
-# this engine, not reference values from the paper, for types the reference
-# search above is too slow to check.
+# this engine, not reference values from the paper. The reference search
+# above checks A5, B5 and C5 as well (under `slow`); D5, E6 and E7 are
+# beyond it, and a faster reference must stay independent of the pruned
+# search, or it checks nothing.
 CENSUS_DIGESTS = {
     "A5": "6f6b287fb5db4e640f23dbc7c41727cef4e65f244dbccc7182616f0837767df1",
     "B5": "818137f930c29d65d9dcbb332528c55801a07c4fe4078124e35fefc430bfaee4",

@@ -3,13 +3,13 @@ and the faithful-couple multiplicity solver."""
 
 from itertools import product
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sphsys import colors, localize_sigma, make_system, validate
-from sphsys.closure import _plan, _solve, gamma_group, omega_of
+from sphsys.closure import _face, _plan, _solve, gamma_group, omega_of
 from sphsys.enumeration import census
-from sphsys.quotient import is_distinguished, quotient
+from sphsys.quotient import _minimal, _ray_supports, is_distinguished, quotient
 from sphsys.serialize import emit_system, parse_system
 
 from conftest import gamma_orbit, multiplicities_with_weight
@@ -113,6 +113,32 @@ def test_quotient_by_kernel_of_everything(sys):
     q = quotient(sys, full)
     assert q.sigma == ()
     assert validate(q) == []
+
+
+@st.composite
+def color_rows(draw):
+    width = draw(st.integers(0, 4))
+    return draw(st.lists(st.tuples(*[st.integers(-2, 2)] * width), max_size=7)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_rows())
+@example(([], 0))  # no colors
+@example(([(), (), ()], 0))  # width 0: every row is projective
+@example(([(1, 0, 2), (0, 0, 0), (2, 1, 1)], 3))  # every row projective
+@example(([(-1, 1), (1, -1), (-2, 1), (1, -2)], 2))  # none projective
+@example(([(1, 0), (-1, 1), (0, 2), (2, -1), (1, -1)], 2))
+def test_minimal_supports_are_projective_singletons_and_the_face(case):
+    # a nonnegative row is alone a minimal ray support; the others are the
+    # minimal ray supports of the cone of the other rows, the face on which
+    # the nonnegative rows vanish
+    rows, width = case
+    projective = [i for i, r in enumerate(rows) if min(r, default=0) >= 0]
+    others = [i for i in range(len(rows)) if i not in projective]
+    face = _face(tuple(rows[i] for i in others), others)
+    assert all(m.bit_count() >= 2 for m in face)
+    assert [1 << i for i in projective] + list(face) == \
+        _minimal(_ray_supports(tuple(rows), width).supports)
 
 
 def _brute_force_multiplicities(weights, target):
