@@ -249,12 +249,6 @@ class _Profile:
             face = self.face = _face(self.rows, others)
         return face
 
-    @property
-    def minimal(self) -> Tuple[int, ...]:
-        """Every minimal distinguished subset as a color bitmask, by size
-        and then members: the projective singletons, then the face's."""
-        return tuple(1 << i for i in _members(self.projective)) + self.faces()
-
 
 def _face(rows: Tuple[Row, ...], indices: Sequence[int]) -> Tuple[int, ...]:
     """The minimal ray supports of the cone of rows (`quotient._ray_supports`),

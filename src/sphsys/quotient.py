@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootsys import _cone_rays
@@ -45,12 +45,12 @@ def _members(mask: int) -> Tuple[int, ...]:
 
 class _Cone(NamedTuple):
     """The extreme rays of a colors' cone {x >= 0 : sum_d x_d * row_d >= 0},
-    grouped by support, and the bitmasks that a quotient is built from."""
+    grouped by support, and the bitmasks that a quotient is built from; no
+    ray itself is kept."""
 
     supports: Tuple[int, ...]  # bitmasks over the rows, by size and then members
     # per support, the columns j where one of its rays x has sum_d x_d * row_d[j] > 0
     positive: Tuple[int, ...]
-    sums: Tuple[Row, ...]  # per support, the sum of its rays on its members, in order
     touched: Tuple[int, ...]  # per row, the columns where it is nonzero
     # of the system (`_color_supports`): (alpha, bitmask of its colors) for
     # each simple root alpha that owns colors, and (bit of alpha's column,
@@ -62,8 +62,8 @@ class _Cone(NamedTuple):
 def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
     """The extreme rays of {x >= 0 : sum_d x_d * row_d >= 0}, as their
     supports (bitmasks over the rows, by size and then members), with the
-    bitmask of the columns where each support's rays pair positively and
-    each support's ray sum; and the bitmask of each row's nonzero columns.
+    bitmask of the columns where each support's rays pair positively; and
+    the bitmask of each row's nonzero columns.
 
     A point of the cone is a positive combination of extreme rays, and its
     support is the union of theirs. So a subset carries a positive solution
@@ -72,24 +72,17 @@ def _ray_supports(rows: Tuple[Row, ...], width: int) -> _Cone:
 
     The support and the columns are read off each ray's zero set z: the
     support is the low k bits of ~z, and the columns where the ray pairs
-    positively are the bits of ~z above them. A ray is positive exactly on
-    its support, so the nonzero entries of a ray sum are those on the
-    support's members.
+    positively are the bits of ~z above them.
     """
     k = len(rows)
     full, columns = (1 << k) - 1, (1 << width) - 1
-    positive, sums = {}, {}
-    for ray, z in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)]):
+    positive = {}
+    for _, z in _cone_rays(k, [tuple(r[j] for r in rows) for j in range(width)]):
         s = full & ~z
-        if s in sums:
-            positive[s] |= ~z >> k & columns
-            sums[s] = tuple(map(add, sums[s], ray))
-        else:
-            positive[s], sums[s] = ~z >> k & columns, ray
-    supports = [s for _, _, s in sorted((s.bit_count(), _members(s), s) for s in sums)]
+        positive[s] = positive.get(s, 0) | ~z >> k & columns
+    supports = [s for _, _, s in sorted((s.bit_count(), _members(s), s) for s in positive)]
     return _Cone(supports=tuple(supports),
                  positive=tuple([positive[s] for s in supports]),
-                 sums=tuple([tuple(filter(None, sums[s])) for s in supports]),
                  touched=tuple([_mask(j for j, x in enumerate(r) if x) for r in rows]))
 
 
@@ -142,53 +135,17 @@ def is_distinguished(sys: SphericalSystem, members: Sequence[int]) -> Optional[T
     """A positive integer witness x with sum x_d * row_d >= 0, or None.
 
     The subset is decided exactly by the extreme rays of the colors' cone
-    (`_ray_supports`). Its own cone is the face of that cone where the other
-    colors vanish, whose rays are the colors' rays with support inside the
-    subset. Their sum is a witness, so the integer search for the smallest
-    witness (`_integer_witness`) stops at its largest entry.
+    (`_subset`). The witness is the sum of the extreme rays of the subset's
+    own cone, one `_cone_rays` call on its rows: that cone is the face of
+    the colors' cone where the other colors vanish, so its rays are the
+    colors' rays with support inside the subset, and their supports cover it.
     """
-    cone = _color_supports(sys)
-    members, mask, union, _, _ = _subset(cone, members)
+    members, mask, union, _, _ = _subset(_color_supports(sys), members)
     if union != mask:
         return None
-    total = [0] * len(cone.touched)
-    for s, ray_sum in zip(cone.supports, cone.sums):
-        if s | mask == mask:
-            for i, x in zip(_members(s), ray_sum):
-                total[i] += x
-    bound = max((total[i] for i in members), default=1)
-    return tuple(_integer_witness(tuple(_rows_of(sys, members)), sys.rank, bound))
-
-
-def _integer_witness(rows: Tuple[Row, ...], width: int, bound: int) -> List[int]:
-    """Smallest-bound integer witness x in {1..b}^k with sum x_d row_d >= 0,
-    by iterative deepening on b up to `bound`, with optimistic pruning on
-    the partial column sums; ValueError when there is none within it.
-    """
-    k = len(rows)
-    for b in range(1, bound + 1):
-        # best[d][j]: largest contribution of colors d..k-1 to column j
-        best = [[0] * width for _ in range(k + 1)]
-        for d in range(k - 1, -1, -1):
-            for j in range(width):
-                r = rows[d][j]
-                best[d][j] = best[d + 1][j] + (b * r if r > 0 else r)
-        choice = [0] * k
-
-        def rec(d: int, sums: Tuple[int, ...]) -> bool:
-            if d == k:
-                return all(v >= 0 for v in sums)
-            if any(s + c < 0 for s, c in zip(sums, best[d])):
-                return False
-            for x in range(1, b + 1):
-                choice[d] = x
-                if rec(d + 1, tuple(s + x * r for s, r in zip(sums, rows[d]))):
-                    return True
-            return False
-
-        if rec(0, tuple([0] * width)):
-            return choice
-    raise ValueError(f"rows {list(rows)} have no witness in {{1..{bound}}}^{k}")
+    rows = _rows_of(sys, members)
+    rays = _cone_rays(len(rows), [tuple(r[j] for r in rows) for j in range(sys.rank)])
+    return tuple(map(sum, zip(*(ray for ray, _ in rays))))
 
 
 def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -306,7 +263,7 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
 
     They are the nonempty unions of the ray supports of the colors' cone, and
     the minimal ones are the minimal ray supports (`_ray_supports`); no
-    witness is searched for (`is_distinguished` gives one).
+    witness is computed (`is_distinguished` gives one).
     """
     supports = _color_supports(sys).supports
     unions = {0}
@@ -318,7 +275,9 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
 
 
 def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
-    """Type of the quotient edge by a minimal distinguished subset (`_kind`).
+    """Type of the quotient edge by a minimal distinguished subset (`_kind`);
+    ValueError when D is not distinguished, or not minimal: when a ray
+    support other than D lies inside it.
 
     S/D is not built. By Luna's correspondence its colors are those c of S
     outside D, with their owners and the row (c.row . g) over the kernel
@@ -327,7 +286,10 @@ def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
     c outside D with every c.row . g <= 0, and its support is the union of
     the supports of the sigma_j with some g_j > 0.
     """
-    members, mask, touched, vanish = _distinguished(_color_supports(sys), members)
+    cone = _color_supports(sys)
+    members, mask, touched, vanish = _distinguished(cone, members)
+    if any(s != mask and s | mask == mask for s in cone.supports):
+        raise ValueError("subset of colors is not minimal")
     gens = kernel_generators(sys, members) if touched & ~vanish else _units(sys.rank, touched)
     cs = colors(sys).colors
     supp = {a for j, s in enumerate(sys.sigma) if any(g[j] for g in gens) for a in s.support}

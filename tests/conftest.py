@@ -1,7 +1,8 @@
 """Shared fixtures: root systems and the F4 census, computed once per
 session; the multiplicity solver on a single target; the orbit of a count
-vector under the color-swap group; and the JSON document of a system,
-dumped whole."""
+vector under the color-swap group; the minimal distinguished subsets a
+closed system's profile holds; and the JSON document of a system, dumped
+whole."""
 
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from sphsys import build_root_system, make_system
 from sphsys.closure import _plan, _solve
 from sphsys.enumeration import census
+from sphsys.quotient import _members
 
 
 def multiplicities_with_weight(weights, target):
@@ -28,6 +30,13 @@ def gamma_orbit(group, counts):
         out |= {tuple(c[j] if k == i else c[i] if k == j else x
                       for k, x in enumerate(c)) for c in out}
     return out
+
+
+def minimal_supports(profile):
+    """Every minimal distinguished subset of a closed system as a color
+    bitmask, by size and then members, from its `closure._Profile`: the
+    projective singletons, then the face cone's supports (`faces`)."""
+    return tuple(1 << i for i in _members(profile.projective)) + profile.faces()
 
 
 def reference_emit(sys):

@@ -25,7 +25,7 @@ from sphsys.enumeration import census
 from sphsys.quotient import enumerate_distinguished, is_distinguished
 from sphsys.system import _relabel
 
-from conftest import gamma_orbit, multiplicities_with_weight
+from conftest import gamma_orbit, minimal_supports, multiplicities_with_weight
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +420,7 @@ def test_faithful_couples_solve_once_per_plan(f4_census, a3_census, monkeypatch)
                 profile = module._profile(sys)
                 if profile is not None:
                     usable = _usable_colors(sys, target)
-                    if all(m & usable for m in profile.minimal):
+                    if all(m & usable for m in minimal_supports(profile)):
                         want.add(id(profile.plan))
             calls.clear()
             faithful_couples(report.systems, rs, w)
@@ -447,7 +447,7 @@ def test_faithful_search_keeps_no_cone(f4_census, monkeypatch):
     for sys in f4_census.systems + census("D4").systems:
         profile = closure._profile(sys)
         if profile is not None:
-            assert list(profile.minimal) == \
+            assert list(minimal_supports(profile)) == \
                 quotient._minimal(quotient._color_supports(sys).supports)
 
 

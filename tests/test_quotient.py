@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 from importlib import import_module
 from itertools import combinations, product
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from sphsys.serialize import emit_system, render_dot
 from sphsys.system import localize_sigma
 from sphsys.quotient import (
     FreenessError,
-    _integer_witness,
     _kernel_rays,
     _mask,
     _members,
@@ -34,6 +34,8 @@ from sphsys.quotient import (
     quotient,
     quotient_lattice,
 )
+
+from conftest import minimal_supports
 
 
 def sigma_set(sys):
@@ -142,12 +144,12 @@ def test_witnesses_are_positive_and_valid(sl4, s12):
 
 def test_lattice_searches_no_witness(sl4, monkeypatch):
     # distinguished subsets and their minimality come from the ray supports
-    # alone; only is_distinguished searches for a witness
-    def no_witness(rows, width, bound):
-        raise AssertionError("witness searched")
+    # alone; the lattice never asks is_distinguished for a witness
+    def no_witness(sys, members):
+        raise AssertionError("witness asked for")
 
     # "sphsys.quotient" as a string names the re-exported function
-    monkeypatch.setattr(import_module("sphsys.quotient"), "_integer_witness", no_witness)
+    monkeypatch.setattr(import_module("sphsys.quotient"), "is_distinguished", no_witness)
     lattice = quotient_lattice(sl4)
     assert any(e.minimal for e in lattice.edges)
     assert len(lattice.edges) >= len(enumerate_distinguished(sl4)) > 0
@@ -558,69 +560,76 @@ def test_kernel_rays_small_cases():
 
 
 def test_witness_beyond_entry_bound():
-    # rows (1), (-1), (-1), (-1) need the witness (3, 1, 1, 1), beyond the
-    # earlier search cap of 1 + width * max|entry| = 2
+    # the rays of {x >= 0 : x0 >= x1 + x2 + x3} are e0 and e0 + e_i, so the
+    # witness of rows (1), (-1), (-1), (-1) is their sum (4, 1, 1, 1): beyond
+    # the earlier search cap of 1 + width * max|entry| = 2
     sys = make_system(build_root_system("D4"), [(0, 1, 0, 0)], [], [(1,), (1,)])
     rows = [c.row for c in colors(sys).colors]
     members = (0, 2, 3, 4)
     assert [rows[m] for m in members] == [(1,), (-1,), (-1,), (-1,)]
-    assert is_distinguished(sys, members) == (3, 1, 1, 1)
+    assert is_distinguished(sys, members) == (4, 1, 1, 1)
     subsets = enumerate_distinguished(sys)
     assert members in [d.members for d in subsets]
     for d in subsets:
         assert validate(quotient(sys, d.members)) == []
 
 
+@st.composite
+def color_rows(draw):
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=5))
+    return tuple(rows), width
+
+
+def rays_of(rows, width):
+    """The extreme rays of {x >= 0 : sum x_d row_d >= 0}."""
+    return [r for r, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows)
+                                                 for j in range(width)])]
+
+
 def ray_sum(rows, width):
     """The sum of the extreme rays of {x >= 0 : sum x_d row_d >= 0}, from the
     subset's own cone."""
-    rays = [r for r, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows)
-                                                 for j in range(width)])]
-    return [sum(col) for col in zip(*rays)] or [0] * len(rows)
+    return [sum(col) for col in zip(*rays_of(rows, width))] or [0] * len(rows)
 
 
-def test_witness_search_has_a_stated_bound():
-    # the rays of {x >= 0 : x0 >= x1 + x2 + x3} are e0 and e0 + e_i, with
-    # sum (4, 1, 1, 1): the search stops by bound 4, and (3, 1, 1, 1) is in it
-    rows = ((1,), (-1,), (-1,), (-1,))
-    assert ray_sum(rows, 1) == [4, 1, 1, 1]
-    assert _integer_witness(rows, 1, 4) == [3, 1, 1, 1]
-    with pytest.raises(ValueError, match="no witness"):
-        _integer_witness(rows, 1, 2)
-    assert _integer_witness((), 2, 1) == []
-    # no witness: x0 >= x1 and -x0 >= 0 force x0 = x1 = 0
-    for rows, width in ((((-1,),), 1), (((1, -1), (-1, 0)), 2), (((0, 0), (-1, 1)), 2)):
-        assert 0 in ray_sum(rows, width)
-        with pytest.raises(ValueError, match="no witness"):
-            _integer_witness(rows, width, 3)
+def face_ray_sum(rays, members):
+    """The members' entries of the sum of the rays whose support lies inside
+    members: for the rays of the whole colors' cone, the witness of the face
+    where the other colors vanish."""
+    inside = [ray for ray in rays if all(x == 0 or d in members for d, x in enumerate(ray))]
+    return tuple(sum(ray[d] for ray in inside) for d in members)
 
 
-def test_witness_bound_from_the_colors_cone(monkeypatch):
-    # is_distinguished bounds its search by the rays of S's colors' cone with
-    # support inside D, which are those of D's own cone: it runs no cone of
-    # its own, and the bound is D's own ray sum
-    module = import_module("sphsys.quotient")
-    systems = census_systems(("F4", "D4"))[::7]
-    for sys in systems:
-        module._color_supports(sys)
-    bounds = []
-    witness = module._integer_witness
-
-    def recording(rows, width, bound):
-        bounds.append((rows, width, bound))
-        return witness(rows, width, bound)
-
-    def no_cone(*args):
-        raise AssertionError("a second cone")
-
-    monkeypatch.setattr(module, "_integer_witness", recording)
-    monkeypatch.setattr(module, "_cone_rays", no_cone)
-    for sys in systems:
+def test_witness_is_the_face_ray_sum():
+    # is_distinguished sums the rays of D's own cone; they are the rays of
+    # the whole colors' cone with support inside D, computed here apart
+    count = 0
+    for sys in census_systems(("F4", "D4")):
+        rays = rays_of([c.row for c in colors(sys).colors], sys.rank)
         for d in enumerate_distinguished(sys):
-            is_distinguished(sys, d.members)
-    assert len(bounds) > 1000
-    for rows, width, bound in bounds:
-        assert bound == max(ray_sum(rows, width), default=1)
+            assert is_distinguished(sys, d.members) == face_ray_sum(rays, d.members), \
+                (emitted(sys), d.members)
+            count += 1
+    assert count == 10002
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_rows())
+def test_witness_is_the_face_ray_sum_of_any_rows(case):
+    # is_distinguished on drawn rows, with their cone record in place of a
+    # system's: a witness exactly when the face ray sum is positive, and
+    # then that sum, for every subset
+    rows, width = case
+    module, rays = import_module("sphsys.quotient"), rays_of(rows, width)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_color_supports", lambda sys: _ray_supports(rows, width))
+        m.setattr(module, "_rows_of", lambda sys, members: [rows[i] for i in members])
+        for size in range(len(rows) + 1):
+            for members in combinations(range(len(rows)), size):
+                w = face_ray_sum(rays, members)
+                assert is_distinguished(SimpleNamespace(rank=width), members) == \
+                    (w if all(w) else None), members
 
 
 def test_classify_r_type(b3_doubled_pair):
@@ -894,8 +903,8 @@ SWEEP_DIGESTS = {
     ("D5",): "9ac9372b05e4f0555ca99394e10705778cc376069ad2983f7f21d859ff18788c",
 }
 WITNESS_DIGESTS = {
-    ("F4", "D4"): "d210ce60e5e23fe220e5c1ec7cf985f0a4e91190e552f75fa67616a712f620f3",
-    ("D5",): "b448d4e4ede052548a6424db1256e5153769bd035c95a9a964ad4dd750bf4724",
+    ("F4", "D4"): "e32ec74fe80ffc8e934c2481cd804ff882e52769f221fd801faaa4b95824fa6b",
+    ("D5",): "0dd9e1a8f45c91e01d94a7d6fad27bc9281c3216d7720092116017d02118593d",
 }
 CHAIN_DIGESTS = {
     ("F4", "D4", "B3xA1"): "db48d437e045d81db405c234d6431c5cb22fd073a8ed28d7d35beff5b6e08aff",
@@ -939,6 +948,24 @@ def test_minimal_edge_kind_counts(spec, counts):
              for d in enumerate_distinguished(s) if d.minimal]
     assert tuple(kinds.count(k) for k in ("P", "L", "R", "LR")) == counts
     assert len(kinds) == sum(counts)
+
+
+def test_classify_rejects_a_subset_that_is_not_minimal(f4_census):
+    # classify types a minimal edge only: a distinguished D with another ray
+    # support inside it raises, and the minimal ones keep their kinds
+    first = f4_census.systems[0]
+    assert (0, 1) in [d.members for d in enumerate_distinguished(first) if not d.minimal]
+    kinds, rejected = [], 0
+    for sys in f4_census.systems:
+        for d in enumerate_distinguished(sys):
+            if d.minimal:
+                kinds.append(classify(sys, d.members))
+                continue
+            with pytest.raises(ValueError, match="not minimal"):
+                classify(sys, d.members)
+            rejected += 1
+    assert rejected == 4477
+    assert tuple(kinds.count(k) for k in ("P", "L", "R", "LR")) == (134, 354, 61, 21)
 
 
 # Frozen copy of the earlier classification, which built the target S/D and
@@ -1082,7 +1109,7 @@ def test_minimal_flags_match_definition_and_closure_search(name):
         if profile is not None:
             closed += 1
             assert [sum(1 << i for i in d.members) for d in subsets if d.minimal] == \
-                list(profile.minimal)
+                list(minimal_supports(profile))
     assert closed
 
 
@@ -1157,10 +1184,11 @@ def fm_dedupe(cons):
     return [(c, b) for c, b in seen.items()]
 
 
-def fm_distinguished(rows, width, decided=None):
-    """(members, witness, minimal) for every nonempty subset of the rows that
-    FM finds feasible, by size and then members, with the witness of
-    `_integer_witness` and minimality against the smaller ones found."""
+def fm_distinguished(rows, width, witness, decided=None):
+    """(members, minimal) for every nonempty subset of the rows that FM finds
+    feasible, by size and then members, with minimality against the smaller
+    ones found; witness(members) must certify each: one positive entry per
+    member, and a nonnegative pairing with every column."""
     decided = {} if decided is None else decided
     out, minimal = [], []
     for size in range(1, len(rows) + 1):
@@ -1172,16 +1200,11 @@ def fm_distinguished(rows, width, decided=None):
                 is_min = not any(set(m) <= set(members) for m in minimal)
                 if is_min:
                     minimal.append(members)
-                bound = max(ray_sum(sub, width))
-                out.append((members, tuple(_integer_witness(sub, width, bound)), is_min))
+                w = witness(members)
+                assert w is not None and len(w) == size and min(w) > 0, members
+                assert all(sum(x * r[j] for x, r in zip(w, sub)) >= 0 for j in range(width))
+                out.append((members, is_min))
     return out
-
-
-@st.composite
-def color_rows(draw):
-    width = draw(st.integers(0, 4))
-    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * width), max_size=5))
-    return tuple(rows), width
 
 
 @settings(max_examples=300, deadline=None)
@@ -1204,35 +1227,28 @@ def test_ray_supports_agree_with_fourier_motzkin(case):
 @settings(max_examples=200, deadline=None)
 @given(color_rows())
 def test_witness_within_the_ray_sum(case):
+    # the rows carry a positive solution exactly when their ray sum is positive
     rows, width = case
-    total = ray_sum(rows, width)
-    if fm_feasible(rows, width):
-        assert all(total)
-        assert len(_integer_witness(rows, width, max(total, default=1))) == len(rows)
-    else:
-        assert not all(total)
+    assert all(ray_sum(rows, width)) == fm_feasible(rows, width)
 
 
 @settings(max_examples=300, deadline=None)
 @given(color_rows())
-def test_ray_supports_keep_positive_columns_and_ray_sums(case):
+def test_ray_supports_keep_positive_columns(case):
     # what the zero sets give, against the ray vectors themselves, and the
     # nonzero columns of each row
     rows, width = case
     cone = _ray_supports(rows, width)
-    positive, sums = {}, {}
+    positive = {}
     for ray, _ in _cone_rays(len(rows), [tuple(r[j] for r in rows) for j in range(width)]):
         s = sum(1 << d for d, x in enumerate(ray) if x)
         pairing = [sum(x * r[j] for x, r in zip(ray, rows)) for j in range(width)]
         positive[s] = positive.get(s, 0) | sum(1 << j for j, v in enumerate(pairing) if v > 0)
-        sums[s] = [a + b for a, b in zip(sums.get(s, [0] * len(rows)), ray)]
     assert sorted(cone.supports) == sorted(positive)
     order = [(s.bit_count(), tuple(d for d in range(len(rows)) if s >> d & 1))
              for s in cone.supports]
     assert order == sorted(order)
     assert [positive[s] for s in cone.supports] == list(cone.positive)
-    assert [[sums[s][d] for d in range(len(rows)) if s >> d & 1] for s in cone.supports] \
-        == [list(v) for v in cone.sums]
     assert list(cone.touched) == [sum(1 << j for j, x in enumerate(r) if x) for r in rows]
 
 
@@ -1254,10 +1270,10 @@ def assert_sweep_matches_references(spec):
     checked = 0
     for sys in census(spec).systems:
         rows = tuple(c.row for c in colors(sys).colors)
-        got = [(d.members, is_distinguished(sys, d.members), d.minimal)
-               for d in enumerate_distinguished(sys)]
-        assert got == fm_distinguished(rows, sys.rank, decided), sys.key()
-        for members, _, _ in got:
+        got = [(d.members, d.minimal) for d in enumerate_distinguished(sys)]
+        assert got == fm_distinguished(rows, sys.rank, lambda m: is_distinguished(sys, m),
+                                       decided), sys.key()
+        for members, _ in got:
             sub = tuple(rows[i] for i in members)
             assert (generators_or_error(_kernel_rays, sub, (1 << sys.rank) - 1, sys.rank)
                     == generators_or_error(fraction_kernel_rays, sub, sys.rank))
