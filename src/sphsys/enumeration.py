@@ -145,12 +145,20 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
     open. A step checks in full only the owners whose column holds a 1 in
     the rows just placed; every other owner with one row is tested only
     against the column the step closed.
+
+    The matrices come in sorted order, as `enumerate_systems` lists them,
+    and are searched once per signature for the process (`_a_matrices`).
     """
-    return _a_matrices(_a_signature(sigma))
+    return list(_a_matrices(_a_signature(sigma)))
 
 
-def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> List[Tuple[Row, ...]]:
-    """`enumerate_a_matrices` of every sigma with this `_a_signature`."""
+@lru_cache(maxsize=None)
+def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> Tuple[Tuple[Row, ...], ...]:
+    """`enumerate_a_matrices` of every sigma with this `_a_signature`, sorted.
+
+    A sigma of a Levi subsystem has the same signature inside every larger
+    type, so this table is shared by every census of the process.
+    """
     _, owners = signature
     m = len(owners)
     cols = [c for c, _ in owners]
@@ -196,7 +204,7 @@ def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> List[Tupl
                 rec(i + 1, placed + new, next_mine, next_forced)
 
     rec(0, (), [()] * m, [None] * m)
-    return results
+    return tuple(sorted(results))
 
 
 def canonical_form(sys: SphericalSystem) -> SphericalSystem:
@@ -218,9 +226,11 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     afterwards, and no triple is built twice.
 
     The A-matrices depend on sigma only through its signature (see
-    `enumerate_a_matrices`), so they are enumerated and sorted once per
-    signature and shared by every sigma with it and by their S^p choices.
-    That table lives only as long as the call.
+    `enumerate_a_matrices`), so they are read from the process table
+    `_a_matrices`, enumerated and sorted once per signature and shared by
+    every sigma with it, by their S^p choices and by later censuses. The
+    S^p choices depend only on sigma's interval, so they are built once
+    per interval, in a table that lives only as long as the call.
     Sigma comes from `_sigma_candidates` in catalog order, which is the
     canonical (height, coefficients) order, and the rows are sorted tuples
     over it, so each triple is built as a `SphericalSystem` directly,
@@ -231,16 +241,16 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     their coefficient vectors, then each one's S^p choices and A-matrices
     in order, lists the members in key order without sorting them.
     """
-    by_signature: Dict[tuple, List[Tuple[Row, ...]]] = {}
+    by_interval: Dict[Tuple[int, int], List[FrozenSet[int]]] = {}
     systems: List[SphericalSystem] = []
     for sigma, low, high in sorted(_sigma_candidates(rs),
                                    key=lambda c: [s.coeffs for s in c[0]]):
-        signature = _a_signature(sigma)
-        rows_of = by_signature.get(signature)
-        if rows_of is None:
-            rows_of = by_signature[signature] = sorted(_a_matrices(signature))
+        rows_of = _a_matrices(_a_signature(sigma))
+        sps = by_interval.get((low, high))
+        if sps is None:
+            sps = by_interval[low, high] = _sp_choices(rs.rank, low, high)
         systems += [SphericalSystem(rs=rs, sigma=sigma, sp=sp, a_rows=rows)
-                    for sp in _sp_choices(rs.rank, low, high) for rows in rows_of]
+                    for sp in sps for rows in rows_of]
     return CensusReport(rs=rs, systems=tuple(systems))
 
 

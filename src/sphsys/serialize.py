@@ -68,9 +68,11 @@ _DOCUMENT = ('{"root_system":%s,"system":{"a_rows":%s,"sigma":[%s],"sp":%s},"ver
 
 def emit_system(sys: SphericalSystem) -> str:
     """Canonical JSON document for a system; byte-deterministic. The root
-    system's and each spherical root's text is built once (`json_text`)."""
+    system's and each spherical root's text is built once (`json_text`).
+    S^p holds ints only, so its list's `str` less the spaces is its JSON."""
     return _DOCUMENT % (sys.rs.json_text, _encode(sys.a_rows),
-                        ",".join([s.json_text for s in sys.sigma]), _encode(sorted(sys.sp)))
+                        ",".join([s.json_text for s in sys.sigma]),
+                        str(sorted(sys.sp)).replace(" ", ""))
 
 
 def parse_system(text: str, allow_invalid: bool = False) -> SphericalSystem:

@@ -72,6 +72,9 @@ def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],
     """Build a system in canonical order from sigma vectors and matching rows."""
     sigmas = [spherical_root(rs, v) for v in sigma_vectors]
     sp = frozenset(sp)
+    for a in sp:  # a bool is an int, but `emit_system` would write True
+        if type(a) is not int:
+            raise ValueError(f"Sp entry {a!r} is not an integer")
     if any(not 0 <= a < rs.rank for a in sp):
         raise ValueError(f"Sp {sorted(sp)} has an index outside 0..{rs.rank - 1}")
     rows = [tuple(r) for r in a_rows]

@@ -300,7 +300,52 @@ def test_pruned_search_matches_reference(name):
 def test_a_matrices_match_reference(name):
     rs = build_root_system(name)
     for sigma, _, _ in _sigma_candidates(rs):
-        assert sorted(enumerate_a_matrices(sigma)) == sorted(_reference_a_matrices(rs, sigma))
+        assert enumerate_a_matrices(sigma) == sorted(_reference_a_matrices(rs, sigma))
+
+
+# One census call builds the S^p choices once per S^p interval, not once per
+# sigma: F4 has 200 sigmas on 14 intervals, E6 2,882 on 39.
+@pytest.mark.parametrize("name,sigmas,intervals", [("F4", 200, 14), ("E6", 2882, 39)])
+def test_sp_choices_once_per_interval(monkeypatch, name, sigmas, intervals):
+    rs = build_root_system(name)
+    candidates = _sigma_candidates(rs)
+    assert len(candidates) == sigmas
+    assert len({(low, high) for _, low, high in candidates}) == intervals
+    calls = []
+    choices = enumeration._sp_choices
+
+    def counting(*args):
+        calls.append(args)
+        return choices(*args)
+
+    monkeypatch.setattr(enumeration, "_sp_choices", counting)
+    enumerate_systems(rs)
+    assert len(calls) == len(set(calls)) == intervals
+
+
+# The A-matrix table lives as long as the process, and a Levi's sigma has the
+# same signature inside every larger type: F4xA1 finds 119 of its 327
+# signatures already there after F4 and A1. The census is the same, line for
+# line, whatever the table holds. Fresh tables keep the counts independent of
+# what other tests have filled.
+def test_a_matrix_table_is_shared_and_changes_no_census(monkeypatch):
+    def fresh_table():
+        table = lru_cache(maxsize=None)(enumeration._a_matrices.__wrapped__)
+        monkeypatch.setattr(enumeration, "_a_matrices", table)
+        return table
+
+    def lines(name):
+        return [emit_system(s) for s in enumerate_systems(build_root_system(name)).systems]
+
+    fresh_table()
+    alone = lines("F4xA1")
+    table = fresh_table()
+    lines("F4")
+    assert table.cache_info().misses == 119
+    lines("A1")
+    assert table.cache_info().misses == 119
+    assert lines("F4xA1") == alone
+    assert table.cache_info().misses == 327
 
 
 # The census builds its members directly, not through make_system: sigma in

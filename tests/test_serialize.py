@@ -126,6 +126,14 @@ def test_non_integer_entries_are_schema_errors(key, value):
         parse_system(json.dumps(doc), allow_invalid=True)
 
 
+# `emit_system` writes S^p as the `str` of its list of ints, so a system is
+# never built with another entry there, not even a bool.
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_non_integer_sp_entries_are_rejected(f4, entry):
+    with pytest.raises(ValueError, match="is not an integer"):
+        make_system(f4, [], [0, entry], [])
+
+
 def test_empty_localization_round_trip(f4_example):
     sys = localize_s(f4_example, [])
     text = emit_system(sys)
