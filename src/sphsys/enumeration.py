@@ -39,19 +39,32 @@ class CensusReport:
                 if self.by_rank.get(r, 0) != expected.get(r, 0)}
 
 
+def _owner_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
+    """(A1) with (A2) at an owner: if s is a simple root alpha, the two rows
+    of A(alpha) sum to <alpha^vee, t> in t's column. If t is not simple,
+    (A1) keeps each row at most 0 there, so the sum is at most 0, and any
+    such sum splits as 0 + sum. If t is simple, <alpha^vee, t> is a Cartan
+    entry and always splits."""
+    return s.shape != "a1" or t.shape == "a1" or _a1_ok(t.pairings[s.support[0]], False)
+
+
 def _pair_ok(s: SphericalRoot, t: SphericalRoot) -> bool:
-    """Whether {s, t} can coexist in Sigma: the pairwise axioms of `system`."""
+    """Whether {s, t} can coexist in Sigma: the pairwise axioms of `system`,
+    and the consequence of (A1)+(A2) that `_owner_ok` states, which holds
+    for every pair of a sigma that has an A-matrix."""
     return not _proportional(s, t) and all(
-        _sigma1_ok(x, y) and _sigma2_ok(x, y) for x, y in ((s, t), (t, s)))
+        _sigma1_ok(x, y) and _sigma2_ok(x, y) and _owner_ok(x, y)
+        for x, y in ((s, t), (t, s)))
 
 
 def _sigma_candidates(rs: RootSystem) -> List[Tuple[Tuple[SphericalRoot, ...], int, int]]:
-    """All (sigma, low, high) with sigma's pairwise constraints holding and
-    its S^p interval [low, high] (bitmasks over S) nonempty.
+    """All (sigma, low, high) with every pair of sigma passing `_pair_ok`
+    and its S^p interval [low, high] (bitmasks over S) nonempty.
 
-    low only grows and high only shrinks as roots are added, so a subset
-    whose interval is empty has no extension with a nonempty one: the
-    depth-first search prunes it together with its subtree.
+    `_pair_ok` is pairwise, and low only grows and high only shrinks as
+    roots are added, so a subset that fails either has no extension that
+    passes: the depth-first search prunes it together with its subtree.
+    Every sigma that has an A-matrix passes `_pair_ok`, so none is lost.
     """
     roots = spherical_roots_of(rs)
     k = len(roots)
@@ -222,8 +235,10 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
 
     The search only builds triples that satisfy the axioms: the pairwise
     ones through `_pair_ok`, (S) through the S^p interval, (A1)-(A3)
-    through `enumerate_a_matrices`. So no candidate is validated
-    afterwards, and no triple is built twice.
+    through `enumerate_a_matrices`, whose consequence `_owner_ok` lets
+    `_pair_ok` drop most sigmas without an A-matrix before their search
+    (on the census types through E8, all of them). So no candidate is
+    validated afterwards, and no triple is built twice.
 
     The A-matrices depend on sigma only through its signature (see
     `enumerate_a_matrices`), so they are read from the process table

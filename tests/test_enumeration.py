@@ -293,19 +293,50 @@ def test_pruned_search_matches_reference(name):
 
 
 # The A-matrix layer alone, Sigma by Sigma, on types the census comparison
-# above does not reach.
-@pytest.mark.parametrize("name", ["A2xA3", "A4xA1", "F4xA1"]
-                         + [pytest.param(t, marks=pytest.mark.slow)
-                            for t in ["A5", "B5", "C5", "D5"]])
-def test_a_matrices_match_reference(name):
+# above does not reach. With the owner rule (`_owner_ok`) off, the
+# candidates include the sigmas it removes.
+A_MATRIX_TYPES = ["A2xA3", "A4xA1", "F4xA1"] + [pytest.param(t, marks=pytest.mark.slow)
+                                                for t in ["A5", "B5", "C5", "D5"]]
+
+
+@pytest.mark.parametrize("name", A_MATRIX_TYPES)
+def test_a_matrices_match_reference(monkeypatch, name):
     rs = build_root_system(name)
+    monkeypatch.setattr(enumeration, "_owner_ok", lambda s, t: True)
     for sigma, _, _ in _sigma_candidates(rs):
         assert enumerate_a_matrices(sigma) == sorted(_reference_a_matrices(rs, sigma))
 
 
+# The owner rule is exact: every sigma that the other pairwise rules accept
+# and it rejects has no A-matrix by the frozen reference.
+@pytest.mark.parametrize("name", A_MATRIX_TYPES)
+def test_owner_rule_removes_only_sigmas_without_a_matrices(monkeypatch, name):
+    rs = build_root_system(name)
+    kept = {sigma for sigma, _, _ in _sigma_candidates(rs)}
+    monkeypatch.setattr(enumeration, "_owner_ok", lambda s, t: True)
+    removed = [sigma for sigma, _, _ in _sigma_candidates(rs) if sigma not in kept]
+    assert removed
+    for sigma in removed:
+        assert _reference_a_matrices(rs, sigma) == []
+
+
+# With the owner rule, the Sigma search yields no sigma without an A-matrix
+# on these types. LADDER: the types of the benchmark's census workload, then
+# D5 and E6.
+LADDER = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4",
+          "A1xA1", "A2xA1", "A2xA2", "A3xA1", "B2xA1", "B3xA1", "A1xG2", "A2xA3",
+          "A4xA1", "F4xA1", "D5", "E6"]
+
+
+@pytest.mark.parametrize("name", LADDER + [pytest.param("E7", marks=pytest.mark.slow)])
+def test_every_sigma_candidate_has_an_a_matrix(name):
+    for sigma, _, _ in _sigma_candidates(build_root_system(name)):
+        assert enumerate_a_matrices(sigma)
+
+
 # One census call builds the S^p choices once per S^p interval, not once per
-# sigma: F4 has 200 sigmas on 14 intervals, E6 2,882 on 39.
-@pytest.mark.parametrize("name,sigmas,intervals", [("F4", 200, 14), ("E6", 2882, 39)])
+# sigma: F4 has 95 sigmas on 14 intervals, E6 727 on 39.
+@pytest.mark.parametrize("name,sigmas,intervals", [("F4", 95, 14), ("E6", 727, 39)])
 def test_sp_choices_once_per_interval(monkeypatch, name, sigmas, intervals):
     rs = build_root_system(name)
     candidates = _sigma_candidates(rs)
@@ -324,7 +355,7 @@ def test_sp_choices_once_per_interval(monkeypatch, name, sigmas, intervals):
 
 
 # The A-matrix table lives as long as the process, and a Levi's sigma has the
-# same signature inside every larger type: F4xA1 finds 119 of its 327
+# same signature inside every larger type: F4xA1 finds 31 of its 73
 # signatures already there after F4 and A1. The census is the same, line for
 # line, whatever the table holds. Fresh tables keep the counts independent of
 # what other tests have filled.
@@ -341,11 +372,11 @@ def test_a_matrix_table_is_shared_and_changes_no_census(monkeypatch):
     alone = lines("F4xA1")
     table = fresh_table()
     lines("F4")
-    assert table.cache_info().misses == 119
+    assert table.cache_info().misses == 31
     lines("A1")
-    assert table.cache_info().misses == 119
+    assert table.cache_info().misses == 31
     assert lines("F4xA1") == alone
-    assert table.cache_info().misses == 327
+    assert table.cache_info().misses == 73
 
 
 # The census builds its members directly, not through make_system: sigma in
@@ -361,7 +392,7 @@ def test_members_are_built_canonical(name):
 
 # sha256 of the sorted emit_system lines of each census: regression values of
 # this engine, not reference values from the paper. The reference search
-# above checks A5, B5 and C5 as well (under `slow`); D5, E6 and E7 are
+# above checks A5, B5 and C5 as well (under `slow`); D5, E6, E7 and E8 are
 # beyond it, and a faster reference must stay independent of the pruned
 # search, or it checks nothing.
 CENSUS_DIGESTS = {
@@ -371,11 +402,12 @@ CENSUS_DIGESTS = {
     "D5": "7d0e9c15daa58556e9d2a8e9a269bd17a83b0564505c5cb7814fb9b7306cbd69",
     "E6": "3df310bf74cf456a554254d09c7873ec3bafe836295fcaec6a6ea2e3c8401550",
     "E7": "e991e85089c710907d9484234825a89bc2a853aebfcd8ffb3c3c7862b27e21d2",
+    "E8": "190a5aa1c96ee9d842cda130a5b7b75e95d9a529467651510b38053d04332413",
 }
 
 
-@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "E6",
-                                  pytest.param("E7", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "E6"]
+                         + [pytest.param(t, marks=pytest.mark.slow) for t in ["E7", "E8"]])
 def test_census_digest(name):
     lines = sorted(emit_system(s) for s in census(name).systems)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == CENSUS_DIGESTS[name]
@@ -384,10 +416,8 @@ def test_census_digest(name):
 # The census lists its members in key order without sorting them
 # (`enumerate_systems`). The digests above hash sorted lines, so they cannot
 # see the order; strictly increasing keys also rule out duplicates.
-@pytest.mark.parametrize("name", [
-    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "A1xA1",
-    "A2xA1", "A2xA2", "A3xA1", "B2xA1", "B3xA1", "A1xG2", "A2xA3", "A4xA1", "F4xA1",
-    "D5", "E6", pytest.param("E7", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", LADDER + [pytest.param(t, marks=pytest.mark.slow)
+                                           for t in ["E7", "E8"]])
 def test_census_members_in_strict_key_order(name):
     keys = [s.key() for s in census(name).systems]
     assert all(a < b for a, b in zip(keys, keys[1:]))
