@@ -80,6 +80,11 @@ def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],
     rows = [tuple(r) for r in a_rows]
     if any(len(r) != len(sigmas) for r in rows):
         raise ValueError("a_rows width must equal the number of spherical roots")
+    # `emit_system` caches a row's text by the row, and (True,) == (1.0,) == (1,)
+    for r in rows:
+        for a in r:
+            if type(a) is not int:
+                raise ValueError(f"A entry {a!r} is not an integer")
     return _canonical(rs, sigmas, sp, rows)
 
 

@@ -11,6 +11,7 @@ from sphsys.quotient import enumerate_distinguished, quotient, quotient_lattice
 from sphsys.serialize import (
     InvalidSystemError,
     SchemaError,
+    _row_text,
     emit_system,
     parse_system,
     render_colors,
@@ -49,10 +50,23 @@ def _emits_reference(sys):
     assert parse_system(text) == sys
 
 
-@pytest.mark.parametrize("name", ["F4", "D4", "G2", "B3", "F4xA1"])
+# A1 and A2xA1 hold rows one column wide and A-matrices of two equal rows
+@pytest.mark.parametrize("name", ["F4", "D4", "G2", "B3", "F4xA1", "A1", "A2xA1"])
 def test_emit_matches_reference_on_census(name):
     for sys in census(name).systems:
         _emits_reference(sys)
+
+
+# each row's text is built once per process, then read from the table
+def test_row_text_built_once_per_row(f4_census):
+    _row_text.cache_clear()
+    for sys in f4_census.systems:
+        emit_system(sys)
+    distinct = len({r for sys in f4_census.systems for r in sys.a_rows})
+    assert _row_text.cache_info().misses == distinct
+    for sys in f4_census.systems:
+        emit_system(sys)
+    assert _row_text.cache_info().misses == distinct
 
 
 def test_emit_matches_reference_at_rank_zero():
@@ -127,11 +141,19 @@ def test_non_integer_entries_are_schema_errors(key, value):
 
 
 # `emit_system` writes S^p as the `str` of its list of ints, so a system is
-# never built with another entry there, not even a bool.
+# never built with another entry there, not even a bool,
 @pytest.mark.parametrize("entry", [True, 1.0, "1"])
 def test_non_integer_sp_entries_are_rejected(f4, entry):
     with pytest.raises(ValueError, match="is not an integer"):
         make_system(f4, [], [0, entry], [])
+
+
+# nor with one in a row, whose text `emit_system` keeps by the row: (True,)
+# equals (1,), so it would hand one its text for the other
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_non_integer_row_entries_are_rejected(f4, entry):
+    with pytest.raises(ValueError, match="is not an integer"):
+        make_system(f4, [(1, 0, 0, 0)], [], [(-1,), (entry,)])
 
 
 def test_empty_localization_round_trip(f4_example):
