@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
 from .sphroots import SphericalRoot, sp_of, spherical_roots_of, spp_of
@@ -14,8 +14,6 @@ from .system import (SphericalSystem, _a1_ok, _a2_ok, _proportional, _relabel,
                      _sigma1_ok, _sigma2_ok, _simple_columns)
 
 Row = Tuple[int, ...]
-# an owner's forced partner and the columns it needs open, from `_needs_open`
-Forced = Tuple[Row, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -101,12 +99,11 @@ def _sp_choices(rank: int, low: int, high: int) -> List[FrozenSet[int]]:
                    for extra in combinations(free, size)), key=sorted)
 
 
-def _a_signature(sigma: Sequence[SphericalRoot]) -> Tuple[int, Tuple[Tuple[int, Row], ...]]:
-    """All that the A-matrix search reads of sigma: its length and, owner by
-    owner in simple-index order, the owner's column and <alpha^vee, Sigma>."""
+def _a_signature(sigma: Sequence[SphericalRoot]) -> Tuple[Tuple[int, Row], ...]:
+    """All that the A-matrix search reads of sigma: owner by owner in
+    simple-index order, the owner's column and <alpha^vee, Sigma>."""
     col_of = _simple_columns(sigma)
-    return len(sigma), tuple((col_of[a], tuple(s.pairings[a] for s in sigma))
-                             for a in sorted(col_of))
+    return tuple((col_of[a], tuple(s.pairings[a] for s in sigma)) for a in sorted(col_of))
 
 
 @lru_cache(maxsize=None)
@@ -123,18 +120,6 @@ def _fresh_pairs(col: int, want: Row, opened: int) -> Tuple[Tuple[Row, Row], ...
     return tuple((row, partner) for row, partner in pairs if row <= partner)
 
 
-def _needs_open(row: Row) -> Optional[int]:
-    """The columns where (A1) lets row hold its value only at a simple root,
-    as a bitmask; None if (A1) fails on row whichever columns are open."""
-    need = 0
-    for j, v in enumerate(row):
-        if not _a1_ok(v, False):
-            if not _a1_ok(v, True):
-                return None
-            need |= 1 << j
-    return need
-
-
 def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]]:
     """All multisets of rows satisfying (A1)-(A3) for the given sigma.
 
@@ -143,21 +128,22 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
     read only through `_a_signature`, so sigmas with equal signatures have
     equal results.
 
-    The owners (the simple roots in sigma) are taken in order, and each row
-    is placed at the first owner with a 1 in its column. At an owner, the
-    rows already placed with a 1 in its column decide its pair A(alpha):
-    two are the pair, one forces its partner <alpha^vee, Sigma> - row, and
-    with none the pair is chosen among the fresh pairs, whose 1s fall only
-    in the columns of owners not yet taken. Fresh pairs are built only for
-    an owner that the search reaches with no row, once per (column,
-    <alpha^vee, Sigma>, open columns) for the process (`_fresh_pairs`).
-
-    A forward check ends a branch as soon as a later owner can no longer
-    complete its pair. Each later owner keeps its rows and, with one row,
-    its forced partner with the bitmask of the columns that partner needs
-    open. A step checks in full only the owners whose column holds a 1 in
-    the rows just placed; every other owner with one row is tested only
-    against the column the step closed.
+    The search propagates forced partners. The pair A(alpha) of an owner
+    (a simple root in sigma) is two rows with a 1 in alpha's column that
+    sum to <alpha^vee, Sigma>, so it is fixed by either row: a row placed
+    at an owner that holds no other forces its partner, and every row that
+    is not part of a fresh pair is forced. A step takes the free owner (one
+    whose column holds no row) with the lowest column and tries each fresh
+    pair there, whose 1s fall only in free columns: a row with a 1 in
+    another owner's column would be that owner's third row. Then, while
+    some owner holds exactly one row, it places that owner's partner, one
+    at a time, registering each row at every owner it hits before the next
+    partner is made (two owners may force the same row). A branch ends when
+    a partner fails (A1), an owner gets a third row, or an owner's two rows
+    fail (A2). At the lowest free column, the fresh pair is that matrix's
+    own pair there, taken with row <= partner, so every A-matrix is reached
+    exactly once. Fresh pairs are built once per (column,
+    <alpha^vee, Sigma>, free columns) for the process (`_fresh_pairs`).
 
     The matrices come in sorted order, as `enumerate_systems` lists them,
     and are searched once per signature for the process (`_a_matrices`).
@@ -166,57 +152,47 @@ def enumerate_a_matrices(sigma: Sequence[SphericalRoot]) -> List[Tuple[Row, ...]
 
 
 @lru_cache(maxsize=None)
-def _a_matrices(signature: Tuple[int, Tuple[Tuple[int, Row], ...]]) -> Tuple[Tuple[Row, ...], ...]:
+def _a_matrices(owners: Tuple[Tuple[int, Row], ...]) -> Tuple[Tuple[Row, ...], ...]:
     """`enumerate_a_matrices` of every sigma with this `_a_signature`, sorted.
 
     A sigma of a Levi subsystem has the same signature inside every larger
     type, so this table is shared by every census of the process.
     """
-    _, owners = signature
-    m = len(owners)
-    cols = [c for c, _ in owners]
-    wants = [w for _, w in owners]
-    # open_mask[i]: the columns that may hold a 1 in a row placed at owner i or later
-    open_mask = [_mask(cols[i:]) for i in range(m + 1)]
+    want = dict(owners)
     results: List[Tuple[Row, ...]] = []
 
-    def rec(i: int, placed: Tuple[Row, ...], mine: List[Tuple[Row, ...]],
-            forced: List[Optional[Forced]]):
-        # mine[b]: the placed rows with a 1 in owner b's column, for b >= i;
-        # forced[b]: with one such row, its partner and the columns that
-        # partner needs open, all of them open at owner i
-        if i == m:
+    def rec(placed: Tuple[Row, ...], free: int):
+        if not free:
             results.append(tuple(sorted(placed)))
             return
-        if not mine[i]:
-            choices = _fresh_pairs(cols[i], wants[i], open_mask[i])
-        else:
-            choices = [(forced[i][0],)] if len(mine[i]) == 1 else [()]
-        closed, still_open = 1 << cols[i], open_mask[i + 1]
-        for new in choices:
-            next_mine, next_forced = mine, forced
-            for b in range(i + 1, m):
-                hit = tuple([r for r in new if r[cols[b]] == 1])
-                if hit:
-                    if next_mine is mine:
-                        next_mine, next_forced = list(mine), list(forced)
-                    rows = next_mine[b] = mine[b] + hit
-                    if len(rows) == 1:
-                        p = tuple(w - v for w, v in zip(wants[b], rows[0]))
-                        need = _needs_open(p)
-                        next_forced[b] = p, need
-                        ok = need is not None and not need & ~still_open
-                    else:
-                        next_forced[b] = None
-                        ok = _a2_ok(rows, wants[b])
-                else:
-                    ok = forced[b] is None or not forced[b][1] & closed
-                if not ok:
-                    break
-            else:
-                rec(i + 1, placed + new, next_mine, next_forced)
+        col = (free & -free).bit_length() - 1
+        for pair in _fresh_pairs(col, want[col], free):
+            held: Dict[int, List[Row]] = {}  # owner column -> the rows placed in this step
+            new: List[Row] = []
 
-    rec(0, (), [()] * m, [None] * m)
+            def place(row: Row, owner: int) -> bool:
+                # row is of owner's pair, whose rows sum to want[owner] by construction
+                new.append(row)
+                for c in want:
+                    if row[c] == 1:
+                        rows = held.setdefault(c, [])
+                        rows.append(row)
+                        if len(rows) > 1 and c != owner and not _a2_ok(rows, want[c]):
+                            return False
+                return True
+
+            alive = place(pair[0], col) and place(pair[1], col)
+            while alive:
+                single = next((c for c, rows in held.items() if len(rows) == 1), None)
+                if single is None:
+                    break
+                p = tuple(w - v for w, v in zip(want[single], held[single][0]))
+                alive = (all(_a1_ok(v, bool(free >> j & 1)) for j, v in enumerate(p))
+                         and place(p, single))
+            if alive:
+                rec(placed + tuple(new), free & ~_mask(held))
+
+    rec((), _mask(want))
     return tuple(sorted(results))
 
 

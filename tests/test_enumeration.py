@@ -355,7 +355,7 @@ def test_sp_choices_once_per_interval(monkeypatch, name, sigmas, intervals):
 
 
 # The A-matrix table lives as long as the process, and a Levi's sigma has the
-# same signature inside every larger type: F4xA1 finds 31 of its 73
+# same signature inside every larger type: F4xA1 finds 27 of its 68
 # signatures already there after F4 and A1. The census is the same, line for
 # line, whatever the table holds. Fresh tables keep the counts independent of
 # what other tests have filled.
@@ -372,11 +372,35 @@ def test_a_matrix_table_is_shared_and_changes_no_census(monkeypatch):
     alone = lines("F4xA1")
     table = fresh_table()
     lines("F4")
-    assert table.cache_info().misses == 31
+    assert table.cache_info().misses == 27
     lines("A1")
-    assert table.cache_info().misses == 31
+    assert table.cache_info().misses == 27
     assert lines("F4xA1") == alone
-    assert table.cache_info().misses == 73
+    assert table.cache_info().misses == 68
+
+
+# The A-matrix search propagates forced partners, so a fresh pair is tried
+# only where no placed row decides the pair. Output identity cannot see a
+# loss of that pruning: a search that opens more columns to fresh pairs
+# finds the same matrices after trying many more. On the E7 signature of
+# Sigma = S, the search iterates 13,516 fresh pairs; opening every owner's
+# column to them makes it 1,847,610.
+def test_a_matrix_search_tries_only_consistent_fresh_pairs(monkeypatch):
+    rs = build_root_system("E7")
+    sigma = next(s for s, _, _ in _sigma_candidates(rs) if len(s) == rs.rank
+                 and all(r.shape == "a1" for r in s))
+    monkeypatch.setattr(enumeration, "_a_matrices",
+                        lru_cache(maxsize=None)(enumeration._a_matrices.__wrapped__))
+    fresh, tried = enumeration._fresh_pairs, []
+
+    def counting(*args):
+        pairs = fresh(*args)
+        tried.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(enumeration, "_fresh_pairs", counting)
+    assert len(enumerate_a_matrices(sigma)) == 4259
+    assert sum(tried) == 13516
 
 
 # The census builds its members directly, not through make_system: sigma in
