@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import sub
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .rootsys import RootSystem, build_root_system
@@ -160,6 +161,7 @@ def _a_matrices(owners: Tuple[Tuple[int, Row], ...]) -> Tuple[Tuple[Row, ...], .
     """
     want = dict(owners)
     results: List[Tuple[Row, ...]] = []
+    partners: Dict[Row, Row] = {}  # one object per placed forced partner
 
     def rec(placed: Tuple[Row, ...], free: int):
         if not free:
@@ -186,9 +188,9 @@ def _a_matrices(owners: Tuple[Tuple[int, Row], ...]) -> Tuple[Tuple[Row, ...], .
                 single = next((c for c, rows in held.items() if len(rows) == 1), None)
                 if single is None:
                     break
-                p = tuple(w - v for w, v in zip(want[single], held[single][0]))
+                p = tuple(map(sub, want[single], held[single][0]))
                 alive = (all(_a1_ok(v, bool(free >> j & 1)) for j, v in enumerate(p))
-                         and place(p, single))
+                         and place(partners.setdefault(p, p), single))
             if alive:
                 rec(placed + tuple(new), free & ~_mask(held))
 
@@ -245,10 +247,9 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     return CensusReport(rs=rs, systems=tuple(systems))
 
 
-@lru_cache(maxsize=None)
 def census(spec: str, mod_diagram_auts: bool = False) -> CensusReport:
-    """Cached full census for a root system spec string; mod_diagram_auts keeps
-    the canonical forms of its members, sorted by key."""
+    """Full census for a root system spec string; mod_diagram_auts keeps the
+    canonical forms of its members, sorted by key."""
     if not mod_diagram_auts:
         return enumerate_systems(build_root_system(spec))
     full = census(spec)

@@ -40,9 +40,13 @@ class SphericalRoot:
         return (self.height, self.coeffs)
 
 
-@lru_cache(maxsize=None)
 def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
     """All spherical roots of rs, sorted by (height, coefficient vector)."""
+    return tuple(_by_vector(rs).values())
+
+
+@lru_cache(maxsize=None)
+def _by_vector(rs: RootSystem) -> Dict[Vector, SphericalRoot]:
     n = rs.rank
     a = rs.cartan
     found: Dict[Vector, SphericalRoot] = {}
@@ -95,12 +99,7 @@ def spherical_roots_of(rs: RootSystem) -> Tuple[SphericalRoot, ...]:
                     add("g2-sum", order, (1, 1))
                     add("g2-short2", order, (2, 1))
                     add("g2-double", order, (4, 2))
-    return tuple(sorted(found.values(), key=SphericalRoot.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _by_vector(rs: RootSystem) -> Dict[Vector, SphericalRoot]:
-    return {sr.coeffs: sr for sr in spherical_roots_of(rs)}
+    return {sr.coeffs: sr for sr in sorted(found.values(), key=SphericalRoot.sort_key)}
 
 
 def spherical_root(rs: RootSystem, v: Sequence[int]) -> SphericalRoot:

@@ -1,6 +1,8 @@
 """Exhaustive census of spherical systems and canonical-form deduplication."""
 
+import gc
 import hashlib
+import weakref
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -118,9 +120,8 @@ def test_orbit_census_of_a_trivial_group_is_the_full_census(name):
 
 
 def test_orbit_census_reuses_the_full_census(monkeypatch):
-    # the census mod diagram automorphisms is read off the cached full
-    # census, so asking for both enumerates once; a fresh cache keeps the
-    # count independent of what other tests have cached
+    # the census mod diagram automorphisms is read off the full census, so
+    # asking for it enumerates once
     calls = []
     search = enumeration.enumerate_systems
 
@@ -129,13 +130,19 @@ def test_orbit_census_reuses_the_full_census(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "enumerate_systems", counting)
-    fresh = lru_cache(maxsize=None)(census.__wrapped__)
-    monkeypatch.setattr(enumeration, "census", fresh)
-    full = fresh("A1xA3")
-    reps = fresh("A1xA3", mod_diagram_auts=True)
+    reps = census("A1xA3", mod_diagram_auts=True)
     assert len(calls) == 1
+    full = census("A1xA3")
     assert set(reps.systems) == {canonical_form(s) for s in full.systems}
     assert reps.total < full.total
+
+
+@pytest.mark.parametrize("spec,mod_diagram_auts", [("A2", False), ("A1xA3", True)])
+def test_no_census_is_kept(spec, mod_diagram_auts):
+    # a command asks for its census once, so the process keeps none
+    ref = weakref.ref(census(spec, mod_diagram_auts=mod_diagram_auts))
+    gc.collect()
+    assert ref() is None
 
 
 def test_canonical_form_presentation_invariance(f4):
@@ -401,6 +408,21 @@ def test_a_matrix_search_tries_only_consistent_fresh_pairs(monkeypatch):
     monkeypatch.setattr(enumeration, "_fresh_pairs", counting)
     assert len(enumerate_a_matrices(sigma)) == 4259
     assert sum(tried) == 13516
+
+
+# A forced partner is computed again in every branch that forces it, and the
+# table keeps the first object of each. On the E7 signature of Sigma = S, the
+# 4,259 matrices hold 768 distinct rows in 1,620 objects; keeping a new tuple
+# per branch makes 4,654.
+def test_a_matrix_table_holds_each_forced_partner_once():
+    rs = build_root_system("E7")
+    sigma = next(s for s, _, _ in _sigma_candidates(rs) if len(s) == rs.rank
+                 and all(r.shape == "a1" for r in s))
+    table = enumeration._a_matrices.__wrapped__(enumeration._a_signature(sigma))
+    rows = [row for matrix in table for row in matrix]
+    assert len(table) == 4259
+    assert len(set(rows)) == 768
+    assert len({id(row) for row in rows}) == 1620
 
 
 # The census builds its members directly, not through make_system: sigma in

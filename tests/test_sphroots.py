@@ -73,7 +73,7 @@ def test_catalog_recognizes_connected_subsets_only(name, monkeypatch):
         seen.append(tuple(indices))
         return recognize(cartan, indices)
     monkeypatch.setattr(sphroots, "recognize", counted)
-    assert spherical_roots_of.__wrapped__(rs) == catalog
+    assert tuple(sphroots._by_vector.__wrapped__(rs).values()) == catalog
     assert seen == connected
 
 
@@ -120,7 +120,7 @@ def test_catalog_finds_each_support_group_once(monkeypatch):
         return orders(block, local, target)
 
     monkeypatch.setattr(rootsys, "_orders", counting)
-    spherical_roots_of.__wrapped__(rs)
+    tuple(sphroots._by_vector.__wrapped__(rs).values())
     assert len(searches) <= 11
 
 
