@@ -81,7 +81,10 @@ def _gamma(cset: ColorSet, loose: Sequence[SphericalRoot]) -> GammaGroup:
 
 def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:
     """Weight of one color, in fundamental-weight coordinates over S."""
-    return _weight(colors(sys).colors[idx], sys.rs.rank)
+    cs = colors(sys).colors
+    if not 0 <= idx < len(cs):
+        raise ValueError(f"color index {idx} outside 0..{len(cs) - 1}")
+    return _weight(cs[idx], sys.rs.rank)
 
 
 def _weight(c: Color, rank: int) -> Counts:

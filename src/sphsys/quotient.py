@@ -334,33 +334,22 @@ def is_strongly_solvable(sys: SphericalSystem) -> Tuple[bool, Optional[List[Sphe
     Returns the flag and a shortest witness chain of intermediate systems
     (excluding sys itself, ending in the trivial system) when it exists.
 
-    The search is breadth first over distinguished subsets D of sys, one
-    system per key: by Luna's correspondence, S/D divided by its color k is
-    S/(D u {phi(k)}) (`_color_map`), so each step is built from sys. The
-    projective colors of S/D are tried in S/D's color order.
+    The search is breadth first over chains, one system per key: a chain is
+    extended by the quotient of its last system by each of that system's
+    projective colors, in its color order.
     """
     if not sys.sigma and not sys.sp:
         return True, []
-    seen, tried = {sys.key()}, set()
-    frontier = [((), (sys, None), [])]
-    while frontier:
-        nxt = []
-        for members, built, chain in frontier:
-            phi = _color_map(sys, members, built)
-            # a projective color's row is nonnegative: {idx} is distinguished
-            for idx, _ in projective_colors(built[0]):
-                step = tuple(sorted(members + (phi[idx],)))
-                if step in tried:  # its key is seen already
-                    continue
-                tried.add(step)
-                q_built = _quotient(sys, step)
-                q = q_built[0]
-                if not q.sigma and not q.sp:
-                    return True, chain + [q]
-                if q.key() not in seen:
-                    seen.add(q.key())
-                    nxt.append((step, q_built, chain + [q]))
-        frontier = nxt
+    seen, queue = {sys.key()}, [(sys, [])]
+    for node, chain in queue:  # the queue grows as it is read: breadth first
+        # a projective color's row is nonnegative: {idx} is distinguished
+        for idx, _ in projective_colors(node):
+            q = quotient(node, (idx,))
+            if not q.sigma and not q.sp:
+                return True, chain + [q]
+            if q.key() not in seen:
+                seen.add(q.key())
+                queue.append((q, chain + [q]))
     return False, None
 
 

@@ -303,8 +303,12 @@ def sub_root_system(rs: RootSystem, keep: Iterable[int]) -> Tuple[RootSystem, Tu
     """Root subsystem generated by a subset of simple roots.
 
     Returns the abstract root system and the embedding: new simple index ->
-    index in `rs`, components ordered by smallest ambient index.
+    index in `rs`, components ordered by smallest ambient index; ValueError
+    for an index that is not a simple root's.
     """
+    keep = sorted(keep)
+    if keep and not 0 <= keep[0] <= keep[-1] < rs.rank:
+        raise ValueError(f"simple root indices {keep} outside 0..{rs.rank - 1}")
     comps = recognize(rs.cartan, keep)
     name = "x".join(t for t, _ in comps)
     embedding = tuple(i for _, order in comps for i in order)
@@ -322,6 +326,8 @@ class ParabolicGrading:
 
 def parabolic_grading(rs: RootSystem, alpha: int) -> ParabolicGrading:
     """Grading of the parabolic attached to dropping `alpha` from S."""
+    if not 0 <= alpha < rs.rank:
+        raise ValueError(f"simple root index {alpha} outside 0..{rs.rank - 1}")
     sub, _ = sub_root_system(rs, [i for i in range(rs.rank) if i != alpha])
     steps = max(v[alpha] for v in rs.positive_roots)
     dims = tuple(sum(1 for v in rs.positive_roots if v[alpha] == d)

@@ -163,6 +163,14 @@ def test_bad_arguments_are_usage_errors(example_doc, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("weight,message", [("2", "bad weight '2'"),
+                                            ("w1+w9", "weight index out of range in 'w1+w9'"),
+                                            ("w0", "weight index out of range in 'w0'")])
+def test_bad_weight_is_usage_error(capsys, weight, message):
+    assert main(["faithful", "--type", "F4", "--weight", weight]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -179,6 +187,14 @@ def test_sp_index_out_of_range_is_usage_error(tmp_path, capsys, sp):
                     '"system":{"a_rows":[],"sigma":[],"sp":' + sp + '},"version":"1"}\n')
     assert main(["validate", str(path)]) == 2
     assert "outside 0..3" in capsys.readouterr().err
+
+
+def test_sigma_that_is_no_spherical_root_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "f4.json"
+    path.write_text('{"root_system":{"components":[{"rank":4,"type":"F"}]},'
+                    '"system":{"a_rows":[],"sigma":[[5,0,0,0]],"sp":[]},"version":"1"}\n')
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: (5, 0, 0, 0) is not a spherical root of F4\n"
 
 
 def test_internal_value_error_exit_code(example_doc, monkeypatch, capsys):
@@ -266,6 +282,13 @@ def test_localize_reports_indices_as_typed(example_doc, capsys):
     assert "sigma index out of range: [5]" in capsys.readouterr().err
     assert main(["localize", str(path), "--s", "0,2,9"]) == 2
     assert "simple root index out of range: [0, 9]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--sigma", "--s"])
+def test_bad_index_list_is_usage_error(example_doc, capsys, option):
+    path, _ = example_doc
+    assert main(["localize", str(path), option, "1,x"]) == 2
+    assert capsys.readouterr().err == "error: bad index list '1,x'\n"
 
 
 def test_localize_sigma(example_doc, capsys):

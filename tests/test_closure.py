@@ -119,6 +119,14 @@ def test_omega_of_doubled_color(f4):
     assert omega_of_color(sys, idx[0]) == (0, 0, 0, 2)
 
 
+def test_color_index_is_checked(f4):
+    sys = make_system(f4, [(0, 0, 0, 2)], [0, 1], [])
+    k = len(colors(sys))
+    for idx in (-1, k):  # -1 would wrap to the last color
+        with pytest.raises(ValueError, match=rf"color index {idx} outside 0\.\.{k - 1}"):
+            omega_of_color(sys, idx)
+
+
 def test_omega_of_is_gamma_invariant(a1_pair):
     g = gamma_group(a1_pair)
     for counts in [(1, 0), (2, 1), (3, 5)]:

@@ -802,24 +802,20 @@ def test_color_map_reads_what_the_quotient_was_built_with(sl4, monkeypatch):
         assert sorted(phi) == sorted(set(range(len(colors(sl4)))) - set(members))
 
 
-def test_strongly_solvable_builds_every_step_from_its_source(f4_census, monkeypatch):
-    # each step S/D -> S/(D u {phi(k)}) is built from S, never from S/D
-    module = import_module("sphsys.quotient")
-    build = module._quotient
-    sources = set()
-
-    def recording(sys, members):
-        sources.add(sys.key())
-        return build(sys, members)
-
-    monkeypatch.setattr(module, "_quotient", recording)
-    walked = 0
-    for sys in f4_census.systems[::5]:
-        sources.clear()
-        is_strongly_solvable(sys)
-        assert sources <= {sys.key()}
-        walked += bool(sources)
-    assert walked
+def test_strongly_solvable_chains_follow_the_definition():
+    # each step is the quotient of the step before it, starting from the
+    # member itself, by one of that system's projective colors; the last
+    # step is the trivial system
+    for spec in ("F4", "D4", "B3xA1"):
+        for sys in census(spec).systems:
+            ok, chain = is_strongly_solvable(sys)
+            assert ok == (chain is not None)
+            if ok:
+                steps = [sys] + chain
+                for prev, step in zip(steps, chain):
+                    assert step.key() in {quotient(prev, (idx,)).key()
+                                          for idx, _ in projective_colors(prev)}
+                assert not steps[-1].sigma and not steps[-1].sp
 
 
 # Frozen copy of the earlier quotient_lattice: a breadth-first search that

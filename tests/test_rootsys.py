@@ -125,6 +125,15 @@ def test_f4_parabolic_gradings(f4, omit, levi, dims):
     assert g.dims == dims
 
 
+@pytest.mark.parametrize("keep,alpha", [([-1], -1), ([0, 4], 4), ([7], 7)])
+def test_simple_root_indices_are_checked(f4, keep, alpha):
+    # a negative index would wrap to the last simple root
+    with pytest.raises(ValueError, match=rf"simple root indices \[.*{alpha}.*\] outside 0\.\.3"):
+        sub_root_system(f4, keep)
+    with pytest.raises(ValueError, match=rf"simple root index {alpha} outside 0\.\.3"):
+        parabolic_grading(f4, alpha)
+
+
 def test_dual_weight_type_a():
     # weights given in fundamental-weight coordinates
     assert dual_weight(build_root_system("A3"), (1, 0, 0)) == (0, 0, 1)

@@ -127,6 +127,13 @@ def test_sp_index_out_of_range_is_schema_error(sigma, sp):
         parse_system(json.dumps(doc))
 
 
+def test_sigma_entry_that_is_no_spherical_root_is_schema_error():
+    doc = {"version": "1", "root_system": {"components": [{"type": "F", "rank": 4}]},
+           "system": {"sigma": [[5, 0, 0, 0]], "sp": [], "a_rows": []}}
+    with pytest.raises(SchemaError, match=r"^\(5, 0, 0, 0\) is not a spherical root of F4$"):
+        parse_system(json.dumps(doc), allow_invalid=True)
+
+
 @pytest.mark.parametrize("key, value", [
     ("sigma", [[1.9, 2, 3, 2]]), ("sigma", [[1, 2, 3, 2.0]]), ("sigma", [[True, 2, 3, 2]]),
     ("sigma", [["1", 2, 3, 2]]), ("sp", ["0", 1, 2]), ("sp", [0, 1, 2.0]), ("sp", [False, 1, 2]),

@@ -204,6 +204,17 @@ def test_localize_sigma(f4, f4_example):
     assert validate(loc) == []
 
 
+def test_localize_sigma_keeps_only_roots_of_sigma(f4_example):
+    with pytest.raises(ValueError, match="^keep_vectors must be a subset of sigma$"):
+        localize_sigma(f4_example, [(1, 0, 0, 0), (5, 0, 0, 0)])
+
+
+def test_make_system_checks_the_row_width(f4):
+    with pytest.raises(ValueError,
+                       match="^a_rows width must equal the number of spherical roots$"):
+        make_system(f4, [(1, 0, 0, 0)], [], [(1,), (1, 0)])
+
+
 def test_localize_s_support_filter():
     rs = build_root_system("C4")
     sys = make_system(rs, [(1, 0, 0, 1), (0, 1, 1, 0)], [], [])
@@ -211,6 +222,14 @@ def test_localize_s_support_filter():
     loc = localize_s(sys, [1, 2])
     assert loc.rs.name == "A2"
     assert [s.coeffs for s in loc.sigma] == [(1, 1)]
+
+
+@pytest.mark.parametrize("keep", [[7], [-1], [0, 7]])
+def test_localize_s_checks_its_indices(f4_census, keep):
+    # [7] gave an A1 with empty Sigma, [-1] localized at the last simple
+    # root, and [0, 7] raised IndexError
+    with pytest.raises(ValueError, match=r"simple root indices .* outside 0\.\.3"):
+        localize_s(f4_census.systems[100], keep)
 
 
 def _reference_localize_sigma(sys, keep_vectors):
