@@ -157,9 +157,9 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     every kernel vector m >= 0, so m vanishes on the columns where w is
     positive (`_subset`). The generator matrix is then block diagonal: the
     unit vectors of the columns that no member row touches, and the kernel
-    cone's rays on the touched columns left open (`_kernel_rays`). Within a
-    sweep only `classify` calls it; `_quotient` reads the same two blocks
-    from its own check of D.
+    cone's rays on the touched columns left open (`_kernel_rays`). `classify`
+    and the lattice's color map call it; `quotient` reads the same two
+    blocks from its own check of D.
     """
     members, _, _, touched, vanish = _subset(_color_supports(sys), members)
     return sorted(_units(sys.rank, touched)
@@ -207,18 +207,8 @@ def _det(m: List[List[int]]) -> int:
 
 
 def quotient(sys: SphericalSystem, members: Sequence[int]) -> SphericalSystem:
-    """The quotient system by a distinguished subset of colors (`_quotient`)."""
-    return _quotient(sys, members)[0]
-
-
-# a quotient S/D with the kernel generator of each of its Sigma columns, or
-# None when S/D is a localization, whose columns are columns of S
-Built = Tuple[SphericalSystem, Optional[List[Tuple[int, ...]]]]
-
-
-def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
-    """`quotient`, with what `_color_map` reads; S/D is built directly in
-    canonical order, from the bitmasks of the colors' cone record.
+    """The quotient system by a distinguished subset of colors, built
+    directly in canonical order from the bitmasks of the colors' cone record.
 
     D must be the union of the ray supports inside it, and is read once
     (`_distinguished`). S^p of S/D is S^p of S and the simple roots whose
@@ -241,14 +231,13 @@ def _quotient(sys: SphericalSystem, members: Sequence[int]) -> Built:
     cols = _members(((1 << sys.rank) - 1) & ~touched)
     rows = [sys.a_rows[i] for i in _members(a_rows)]
     if not touched & ~vanish:
-        return _on_columns(sys, cols, sp, rows), None
+        return _on_columns(sys, cols, sp, rows)
     extra = _kernel_rays(_rows_of(sys, members), touched & ~vanish, sys.rank)
     roots = [sys.sigma[j] for j in cols] + [spherical_root(sys.rs, _vector_of(sys, g))
                                             for g in extra]
-    q = _canonical(sys.rs, roots, sp, [tuple(r[j] for j in cols)
-                                       + tuple(sum(map(mul, r, g)) for g in extra) for r in rows])
-    by_root = {r.coeffs: g for r, g in zip(roots, _units(sys.rank, touched) + list(extra))}
-    return q, [by_root[s.coeffs] for s in q.sigma]
+    return _canonical(sys.rs, roots, sp, [tuple(r[j] for j in cols)
+                                          + tuple(sum(map(mul, r, g)) for g in extra)
+                                          for r in rows])
 
 
 @dataclass(frozen=True)
@@ -276,8 +265,8 @@ def enumerate_distinguished(sys: SphericalSystem) -> List[DistinguishedSubset]:
 
 def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
     """Type of the quotient edge by a minimal distinguished subset (`_kind`);
-    ValueError when D is not distinguished, or not minimal: when a ray
-    support other than D lies inside it.
+    ValueError when D is not distinguished, or not minimal: when it is empty
+    or a ray support other than D lies inside it.
 
     S/D is not built. By Luna's correspondence its colors are those c of S
     outside D, with their owners and the row (c.row . g) over the kernel
@@ -288,7 +277,7 @@ def classify(sys: SphericalSystem, members: Sequence[int]) -> str:
     """
     cone = _color_supports(sys)
     members, mask, touched, vanish = _distinguished(cone, members)
-    if any(s != mask and s | mask == mask for s in cone.supports):
+    if not mask or any(s != mask and s | mask == mask for s in cone.supports):
         raise ValueError("subset of colors is not minimal")
     gens = kernel_generators(sys, members) if touched & ~vanish else _units(sys.rank, touched)
     cs = colors(sys).colors
@@ -376,45 +365,47 @@ def quotient_lattice(sys: SphericalSystem) -> QuotientLattice:
     (the first D of each key), and the edges of S/D are the distinguished
     D' of S that hold D: members phi^-1(D' - D), by size and then members,
     and target S/D'. The minimal ones are the minimal nonempty s - D over
-    the ray supports s of S. A color map that cannot be matched raises
-    RuntimeError.
+    the ray supports s of S. Each node is kept once, as (D, S/D, `_side`),
+    so an edge's kind reads both ends' sides from their records. A color
+    map that cannot be matched raises RuntimeError.
     """
     supports = _color_supports(sys).supports
-    nodes, by_mask = {sys.key(): ((), (sys, None))}, {0: sys}
+    root = ((), sys, _side(sys))
+    nodes, by_mask = {sys.key(): root}, {0: root}
     for d in enumerate_distinguished(sys):
-        q_built = _quotient(sys, d.members)
-        by_mask[_mask(d.members)] = nodes.setdefault(q_built[0].key(), (d.members, q_built))[1][0]
+        q = quotient(sys, d.members)
+        if q.key() not in nodes:
+            nodes[q.key()] = (d.members, q, _side(q))
+        by_mask[_mask(d.members)] = nodes[q.key()]
     edges = []
-    for members, q_built in nodes.values():
-        node, base = q_built[0], _mask(members)
+    for members, node, side in nodes.values():
+        base = _mask(members)
         try:
-            inverse = {i: k for k, i in enumerate(_color_map(sys, members, q_built))}
+            inverse = {i: k for k, i in enumerate(_color_map(sys, members, node))}
             above = sorted(((tuple(sorted(inverse[i] for i in _members(m & ~base))), m & ~base, t)
                             for m, t in by_mask.items() if m != base and m & base == base),
                            key=lambda e: (len(e[0]), e[0]))
         except (KeyError, IndexError):
             raise RuntimeError(f"Luna's correspondence fails at D = {list(members)} of S = "
                                + emit_system(sys).strip())
-        minimal, side = set(_minimal([s & ~base for s in supports if s & ~base])), _side(node)
+        minimal = set(_minimal([s & ~base for s in supports if s & ~base]))
         edges += [QuotientEdge(source=node, target=t, members=e, minimal=rest in minimal,
-                               kind=_kind(side, _side(t)) if rest in minimal else None)
-                  for e, rest, t in above]
-    return QuotientLattice(nodes=tuple(b[0] for _, b in nodes.values()), edges=tuple(edges))
+                               kind=_kind(side, t_side) if rest in minimal else None)
+                  for e, rest, (_, t, t_side) in above]
+    return QuotientLattice(nodes=tuple(node for _, node, _ in nodes.values()), edges=tuple(edges))
 
 
-def _color_map(sys: SphericalSystem, members: Sequence[int], built: Built) -> List[int]:
+def _color_map(sys: SphericalSystem, members: Sequence[int], q: SphericalSystem) -> List[int]:
     """phi: the colors of q = sys/members to those of sys outside members, by
-    owners and row r . g (g: the kernel generators of q's columns, from
-    `built`; the unit vectors of sys's columns for a localization); equal
-    ones in order. The identity for no members."""
-    if not members:
-        return list(range(len(colors(sys))))
-    q, columns = built
-    if columns is None:
-        columns = [tuple(int(s.coeffs == t.coeffs) for t in sys.sigma) for s in q.sigma]
+    owners and row r . g, where g is the kernel generator of each Sigma
+    column of q (`kernel_generators`, matched by its Sigma vector); equal
+    ones in order. With no members the generators are sys's unit vectors,
+    so phi is the identity."""
+    by_vector = {tuple(_vector_of(sys, g)): g for g in kernel_generators(sys, members)}
+    columns = [by_vector[s.coeffs] for s in q.sigma]
     free = {}
     for i, c in enumerate(colors(sys).colors):
         if i not in members:
-            row = tuple(sum(x * y for x, y in zip(c.row, g)) for g in columns)
+            row = tuple(sum(map(mul, c.row, g)) for g in columns)
             free.setdefault((c.owners, row), []).append(i)
     return [free[c.owners, c.row].pop(0) for c in colors(q).colors]

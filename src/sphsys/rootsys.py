@@ -266,13 +266,16 @@ def _orders(block: Sequence[Sequence[int]], local: Sequence[int],
 
 
 def recognize(cartan: Sequence[Sequence[int]],
-              indices: Sequence[int]) -> List[Tuple[str, Tuple[int, ...]]]:
+              indices: Iterable[int]) -> List[Tuple[str, Tuple[int, ...]]]:
     """Split `indices` into irreducible components and identify each.
 
     Returns (type name, indices in Bourbaki order) per component, ordered by
-    smallest member index.
+    smallest member index; ValueError for an index that is not a row of
+    cartan.
     """
     idx = sorted(indices)
+    if idx and not 0 <= idx[0] <= idx[-1] < len(cartan):
+        raise ValueError(f"simple root indices {idx} outside 0..{len(cartan) - 1}")
     remaining = set(idx)
     comps: List[List[int]] = []
     while remaining:
@@ -304,11 +307,8 @@ def sub_root_system(rs: RootSystem, keep: Iterable[int]) -> Tuple[RootSystem, Tu
 
     Returns the abstract root system and the embedding: new simple index ->
     index in `rs`, components ordered by smallest ambient index; ValueError
-    for an index that is not a simple root's.
+    for an index that is not a simple root's (`recognize`).
     """
-    keep = sorted(keep)
-    if keep and not 0 <= keep[0] <= keep[-1] < rs.rank:
-        raise ValueError(f"simple root indices {keep} outside 0..{rs.rank - 1}")
     comps = recognize(rs.cartan, keep)
     name = "x".join(t for t, _ in comps)
     embedding = tuple(i for _, order in comps for i in order)

@@ -295,7 +295,7 @@ def _on_columns(sys: SphericalSystem, cols: Sequence[int], sp: FrozenSet[int],
     """The system on the ascending Sigma columns cols of sys, with S^p = sp
     and the given rows of sys projected onto cols: Sigma keeps its order,
     so only the rows are sorted. The localization at those columns, which is
-    S/D when D's kernel generators are their unit vectors (`quotient._quotient`)."""
+    S/D when D's kernel generators are their unit vectors (`quotient.quotient`)."""
     return SphericalSystem(rs=sys.rs, sigma=tuple(sys.sigma[c] for c in cols), sp=sp,
                            a_rows=tuple(sorted(tuple(r[c] for c in cols) for r in rows)))
 

@@ -423,10 +423,9 @@ def test_kernel_generators_match_the_full_width_kernel():
 
 def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     # of the 5,047 F4 quotients, 310 have a generator other than a unit
-    # vector, and only those run `_kernel_rays` and `_canonical`, and record
-    # their generators; each quotient reads its subset once (`_subset`), the
-    # builder never calls `kernel_generators`, and none goes through
-    # make_system
+    # vector, and only those run `_kernel_rays` and `_canonical`; each
+    # quotient reads its subset once (`_subset`), the builder never calls
+    # `kernel_generators`, and none goes through make_system
     module = import_module("sphsys.quotient")
     subsets = [(sys, d.members, kernel_generators(sys, d.members))
                for sys in census("F4").systems for d in enumerate_distinguished(sys)]
@@ -449,13 +448,11 @@ def test_quotients_run_a_cone_only_for_a_non_unit_generator(monkeypatch):
     built = non_unit = 0
     for sys, members, gens in subsets:
         canonical = calls["_canonical"]
-        _, columns = module._quotient(sys, members)
+        module.quotient(sys, members)
         built += 1
         unit_only = all(sum(g) == 1 for g in gens)
         non_unit += not unit_only
         assert calls["_canonical"] == canonical + (not unit_only), (emitted(sys), members)
-        assert (columns is None) == unit_only, (emitted(sys), members)
-        assert columns is None or sorted(columns) == gens, (emitted(sys), members)
     assert built == 5047
     assert non_unit == 310
     assert calls == {"_kernel_rays": 310, "kernel_generators": 0, "_canonical": 310,
@@ -729,7 +726,7 @@ def test_projective_singletons_are_distinguished():
 def test_lattice_edges_reuse_their_quotient(monkeypatch):
     # every node is some sys/D, built once; edges only look their targets up
     module = import_module("sphsys.quotient")
-    build = module._quotient
+    build = module.quotient
     built = []
 
     def counting(sys, members):
@@ -740,7 +737,7 @@ def test_lattice_edges_reuse_their_quotient(monkeypatch):
         for sys in census(spec).systems[::90]:
             built.clear()
             with monkeypatch.context() as m:
-                m.setattr(module, "_quotient", counting)
+                m.setattr(module, "quotient", counting)
                 lat = quotient_lattice(sys)
             assert built == [d.members for d in enumerate_distinguished(sys)]
             for e in lat.edges:
@@ -750,16 +747,35 @@ def test_lattice_edges_reuse_their_quotient(monkeypatch):
     assert (len(enumerate_distinguished(first)), len(quotient_lattice(first).edges)) == (15, 65)
 
 
+def test_lattice_reads_each_side_once(monkeypatch):
+    # each node's defect and negative colors (`_side`) are read once, when
+    # the node is built; an edge's kind reads both ends' sides from their
+    # node records
+    module = import_module("sphsys.quotient")
+    side = module._side
+    seen = []
+
+    def counting(sys):
+        seen.append(sys.key())
+        return side(sys)
+
+    monkeypatch.setattr(module, "_side", counting)
+    nodes = 0
+    for sys in census_systems(("F4", "D4")):
+        seen.clear()
+        lat = quotient_lattice(sys)
+        assert seen == [n.key() for n in lat.nodes], emitted(sys)
+        nodes += len(lat.nodes)
+    assert nodes == 7687
+
+
 def test_lattice_lookup_miss_is_reported(sl4, monkeypatch):
-    # with no columns in each quotient's build, the colors of sl4/D cannot
+    # with no kernel generators for a nonempty D, the colors of sl4/D cannot
     # be matched with those of sl4: Luna's correspondence seems to fail
     module = import_module("sphsys.quotient")
-    build = module._quotient
-
-    def drop_the_columns(sys, members):
-        return build(sys, members)[0], []
-
-    monkeypatch.setattr(module, "_quotient", drop_the_columns)
+    generators = module.kernel_generators
+    monkeypatch.setattr(module, "kernel_generators",
+                        lambda sys, members: [] if members else generators(sys, members))
     with pytest.raises(RuntimeError) as caught:
         quotient_lattice(sl4)
     message = str(caught.value)
@@ -786,20 +802,6 @@ def test_lattice_reads_the_cone_of_its_source_only(monkeypatch):
             seen.clear()
             lat = quotient_lattice(sys)
             assert len(lat.nodes) > 1 and set(seen) == {sys.key()}
-
-
-def test_color_map_reads_what_the_quotient_was_built_with(sl4, monkeypatch):
-    # phi needs neither a kernel nor the generators' Sigma vectors again
-    module = import_module("sphsys.quotient")
-    builds = {d.members: module._quotient(sl4, d.members) for d in enumerate_distinguished(sl4)}
-
-    def forbidden(*args):
-        raise AssertionError("the color map recomputes what building the quotient gave")
-
-    monkeypatch.setattr(module, "kernel_generators", forbidden)
-    for members, built in builds.items():
-        phi = module._color_map(sl4, members, built)
-        assert sorted(phi) == sorted(set(range(len(colors(sl4)))) - set(members))
 
 
 def test_strongly_solvable_chains_follow_the_definition():
@@ -953,6 +955,9 @@ def test_classify_rejects_a_subset_that_is_not_minimal(f4_census):
     assert (0, 1) in [d.members for d in enumerate_distinguished(first) if not d.minimal]
     kinds, rejected = [], 0
     for sys in f4_census.systems:
+        # the empty subset is distinguished, but S -> S is no edge
+        with pytest.raises(ValueError, match="not minimal"):
+            classify(sys, ())
         for d in enumerate_distinguished(sys):
             if d.minimal:
                 kinds.append(classify(sys, d.members))
@@ -1061,18 +1066,20 @@ def test_luna_correspondence(spec, step):
 
 
 def test_color_map_matches_luna_on_both_routes():
-    # `_color_map` reads the build record: the kernel generators of S/D's
-    # columns after a kernel cone, nothing for a localization
+    # `_color_map` matches the colors of S/D with those of S outside D on
+    # both routes to S/D: a localization, whose kernel generators are all
+    # unit vectors, and a kernel quotient, with a generator that is not
     module = import_module("sphsys.quotient")
     routes = {"localization": 0, "kernel": 0}
     for sys in census_systems(("F4", "D4")):
         for d in enumerate_distinguished(sys):
-            built = module._quotient(sys, d.members)
-            phi = luna_color_map(sys, d.members, built[0])
+            q = quotient(sys, d.members)
+            phi = luna_color_map(sys, d.members, q)
             assert phi is not None, (emitted(sys), d.members)
-            assert module._color_map(sys, d.members, built) == [phi[k] for k in range(len(phi))], \
+            assert module._color_map(sys, d.members, q) == [phi[k] for k in range(len(phi))], \
                 (emitted(sys), d.members)
-            routes["localization" if built[1] is None else "kernel"] += 1
+            kernel = any(sum(g) > 1 for g in kernel_generators(sys, d.members))
+            routes["kernel" if kernel else "localization"] += 1
     assert routes == {"localization": 9340, "kernel": 662}
 
 

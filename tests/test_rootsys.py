@@ -69,6 +69,13 @@ def test_recognize_components():
     assert recognize(rs.cartan, (0, 1, 2)) == [("A1", (0,)), ("A2", (1, 2))]
 
 
+def test_recognize_rejects_a_block_of_no_finite_type():
+    # the affine A2 block: a cycle of three simple roots
+    affine = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    with pytest.raises(ValueError, match=r"^unrecognizable Cartan block on \[0, 1, 2\]$"):
+        recognize(affine, [0, 1, 2])
+
+
 def test_rank_rules_are_stated_once():
     # a letter and a rank build a root system exactly when `_admits` the
     # pair, and `recognize` names each admitted type from its own Cartan matrix
@@ -125,9 +132,11 @@ def test_f4_parabolic_gradings(f4, omit, levi, dims):
     assert g.dims == dims
 
 
-@pytest.mark.parametrize("keep,alpha", [([-1], -1), ([0, 4], 4), ([7], 7)])
+@pytest.mark.parametrize("keep,alpha", [([-1], -1), ([0, 4], 4), ([7], 7), ([0, 3, -1], -1)])
 def test_simple_root_indices_are_checked(f4, keep, alpha):
     # a negative index would wrap to the last simple root
+    with pytest.raises(ValueError, match=rf"simple root indices \[.*{alpha}.*\] outside 0\.\.3"):
+        recognize(f4.cartan, keep)
     with pytest.raises(ValueError, match=rf"simple root indices \[.*{alpha}.*\] outside 0\.\.3"):
         sub_root_system(f4, keep)
     with pytest.raises(ValueError, match=rf"simple root index {alpha} outside 0\.\.3"):

@@ -215,6 +215,17 @@ def test_make_system_checks_the_row_width(f4):
         make_system(f4, [(1, 0, 0, 0)], [], [(1,), (1, 0)])
 
 
+def test_colors_reject_an_odd_pairing_at_a_doubled_simple_root():
+    # 2 alpha_1 is in Sigma and <alpha_1^vee, alpha_2> = -1 is odd; the 2a
+    # color of alpha_1 takes half of each pairing, so only (Sigma1) fails,
+    # and `colors` says why
+    a2 = build_root_system("A2")
+    sys = make_system(a2, [(2, 0), (0, 1)], [], [(-1, 1), (-1, 1)])
+    assert [e[:8] for e in validate(sys)] == ["(Sigma1)"]
+    with pytest.raises(ValueError, match="^odd pairing value -1 at a doubled simple root$"):
+        colors(sys)
+
+
 def test_localize_s_support_filter():
     rs = build_root_system("C4")
     sys = make_system(rs, [(1, 0, 0, 1), (0, 1, 1, 0)], [], [])
