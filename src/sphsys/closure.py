@@ -147,15 +147,12 @@ class _Plan:
     """What solving the multiplicities of colors of given weights for a
     target needs, whatever the target (see `_solve`)."""
 
-    # (color, weight) for each color that reaches two or more coordinates
-    shared: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
-    # per shared color, the (j, w_j) it closes: j is reached by no lone color
-    # and by no later shared color
-    closes: Tuple[Tuple[Tuple[int, int], ...], ...]
-    lone: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (j, factors) where lone colors reach j
-    unreached: Tuple[int, ...]  # the coordinates no color reaches
-    # a solution is built as the shared colors' multiplicities, then each
-    # coordinate's composition, then `zeros`; `place` puts it in color order
+    # per coordinate j, the step that closes it: the factors w_j of the
+    # colors whose lowest owner is j, and per such color the (k, w_k) at its
+    # later owners k, or () when none of them has a later owner
+    steps: Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]], ...]
+    # a solution is built as each step's composition in turn, then `zeros`;
+    # `place` puts it in color order
     zeros: Counts
     place: Callable[[Counts], Counts]
     bits: Tuple[int, ...]  # 1 << i per color i
@@ -173,48 +170,45 @@ class _Plan:
         return out
 
 
+_NO_STEP = ((), ())  # the step of a coordinate that no color owns first
+
+
 @lru_cache(maxsize=None)
 def _plan(weights: Tuple[Tuple[Tuple[int, int], ...], ...], rank: int) -> _Plan:
-    """The plan of colors given by their weights, each as (j, w_j) with
-    w_j > 0, one object per distinct tuple of weights, so that the systems
-    with those weights share it.
-
-    The colors are split into those that reach one coordinate, listed under
-    it with their w_j, and those that reach two or more. A color of weight
-    zero is in neither.
-    """
+    """The plan of colors given by their weights, each as its (j, w_j) with
+    w_j > 0 in ascending j (as `_profile` builds them), one object per
+    distinct tuple of weights, so that the systems with those weights share
+    it. A color is in the step of its lowest owner; one of weight zero is in
+    none."""
     n = len(weights)
-    lone: List[List[int]] = [[] for _ in range(rank)]
-    factors: List[List[int]] = [[] for _ in range(rank)]
-    shared = []
+    first: List[List[int]] = [[] for _ in range(rank)]  # the colors by lowest owner
+    above: List[List[int]] = [[] for _ in range(rank)]
     for i, w in enumerate(weights):
-        if len(w) == 1:
-            (j, wj), = w
-            lone[j].append(i)
-            factors[j].append(wj)
-        elif w:
-            shared.append((i, w))
-    last = {j: s for s, (_, w) in enumerate(shared) for j, _ in w if not lone[j]}
-    order = [i for i, _ in shared] + [i for cs in lone for i in cs]
-    reach = [list(zip(cs, fs)) + [(i, wj) for i, w in shared for k, wj in w if k == j]
-             for j, (cs, fs) in enumerate(zip(lone, factors))]  # (color, w_j) per j
+        if w:
+            first[w[0][0]].append(i)
+        for j, wj in w:
+            over = above[j]
+            over += [0] * (wj - len(over))
+            for t in range(wj):
+                over[t] |= 1 << i
+    steps = []
+    for cs in first:
+        later = tuple(weights[i][1:] for i in cs)
+        steps.append((tuple(weights[i][0][1] for i in cs), later if any(later) else ())
+                     if cs else _NO_STEP)
+    order = [i for cs in first for i in cs]
+    reached = _mask(order)
     zeros = (0,) * (n - len(order))
     if zeros:
         order += sorted(set(range(n)).difference(order))
     return _Plan(
-        shared=tuple(shared),
-        closes=tuple(tuple((j, wj) for j, wj in w if last.get(j) == s)
-                     for s, (_, w) in enumerate(shared)),
-        lone=tuple((j, tuple(fs)) for j, fs in enumerate(factors) if fs),
-        unreached=tuple(j for j, cs in enumerate(lone) if not cs and j not in last),
+        steps=tuple(steps),
         zeros=zeros,
         # itemgetter of one index returns an item, not a tuple
         place=itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple,
         bits=tuple(1 << i for i in range(n)),
-        reached=_mask(i for r in reach for i, _ in r),
-        above=tuple(tuple(_mask(i for i, wj in r if wj > t)
-                          for t in range(max((wj for _, wj in r), default=0)))
-                    for r in reach))
+        reached=reached,
+        above=tuple(map(tuple, above)))
 
 
 @dataclass(slots=True, eq=False)  # one per closed system: no __dict__
@@ -232,10 +226,7 @@ class _Profile:
     projective colors never builds it.
     """
 
-    # the plan of the colors' weights: per simple root, the colors it owns
-    # alone and their factors (2 for a 2a color, else 1); then each color
-    # owned by two or more, with its weight
-    plan: _Plan
+    plan: _Plan  # of the colors' weights: w_j is 2 for a 2a color, else 1
     gamma: GammaGroup
     projective: int  # bitmask of the projective colors
     rows: Tuple[Row, ...]  # the other colors' rows (the bits outside projective), in order
@@ -357,66 +348,41 @@ def _solve(plan: _Plan, target: Sequence[int],
     """Every multiplicity of the colors of `plan` with weight `target`, in
     lexicographic order, with its support bitmask.
 
-    There is none when the target is nonzero at a coordinate no color
-    reaches. Otherwise the shared colors are enumerated depth first: the one
-    that closes a coordinate is forced to, or the branch is dead. What is
-    left at each coordinate j is then split over the lone colors of j, as
-    its compositions over their factors from the table `compositions`,
-    which is filled on demand.
+    Coordinate j is closed by the colors whose lowest owner is j: when its
+    step runs, every color reaching j with a lower lowest owner is fixed,
+    and no later color reaches j. So what is left of target_j is split over
+    the step's factors, as its compositions from the table `compositions`,
+    filled on demand; each one's share is taken from its colors' later
+    owners, and a branch dies when one of them goes negative.
     """
-    if any(target[j] for j in plan.unreached):
-        return []
-    shared, closes = plan.shared, plan.closes
-    leaves = [((), tuple(target))]
-    if shared:
-        rem = list(target)
-        acc = [0] * len(shared)
-        leaves = []
-
-        def rec(s: int) -> None:
-            if s == len(shared):
-                leaves.append((tuple(acc), tuple(rem)))
-                return
-            w = shared[s][1]
-            if closes[s]:
-                j, wj = closes[s][0]
-                m = rem[j] // wj
-                if (m < 0 or any(rem[k] != m * wk for k, wk in closes[s])
-                        or any(rem[k] < m * wk for k, wk in w)):
-                    return
-                choices = (m,)
-            else:
-                choices = range(min(rem[j] // wj for j, wj in w) + 1)
-            for m in choices:
-                acc[s] = m
-                for j, wj in w:
-                    rem[j] -= m * wj
-                rec(s + 1)
-                for j, wj in w:
-                    rem[j] += m * wj
-
-        rec(0)
-    found: List[Counts] = []
-    for head, rem_ in leaves:
-        part = [head]
-        for j, fs in plan.lone:
-            comps = compositions.get((fs, rem_[j]))
+    partial = [((), tuple(target))]  # (multiplicities so far, what is left)
+    for j, (factors, later) in enumerate(plan.steps):
+        grown = []
+        for head, rem in partial:
+            comps = compositions.get((factors, rem[j]))
             if comps is None:
-                comps = compositions[fs, rem_[j]] = _compositions(fs, rem_[j])
-            part = [v + c for v in part for c in comps]
-        found += part
-    if not found:
-        return []
+                comps = compositions[factors, rem[j]] = _compositions(factors, rem[j])
+            if not later:
+                grown += [(head + c, rem) for c in comps]
+                continue
+            for c in comps:
+                left = list(rem)
+                for m, owners in zip(c, later):
+                    for k, wk in owners:
+                        left[k] -= m * wk
+                if min(left) >= 0:
+                    grown.append((head + c, tuple(left)))
+        partial = grown
     zeros, place, bits = plan.zeros, plan.place, plan.bits
     return [(counts, sum(compress(bits, counts)))
-            for counts in sorted([place(v + zeros) for v in found])]
+            for counts in sorted([place(head + zeros) for head, _ in partial])]
 
 
 def _compositions(factors: Tuple[int, ...], value: int) -> List[Counts]:
     """Every (m_1, ..., m_k) >= 0 with sum_p factors[p] * m_p == value, in
-    lexicographic order."""
+    lexicographic order: [()] without factors if value is 0, else none."""
+    if not factors:
+        return [()] if value == 0 else []
     f = factors[0]
-    if len(factors) == 1:
-        return [(value // f,)] if value >= 0 and value % f == 0 else []
     return [(m,) + rest for m in range(value // f + 1)
             for rest in _compositions(factors[1:], value - m * f)]

@@ -162,8 +162,10 @@ def kernel_generators(sys: SphericalSystem, members: Sequence[int]) -> List[Tupl
     blocks from its own check of D.
     """
     members, _, _, touched, vanish = _subset(_color_supports(sys), members)
-    return sorted(_units(sys.rank, touched)
-                  + list(_kernel_rays(_rows_of(sys, members), touched & ~vanish, sys.rank)))
+    gens = _units(sys.rank, touched)
+    if touched & ~vanish:
+        gens += _kernel_rays(_rows_of(sys, members), touched & ~vanish, sys.rank)
+    return sorted(gens)
 
 
 def _units(n: int, touched: int) -> List[Tuple[int, ...]]:

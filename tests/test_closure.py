@@ -519,6 +519,18 @@ def test_faithful_couples_digest_e7_w7():
         "fab3374ee55759c9295294b88d1e65f979d5735a83d4a37197bd4671e923726c"
 
 
+@pytest.mark.slow
+def test_faithful_couples_digest_e8_w8():
+    # every couple of E8 at w8, in the line format of the E7 w7 digest: a
+    # regression value of this engine
+    report = census("E8")
+    lines = [f"{orbit} {list(c.counts)} {emit_system(c.system).strip()}"
+             for c, orbit in faithful_couples(report.systems, report.rs, (0,) * 7 + (1,))]
+    assert len(lines) == 4
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "829f57f9ebc3471a82de8aa6d59f290b1fa1033b8e6d78cd1cc8e7ab5606c3ae"
+
+
 # A diagram automorphism p maps the faithful couples of a weight onto those
 # of its image: relabeling S by p (simple root k of the image is simple root
 # p[k] of S) and moving each count to the image's color order gives a couple

@@ -151,8 +151,11 @@ def _brute_force_multiplicities(weights, target):
 
 @st.composite
 def sparse_weights(draw):
-    dim = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 4))
+    # up to rank 4 and 5 colors: a color with three owners, and two colors
+    # with one lowest owner that reach later ones; brute force stays at most
+    # 5^5 vectors
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 5))
     weights = []
     for _ in range(k):
         coords = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim,
@@ -211,10 +214,24 @@ def test_multiplicity_solver_edge_targets():
     assert multiplicities_with_weight(weights, (0, 0, 0)) == [(0, 0, 0)]
     assert multiplicities_with_weight(weights, (4, 3, 0)) == \
         _brute_force_multiplicities(weights, (4, 3, 0))
-    # the shared color 0 alone reaches coordinate 1, and closes it; no color
-    # reaches coordinate 2
+    # no color owns coordinate 1 first, so color 0, owned first by 0, alone
+    # closes it; no color reaches coordinate 2
     weights = [((0, 1), (1, 2)), ((0, 1),)]
     for target, want in [((3, 2, 0), [(1, 2)]), ((3, 3, 0), []), ((3, 2, 1), []),
                          ((0, 0, 0), [(0, 0)]), ((0, 0, 2), [])]:
+        assert multiplicities_with_weight(weights, target) == want
+        assert _brute_force_multiplicities(weights, target) == want
+    # colors 0 and 1 are both owned first by 0, and each reaches another
+    # later coordinate: their split of target_0 is taken from both
+    weights = [((0, 1), (1, 1)), ((0, 1), (2, 2)), ((1, 1),)]
+    for target, want in [((2, 3, 2), [(1, 1, 2)]), ((2, 3, 0), [(2, 0, 1)]),
+                         ((2, 0, 2), []), ((1, 0, 2), [(0, 1, 0)]), ((2, 1, 1), [])]:
+        assert multiplicities_with_weight(weights, target) == want
+        assert _brute_force_multiplicities(weights, target) == want
+    # no color owns coordinate 2 first, but colors 0 and 1 reach it: it must
+    # be left at 0 once both are fixed
+    weights = [((0, 1), (2, 1)), ((1, 1), (2, 1)), ((0, 1),)]
+    for target, want in [((2, 1, 2), [(1, 1, 1)]), ((2, 1, 1), [(0, 1, 2)]),
+                         ((2, 1, 0), []), ((2, 0, 3), []), ((3, 0, 2), [(2, 0, 1)])]:
         assert multiplicities_with_weight(weights, target) == want
         assert _brute_force_multiplicities(weights, target) == want
