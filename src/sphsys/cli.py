@@ -100,11 +100,19 @@ def cmd_quotients(args) -> int:
     return EXIT_OK
 
 
-def _parse_indices(text: str) -> List[int]:
+def _parse_indices(text: str, n: int, what: str) -> List[int]:
+    """The 0-based indices of a 1-based list like "1,3"; a UsageError
+    unless each is below n. `localize_s` and `sub_root_system` check the
+    simple roots again, but their ValueError exits 3: here a bad index is
+    reported as typed, 1-based, with exit 2."""
     try:
-        return [int(p) - 1 for p in text.split(",") if p.strip()]
+        keep = [int(p) - 1 for p in text.split(",") if p.strip()]
     except ValueError:
         raise UsageError(f"bad index list {text!r}")
+    bad = [i + 1 for i in keep if not 0 <= i < n]
+    if bad:
+        raise UsageError(f"{what} index out of range: {bad}")
+    return keep
 
 
 def cmd_localize(args) -> int:
@@ -112,17 +120,10 @@ def cmd_localize(args) -> int:
     if (args.sigma is None) == (args.s is None):
         raise UsageError("exactly one of --sigma or --s is required")
     if args.sigma is not None:
-        keep = _parse_indices(args.sigma)
-        bad = [i + 1 for i in keep if not 0 <= i < len(sys_.sigma)]
-        if bad:
-            raise UsageError(f"sigma index out of range: {bad}")
+        keep = _parse_indices(args.sigma, len(sys_.sigma), "sigma")
         out = localize_sigma(sys_, [sys_.sigma[i].coeffs for i in keep])
     else:
-        keep = _parse_indices(args.s)
-        bad = [i + 1 for i in keep if not 0 <= i < sys_.rs.rank]
-        if bad:
-            raise UsageError(f"simple root index out of range: {bad}")
-        out = localize_s(sys_, keep)
+        out = localize_s(sys_, _parse_indices(args.s, sys_.rs.rank, "simple root"))
     print(emit_system(out), end="")
     return EXIT_OK
 

@@ -84,16 +84,15 @@ def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:
     cs = colors(sys).colors
     if not 0 <= idx < len(cs):
         raise ValueError(f"color index {idx} outside 0..{len(cs) - 1}")
-    return _weight(cs[idx], sys.rs.rank)
+    weight = dict(_weight(cs[idx]))
+    return tuple(weight.get(j, 0) for j in range(sys.rs.rank))
 
 
-def _weight(c: Color, rank: int) -> Counts:
-    """Weight of a color: 2 at its owner for a 2a color, else 1 at each owner."""
-    out = [0] * rank
+def _weight(c: Color) -> Tuple[Tuple[int, int], ...]:
+    """Weight of a color as its (j, w_j) in ascending j, one per owner j:
+    w_j is 2 at its owner for a 2a color, else 1 at each owner."""
     mult = 2 if c.kind == "2a" else 1
-    for a in c.owners:
-        out[a] += mult
-    return tuple(out)
+    return tuple((a, mult) for a in c.owners)
 
 
 def _naturals(values: Sequence) -> bool:
@@ -115,10 +114,9 @@ def _counts(sys: SphericalSystem, counts: Sequence[int]) -> Counts:
 def omega_of(sys: SphericalSystem, counts: Sequence[int]) -> Counts:
     """Weight of a color multiplicity, in fundamental-weight coordinates."""
     out = [0] * sys.rs.rank
-    for idx, m in enumerate(_counts(sys, counts)):
-        if m:
-            w = omega_of_color(sys, idx)
-            out = [o + m * wi for o, wi in zip(out, w)]
+    for c, m in zip(colors(sys).colors, _counts(sys, counts)):
+        for j, w in _weight(c):
+            out[j] += m * w
     return tuple(out)
 
 
@@ -151,19 +149,16 @@ class _Plan:
     # colors whose lowest owner is j, and per such color the (k, w_k) at its
     # later owners k, or () when none of them has a later owner
     steps: Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]], ...]
-    # a solution is built as each step's composition in turn, then `zeros`;
-    # `place` puts it in color order
-    zeros: Counts
+    # `place` puts a solution, each step's composition in turn, in color order
     place: Callable[[Counts], Counts]
     bits: Tuple[int, ...]  # 1 << i per color i
-    reached: int  # the colors of nonzero weight
     # per coordinate j, per t below the largest w_j, the colors with w_j > t
     above: Tuple[Tuple[int, ...], ...]
 
     def usable(self, target: Sequence[int]) -> int:
-        """The colors that a multiplicity of weight target can use: those of
-        nonzero weight with w_j <= target_j at every j."""
-        out = self.reached
+        """The colors that a multiplicity of weight target can use: those
+        with w_j <= target_j at every j."""
+        out = (1 << len(self.bits)) - 1
         for over, t in zip(self.above, target):
             if t < len(over):
                 out &= ~over[t]
@@ -175,17 +170,16 @@ _NO_STEP = ((), ())  # the step of a coordinate that no color owns first
 
 @lru_cache(maxsize=None)
 def _plan(weights: Tuple[Tuple[Tuple[int, int], ...], ...], rank: int) -> _Plan:
-    """The plan of colors given by their weights, each as its (j, w_j) with
-    w_j > 0 in ascending j (as `_profile` builds them), one object per
+    """The plan of colors given by their weights (`_weight`), one object per
     distinct tuple of weights, so that the systems with those weights share
-    it. A color is in the step of its lowest owner; one of weight zero is in
-    none."""
+    it. A color is in the step of its lowest owner. Every color has one: a
+    Delta^a color is owned by the simple roots with a 1 in its row, which
+    (A3) says it has, and a Delta^2a or Delta^b color by its simple roots."""
     n = len(weights)
     first: List[List[int]] = [[] for _ in range(rank)]  # the colors by lowest owner
     above: List[List[int]] = [[] for _ in range(rank)]
     for i, w in enumerate(weights):
-        if w:
-            first[w[0][0]].append(i)
+        first[w[0][0]].append(i)
         for j, wj in w:
             over = above[j]
             over += [0] * (wj - len(over))
@@ -197,17 +191,11 @@ def _plan(weights: Tuple[Tuple[Tuple[int, int], ...], ...], rank: int) -> _Plan:
         steps.append((tuple(weights[i][0][1] for i in cs), later if any(later) else ())
                      if cs else _NO_STEP)
     order = [i for cs in first for i in cs]
-    reached = _mask(order)
-    zeros = (0,) * (n - len(order))
-    if zeros:
-        order += sorted(set(range(n)).difference(order))
     return _Plan(
         steps=tuple(steps),
-        zeros=zeros,
         # itemgetter of one index returns an item, not a tuple
         place=itemgetter(*sorted(range(n), key=order.__getitem__)) if n > 1 else tuple,
         bits=tuple(1 << i for i in range(n)),
-        reached=reached,
         above=tuple(map(tuple, above)))
 
 
@@ -226,7 +214,7 @@ class _Profile:
     projective colors never builds it.
     """
 
-    plan: _Plan  # of the colors' weights: w_j is 2 for a 2a color, else 1
+    plan: _Plan  # of the colors' weights (`_weight`)
     gamma: GammaGroup
     projective: int  # bitmask of the projective colors
     rows: Tuple[Row, ...]  # the other colors' rows (the bits outside projective), in order
@@ -264,11 +252,10 @@ def _profile(sys: SphericalSystem) -> Optional[_Profile]:
     loose = loose_roots(sys)
     if not _closed(loose):
         return None
-    cset, rank = _colors(sys), sys.rs.rank
-    weights = tuple(tuple((j, w) for j, w in enumerate(_weight(c, rank)) if w)
-                    for c in cset.colors)
+    cset = _colors(sys)
     negative = [min(c.row, default=0) < 0 for c in cset.colors]
-    return _Profile(plan=_plan(weights, rank), gamma=_gamma(cset, loose),
+    plan = _plan(tuple(map(_weight, cset.colors)), sys.rs.rank)
+    return _Profile(plan=plan, gamma=_gamma(cset, loose),
                     projective=_mask(i for i, n in enumerate(negative) if not n),
                     rows=tuple(compress((c.row for c in cset.colors), negative)))
 
@@ -373,9 +360,9 @@ def _solve(plan: _Plan, target: Sequence[int],
                 if min(left) >= 0:
                     grown.append((head + c, tuple(left)))
         partial = grown
-    zeros, place, bits = plan.zeros, plan.place, plan.bits
+    place, bits = plan.place, plan.bits
     return [(counts, sum(compress(bits, counts)))
-            for counts in sorted([place(head + zeros) for head, _ in partial])]
+            for counts in sorted([place(head) for head, _ in partial])]
 
 
 def _compositions(factors: Tuple[int, ...], value: int) -> List[Counts]:

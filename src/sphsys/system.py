@@ -301,10 +301,10 @@ def _on_columns(sys: SphericalSystem, cols: Sequence[int], sp: FrozenSet[int],
 
 
 def _relabel(sys: SphericalSystem, rs: RootSystem, emb: Sequence[int]) -> SphericalSystem:
-    """sys over rs, where simple root k of rs is simple root emb[k] of sys;
-    Sigma and Sp must lie on the image of emb."""
-    return make_system(rs, [tuple(s.coeffs[j] for j in emb) for s in sys.sigma],
-                       [k for k, j in enumerate(emb) if j in sys.sp], sys.a_rows)
+    """sys over rs, where simple root k of rs is simple root emb[k] of sys, and
+    Sigma and Sp lie on emb's image; such input skips `make_system`'s checks."""
+    return _canonical(rs, [spherical_root(rs, [s.coeffs[j] for j in emb]) for s in sys.sigma],
+                      frozenset(k for k, j in enumerate(emb) if j in sys.sp), sys.a_rows)
 
 
 def localize_sigma(sys: SphericalSystem, keep_vectors: Iterable[Sequence[int]]) -> SphericalSystem:

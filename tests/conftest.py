@@ -16,9 +16,8 @@ from sphsys.quotient import _members
 
 def multiplicities_with_weight(weights, target):
     """All multiplicity vectors m, in lexicographic order, with
-    sum_i m_i * weights[i] == target. Each weight is a list of (j, w_j) with
-    w_j > 0 in ascending j, as `closure._profile` builds them; a color of
-    weight zero only takes multiplicity 0."""
+    sum_i m_i * weights[i] == target. Each weight is a nonempty list of
+    (j, w_j) with w_j > 0 in ascending j, as `closure._weight` builds them."""
     plan = _plan(tuple(map(tuple, weights)), len(target))
     return [counts for counts, _ in _solve(plan, target, {})]
 

@@ -12,6 +12,7 @@ import pytest
 from sphsys import build_root_system, colors, dual_weight, emit_system, make_system, validate
 from sphsys.closure import (
     FaithfulCouple,
+    _weight,
     faithful_couples,
     gamma_group,
     is_faithful,
@@ -25,7 +26,7 @@ from sphsys.enumeration import census
 from sphsys.quotient import enumerate_distinguished, is_distinguished
 from sphsys.system import _relabel
 
-from conftest import gamma_orbit, minimal_supports, multiplicities_with_weight
+from conftest import gamma_orbit, minimal_supports
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,24 @@ def test_omega_of_doubled_color(f4):
     assert omega_of_color(sys, idx[0]) == (0, 0, 0, 2)
 
 
+@pytest.mark.parametrize("name", ["F4", "D5", "E6"])
+def test_every_color_has_an_owner(name):
+    # the plan puts each color in the step of its lowest owner, so no weight
+    # is empty; the dense weights of omega_of_color and omega_of agree with it
+    for sys in census(name).systems:
+        cs, rank = colors(sys).colors, sys.rs.rank
+        total = [0] * rank
+        for i, c in enumerate(cs):
+            assert c.owners and all(a < b for a, b in zip(c.owners, c.owners[1:]))
+            weight = _weight(c)
+            assert [j for j, _ in weight] == list(c.owners)
+            assert {w for _, w in weight} == {2 if c.kind == "2a" else 1}
+            dense = tuple(dict(weight).get(j, 0) for j in range(rank))
+            assert omega_of_color(sys, i) == dense
+            total = [t + w for t, w in zip(total, dense)]
+        assert omega_of(sys, [1] * len(cs)) == tuple(total)
+
+
 def test_color_index_is_checked(f4):
     sys = make_system(f4, [(0, 0, 0, 2)], [0, 1], [])
     k = len(colors(sys))
@@ -165,15 +184,6 @@ def test_negative_or_non_integer_counts_are_rejected(f4, a1_pair):
 def test_weight_that_is_not_dominant_is_rejected(f4, f4_census, weight):
     with pytest.raises(ValueError, match="not a dominant weight"):
         faithful_couples(f4_census.systems, f4, weight)
-
-
-def test_multiplicities_leave_a_color_of_weight_zero_at_zero():
-    # no color of a system has weight zero, but the solver takes such weights
-    assert multiplicities_with_weight([((0, 1),), (), ((0, 1),)], (2,)) == \
-        [(0, 0, 2), (1, 0, 1), (2, 0, 0)]
-    assert multiplicities_with_weight([(), ((0, 2), (1, 1)), ((1, 1),), ()], (2, 3)) == \
-        [(0, 1, 2, 0)]
-    assert multiplicities_with_weight([()], (1,)) == []
 
 
 def test_adjoint_weight_couples_count(a3_census):
