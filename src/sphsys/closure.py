@@ -20,20 +20,18 @@ _colors = colors.__wrapped__
 
 
 def loose_roots(sys: SphericalSystem) -> List[SphericalRoot]:
-    """Spherical roots that break closure: simple ones with equal colors, and
-    non-simple sigma whose double is a spherical root compatible with Sp."""
-    rs = sys.rs
+    """Spherical roots that break closure: simple ones whose two colors, the
+    rows of A(alpha), are equal, and non-simple sigma whose double is a
+    spherical root compatible with Sp. ValueError if some A(alpha) is not
+    two rows, which `validate` reports as (A2)."""
     out = []
-    simple_cols = sys.simple_sigma()
-    for s in sys.sigma:
-        if s.height == 1:
-            col = simple_cols[s.coeffs.index(1)]
-            pair = [r for r in sys.a_rows if r[col] == 1]
-            if len(pair) == 2 and pair[0] == pair[1]:
+    for col, s in enumerate(sys.sigma):
+        if s.height == 1:  # a simple sigma's column is its own index
+            first, second = [r for r in sys.a_rows if r[col] == 1]
+            if first == second:
                 out.append(s)
         else:
-            doubled = tuple(2 * c for c in s.coeffs)
-            sr2 = _by_vector(rs).get(doubled)
+            sr2 = _by_vector(sys.rs).get(tuple(2 * c for c in s.coeffs))
             if sr2 is not None and is_compatible(sr2, sys.sp):
                 out.append(s)
     return out
@@ -68,15 +66,9 @@ def gamma_group(sys: SphericalSystem) -> GammaGroup:
 
 
 def _gamma(cset: ColorSet, loose: Sequence[SphericalRoot]) -> GammaGroup:
-    swaps = []
-    for s in loose:
-        if s.height != 1:
-            continue
-        alpha = s.coeffs.index(1)
-        pair = cset.delta_of[alpha]
-        if len(pair) == 2:
-            swaps.append((pair[0], pair[1]))
-    return GammaGroup(swaps=tuple(sorted(swaps)))
+    """The swaps of the two colors of A(alpha) at each loose simple root."""
+    return GammaGroup(swaps=tuple(sorted(cset.delta_of[s.support[0]]
+                                         for s in loose if s.height == 1)))
 
 
 def omega_of_color(sys: SphericalSystem, idx: int) -> Counts:

@@ -218,12 +218,11 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     (on the census types through E8, all of them). So no candidate is
     validated afterwards, and no triple is built twice.
 
-    The A-matrices depend on sigma only through its signature (see
-    `enumerate_a_matrices`), so they are read from the process table
-    `_a_matrices`, enumerated and sorted once per signature and shared by
-    every sigma with it, by their S^p choices and by later censuses. The
-    S^p choices depend only on sigma's interval, so they are built once
-    per interval, in a table that lives only as long as the call.
+    The A-matrices are read through `enumerate_a_matrices`: searched once
+    per signature for the process, they are shared by every sigma with it,
+    by their S^p choices and by later censuses. The S^p choices depend only
+    on sigma's interval, so they are built once per interval, in a table
+    that lives only as long as the call.
     Sigma comes from `_sigma_candidates` in catalog order, which is the
     canonical (height, coefficients) order, and the rows are sorted tuples
     over it, so each triple is built as a `SphericalSystem` directly,
@@ -238,7 +237,7 @@ def enumerate_systems(rs: RootSystem) -> CensusReport:
     systems: List[SphericalSystem] = []
     for sigma, low, high in sorted(_sigma_candidates(rs),
                                    key=lambda c: [s.coeffs for s in c[0]]):
-        rows_of = _a_matrices(_a_signature(sigma))
+        rows_of = enumerate_a_matrices(sigma)
         sps = by_interval.get((low, high))
         if sps is None:
             sps = by_interval[low, high] = _sp_choices(rs.rank, low, high)

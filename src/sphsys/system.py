@@ -63,8 +63,7 @@ class SphericalSystem:
         return _simple_columns(self.sigma)
 
     def support(self) -> FrozenSet[int]:
-        return frozenset(i for s in self.sigma for i in range(self.rs.rank)
-                         if s.coeffs[i])
+        return frozenset(a for s in self.sigma for a in s.support)
 
 
 def make_system(rs: RootSystem, sigma_vectors: Iterable[Sequence[int]],

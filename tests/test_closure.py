@@ -104,6 +104,34 @@ def test_gamma_group_trivial_without_equal_pairs():
     assert gamma_group(sl4).order() == 1
 
 
+@pytest.mark.parametrize("spec", ["F4", "D4", "D5"])
+def test_gamma_swaps_the_equal_rows_of_each_simple_root(spec):
+    # Gamma reads the two colors of A(alpha) off delta_of; the reference
+    # reads them off the rows, whose colors have the rows' indices
+    for sys in census(spec).systems:
+        cset, swaps = colors(sys), []
+        for col, s in enumerate(sys.sigma):
+            if s.shape != "a1":
+                continue
+            pair = cset.delta_of[s.support[0]]
+            assert [cset.colors[i].kind for i in pair] == ["a", "a"]
+            assert pair == tuple(i for i, r in enumerate(sys.a_rows) if r[col] == 1)
+            if sys.a_rows[pair[0]] == sys.a_rows[pair[1]]:
+                swaps.append(pair)
+        assert gamma_group(sys).swaps == tuple(sorted(swaps))
+
+
+@pytest.mark.parametrize("rows", [[], [(1,)], [(1,), (1,), (1,)]])
+def test_loose_roots_reject_a_simple_root_without_two_rows(rows):
+    # (A2) is read, not tested: such input fails `validate`, and the
+    # closure questions that read A(alpha) raise on it
+    sys = make_system(build_root_system("A1"), [(1,)], [], rows)
+    assert any(m.startswith("(A2)") for m in validate(sys))
+    for ask in (loose_roots, is_spherically_closed, gamma_group):
+        with pytest.raises(ValueError):
+            ask(sys)
+
+
 def test_omega_of_color_kinds(f4):
     sys = make_system(f4, [(2, 2, 2, 0)], [1, 2], [])
     cs = colors(sys).colors

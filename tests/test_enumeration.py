@@ -361,6 +361,22 @@ def test_sp_choices_once_per_interval(monkeypatch, name, sigmas, intervals):
     assert len(calls) == len(set(calls)) == intervals
 
 
+# The census reads its A-matrices through the public reader, once per Sigma
+# candidate, so a trace of `enumerate_a_matrices` sees the census layer.
+def test_census_reads_a_matrices_once_per_sigma_candidate(monkeypatch):
+    rs = build_root_system("F4")
+    find, calls = enumerate_a_matrices, []
+
+    def counting(sigma):
+        calls.append(sigma)
+        return find(sigma)
+
+    monkeypatch.setattr(enumeration, "enumerate_a_matrices", counting)
+    enumerate_systems(rs)
+    assert len(calls) == len(set(calls)) == 95
+    assert set(calls) == {sigma for sigma, _, _ in _sigma_candidates(rs)}
+
+
 # The A-matrix table lives as long as the process, and a Levi's sigma has the
 # same signature inside every larger type: F4xA1 finds 27 of its 68
 # signatures already there after F4 and A1. The census is the same, line for

@@ -284,6 +284,12 @@ def test_localizations_match_reference(spec):
                     emit_system(_reference_localize_s(sys, keep))
 
 
+@pytest.mark.parametrize("spec", ["F4", "D5", "E6"])
+def test_support_is_the_nonzero_coefficients_of_sigma(spec):
+    for sys in census(spec).systems:
+        assert sys.support() == {i for s in sys.sigma for i, c in enumerate(s.coeffs) if c}
+
+
 def test_negative_colors(f4, f4_example):
     negs = negative_colors(f4_example)
     assert all(all(v <= 0 for v in c.row) for c, _ in negs)
